@@ -30,8 +30,9 @@ cannot beat one core), while the parity gate always runs.
 
 Results are written to ``BENCH_throughput.json`` at the repo root (one
 section per mode, so the committed file carries both the ``full``
-acceptance numbers and the tiny ``smoke`` CI point).  The perf-timer
-breakdown of the classify section rides along for drill-down.
+acceptance numbers and the tiny ``smoke`` CI point).  The per-stage
+breakdown of the classify section (``timers``, read from one telemetry
+session's ``trace.<name>_s`` span histograms) rides along for drill-down.
 
 Run the acceptance-scale measurement::
 
@@ -50,15 +51,15 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-from repro import nn
+from repro import nn, obs
 from repro.core import SupernovaPipeline
 from repro.core.flux_cnn import BandwiseCNN
 from repro.nn import blas_backend_info, blas_env_settings, cpu_count
-from repro.perf import instrument as perf
 from repro.serve import FluxPrior, InferenceEngine
 from repro.serve.pool import PoolConfig, ScoringPool
 
@@ -218,19 +219,28 @@ def bench_classify(
 ) -> tuple[float, dict]:
     """End-to-end serving throughput in samples per second.
 
-    Also returns the perf-timer breakdown of one instrumented pass.
+    Also returns the per-stage timers of one pass under a telemetry
+    session: ``{stage: {"calls", "total_s", "mean_s"}}`` from its
+    ``trace.<stage>_s`` span histograms.
     """
     run = _classify_workload(input_size, stamp, n, batch, seed, precision=precision)
     elapsed = _timeit(run, repeats)
 
-    perf.reset()
-    perf.enable()
-    try:
-        run()
-        timers = perf.report()
-    finally:
-        perf.disable()
-        perf.reset()
+    with tempfile.TemporaryDirectory() as tmp:
+        obs.start(tmp, command="bench-timers")
+        try:
+            run()
+        finally:
+            histograms = obs.stop()["histograms"]
+    timers = {
+        name[len("trace."):-len("_s")]: {
+            "calls": hist["count"],
+            "total_s": hist["sum"],
+            "mean_s": hist["sum"] / hist["count"],
+        }
+        for name, hist in histograms.items()
+        if name.startswith("trace.") and hist["count"]
+    }
     return n / elapsed, timers
 
 
@@ -402,8 +412,9 @@ def bench_telemetry(
        the measured per-batch classify time;
     4. enabled rounds emit at least one event per served sample;
     5. the disabled *tracing* hook (``repro.obs.trace.span`` returning
-       ``NULL_SPAN``) is microbenchmarked the same way — three
-       instrumented engine stages per batch must also stay under the
+       ``NULL_SPAN``) is microbenchmarked the same way — six
+       instrumented spans per batch (three engine stages, three
+       ``nn.conv2d`` layers) must also stay under the
        2% gate — and fully-traced rounds (``trace="always"`` with a
        root span over each run) report the enabled-with-sampling
        overhead informationally.
@@ -413,9 +424,6 @@ def bench_telemetry(
     drift); absolute throughput stays gated by ``--check``.
     """
     import statistics
-    import tempfile
-
-    from repro import obs
 
     run = _classify_workload(input_size, stamp, n, batch, seed)
     rounds = max(2 * repeats, 4)
@@ -475,8 +483,9 @@ def bench_telemetry(
     disabled_overhead = hook_cost / batch_time
 
     # The disabled tracing hook: span() reads one module reference and
-    # returns NULL_SPAN; each scored batch pays it once per instrumented
-    # engine stage (repair, cnn, features).
+    # returns NULL_SPAN; each scored batch pays it once per engine stage
+    # (repair, cnn, features) and once per conv layer (nn.conv2d).
+    spans_per_batch = 6
     from repro.obs import trace as trace_mod
 
     if trace_mod.tracer() is not None:
@@ -486,7 +495,7 @@ def bench_telemetry(
         with trace_mod.span("bench.hook"):
             pass
     trace_hook_cost = (time.perf_counter() - start) / hook_iters
-    trace_disabled_overhead = 3 * trace_hook_cost / batch_time
+    trace_disabled_overhead = spans_per_batch * trace_hook_cost / batch_time
 
     # Fully-traced rounds: telemetry + trace="always", with a root span
     # over each run so every engine stage records a span.  Reported
@@ -531,7 +540,7 @@ def bench_telemetry(
         f"enabled overhead {enabled_overhead:6.2%}"
     )
     print(
-        f"disabled trace hook {trace_hook_cost * 1e9:6.0f} ns/span x3 = "
+        f"disabled trace hook {trace_hook_cost * 1e9:6.0f} ns/span x{spans_per_batch} = "
         f"{trace_disabled_overhead:.4%} of batch time (gate <2%), "
         f"traced overhead {traced_overhead:6.2%}"
     )
@@ -667,7 +676,7 @@ def run_benchmark(smoke: bool) -> dict:
             **mp_metrics,
         },
         "mp_scaling": mp_scaling,
-        "timers": timers.get("timers", {}),
+        "timers": timers,
     }
 
 

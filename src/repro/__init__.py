@@ -28,9 +28,11 @@ Subpackages
 ``repro.serve``
     Hardened inference: input validation/repair, band masking with
     prior imputation, degradation-flagged predictions.
-``repro.perf``
-    Performance instrumentation: scoped timers, op counters, JSON
-    reports driving the ``BENCH_*`` throughput trajectory.
+``repro.obs``
+    Telemetry: structured events, metrics, drift watch, and the one
+    instrumentation primitive — ``obs.span`` / ``obs.record`` feed
+    ``trace.<name>_s`` histograms (and, for sampled requests, span
+    events) under an ``obs.start`` session.
 """
 
 from . import (
@@ -42,7 +44,7 @@ from . import (
     eval,
     lightcurves,
     nn,
-    perf,
+    obs,
     photometry,
     runtime,
     serve,
@@ -65,7 +67,7 @@ __all__ = [
     "eval",
     "runtime",
     "serve",
-    "perf",
+    "obs",
     "utils",
     "__version__",
 ]

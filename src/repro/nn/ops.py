@@ -29,7 +29,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..perf.instrument import timed as _timed
+from ..obs import trace as _trace
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
@@ -277,7 +277,7 @@ def conv2d(
             f"input has {x.shape[1]} channels but weight expects {in_channels}"
         )
 
-    with _timed("nn.conv2d"):
+    with _trace.span("nn.conv2d"):
         x_padded = pad2d(x.data, padding)
         batch = x_padded.shape[0]
         if x_padded.dtype == np.float16:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..perf.instrument import timed as _timed
+from ..obs import trace as _trace
 from .module import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "StepLR", "clip_grad_norm"]
@@ -78,7 +78,7 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        with _timed("nn.optim.step"):
+        with _trace.span("nn.optim.step"):
             for i, (param, velocity) in enumerate(zip(self.parameters, self._velocity)):
                 if param.grad is None:
                     continue
@@ -132,7 +132,7 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
-        with _timed("nn.optim.step"):
+        with _trace.span("nn.optim.step"):
             self._t += 1
             bias1 = 1.0 - self.beta1**self._t
             bias2 = 1.0 - self.beta2**self._t

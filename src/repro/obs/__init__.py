@@ -8,13 +8,15 @@ when) a telemetry session is active:
   ``request_id`` onto every line;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with JSON snapshots and Prometheus text exposition, plus
-  pluggable sources (the :mod:`repro.perf` timers register as one);
+  pluggable sources (the conv workspace cache registers as one);
 * :mod:`repro.obs.session` — the on/off switch: ``start(dir)`` /
   ``stop()``; the disabled path is a single ``active() is None`` check,
   so library code is free to instrument unconditionally;
-* :mod:`repro.obs.trace` — request tracing: spans (trace_id / span_id /
-  parent_id, start, duration) recorded through the event log, with
-  cross-process propagation into pool workers, sampling, and the
+* :mod:`repro.obs.trace` — :func:`span` / :func:`record`, the one
+  timing primitive: under a session every span feeds a
+  ``trace.<name>_s`` histogram, and spans of sampled requests (trace_id
+  / span_id / parent_id, start, duration) are also recorded through the
+  event log, with cross-process propagation into pool workers and the
   ``repro trace`` analysis CLI;
 * :mod:`repro.obs.drift` — PSI/KS monitoring of the served score and
   flux distributions against a baseline committed with the model;
@@ -64,6 +66,8 @@ from .trace import (
     Tracer,
     derive_trace_id,
     load_spans,
+    record,
+    span,
     validate_spans,
 )
 
@@ -106,4 +110,6 @@ __all__ = [
     "derive_trace_id",
     "load_spans",
     "validate_spans",
+    "span",
+    "record",
 ]

@@ -10,11 +10,11 @@ slow — and exports it two ways:
   (version 0.0.4), so a scrape endpoint or ``repro metrics
   --prometheus`` can feed a real monitoring stack.
 
-External *sources* can be registered so one report covers subsystems
-that keep their own state: the telemetry session registers
-:func:`repro.perf.instrument.metrics_source`, which folds the perf
-timers (GEMM, repair, features, ...) into every snapshot as
-``perf_timer_*`` series.
+External *sources* can be registered so one snapshot covers subsystems
+that keep their own state: the telemetry session registers the conv
+workspace cache's hit/miss counters as the ``nn.workspace`` source.
+Stage timings are not a source: spans feed ``trace.<name>_s``
+histograms directly (:mod:`repro.obs.trace`).
 
 All mutating operations take the registry lock; instruments themselves
 are lock-free on read.  Histograms use *fixed* bucket upper bounds
@@ -260,9 +260,7 @@ def prometheus_from_snapshot(snapshot: dict) -> str:
     Shared by the live registry and ``repro metrics --prometheus`` (which
     re-renders a ``metrics.json`` written by an earlier run).  Histogram
     buckets are emitted cumulatively with the standard ``le`` label and
-    trailing ``+Inf`` / ``_sum`` / ``_count`` series.  Perf timers from
-    the ``perf`` source become ``perf_timer_seconds_total`` /
-    ``perf_timer_calls_total`` keyed by a ``name`` label.
+    trailing ``+Inf`` / ``_sum`` / ``_count`` series.
     """
     lines: list[str] = []
     for name, value in snapshot.get("counters", {}).items():
@@ -284,22 +282,4 @@ def prometheus_from_snapshot(snapshot: dict) -> str:
         lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative}')
         lines.append(f"{prom}_sum {repr(float(hist['sum']))}")
         lines.append(f"{prom}_count {hist['count']}")
-    perf = snapshot.get("sources", {}).get("perf", {})
-    timers = perf.get("timers", {})
-    if timers:
-        lines.append("# TYPE perf_timer_seconds_total counter")
-        for name, entry in timers.items():
-            lines.append(
-                f'perf_timer_seconds_total{{name="{_promname(name)}"}} '
-                f"{repr(float(entry['total_s']))}"
-            )
-        lines.append("# TYPE perf_timer_calls_total counter")
-        for name, entry in timers.items():
-            lines.append(
-                f'perf_timer_calls_total{{name="{_promname(name)}"}} {entry["calls"]}'
-            )
-    for name, value in perf.get("counters", {}).items():
-        prom = f"perf_{_promname(name)}_total"
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_fmt(value)}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -3,8 +3,9 @@
 Backs the ``repro metrics DIR`` subcommand: reads the ``events.jsonl``
 stream and the ``metrics.json`` snapshot written by a telemetry session
 and produces a single report covering session identity, event volumes,
-counters, gauges, histograms and the perf-timer breakdown — so "what
-did that run do" needs one command, not three files and a jq pipeline.
+counters, gauges and histograms (stage timings are the ``trace.<name>_s``
+ones) — so "what did that run do" needs one command, not three files
+and a jq pipeline.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def summarize_directory(directory: str | os.PathLike) -> str:
     """Full text report of one telemetry directory.
 
     Sections: session (from the first/last events), event volume by name
-    with worst level, counters, gauges, histograms, perf timers.  Raises
+    with worst level, sampled trace spans, counters, gauges, histograms.  Raises
     :class:`FileNotFoundError` when the directory holds neither an event
     stream nor a metrics snapshot.
     """
@@ -190,25 +191,6 @@ def summarize_directory(directory: str | os.PathLike) -> str:
         lines.append("histograms")
         for name, hist in histograms.items():
             lines.extend(_histogram_lines(name, hist))
-
-    perf = snapshot.get("sources", {}).get("perf", {})
-    timers = perf.get("timers", {})
-    if timers:
-        lines.append("")
-        lines.append("perf timers")
-        width = max(len(name) for name in timers)
-        for name, entry in timers.items():
-            lines.append(
-                f"  {name:<{width}}  calls={entry['calls']} "
-                f"total={entry['total_s']:.6f}s mean={entry['mean_s']:.6f}s"
-            )
-    perf_counters = perf.get("counters", {})
-    if perf_counters:
-        lines.append("")
-        lines.append("perf counters")
-        width = max(len(name) for name in perf_counters)
-        for name, value in perf_counters.items():
-            lines.append(f"  {name:<{width}}  {value:g}")
 
     return "\n".join(lines) + "\n"
 

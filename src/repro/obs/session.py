@@ -2,13 +2,16 @@
 
 Telemetry is **off by default** and must cost nothing while off.  The
 entire disabled path is :func:`active` — a read of one module-level
-reference returning ``None`` — mirroring the no-op-scope trick of
-:mod:`repro.perf.instrument`.  Instrumented code does::
+reference returning ``None`` — or, for timed stages, the same check
+inside :func:`repro.obs.span`.  Instrumented code does::
 
     session = obs.active()
     if session is not None:
         session.emit("serve.request", ...)
         session.metrics.counter("serve.requests").inc()
+
+    with obs.span("serve.repair"):    # trace.serve.repair_s histogram
+        ...
 
 :func:`start` opens a :class:`TelemetrySession` bound to a directory:
 
@@ -16,9 +19,10 @@ reference returning ``None`` — mirroring the no-op-scope trick of
 * ``metrics.json`` — the registry snapshot, written on :func:`stop`;
 
 pushes the session's ``run_id`` onto the *process-wide* context layer so
-every thread stamps it, enables :mod:`repro.perf` collection, and
-registers the perf timers as a metrics source so one ``repro metrics``
-report covers events, counters, histograms *and* timers.
+every thread stamps it, and installs the session's
+:class:`~repro.obs.trace.Tracer`, so every span feeds a
+``trace.<name>_s`` histogram and one ``repro metrics`` report covers
+events, counters, gauges and stage timings.
 
 Sessions do not nest: :func:`start` while a session is active raises —
 one process serves one telemetry directory at a time, which is what
@@ -32,6 +36,7 @@ import secrets
 import threading
 import time
 
+from . import trace as trace_mod
 from .log import EVENTS_FILE, EventLog, context
 from .metrics import METRICS_FILE, MetricsRegistry
 
@@ -64,7 +69,7 @@ class TelemetrySession:
         self.run_id = run_id or new_id()
         self.log = EventLog(os.path.join(self.directory, EVENTS_FILE))
         self.metrics = MetricsRegistry()
-        self.tracer = None  # set by start(..., trace=...)
+        self.tracer = None  # installed by start()
         self._context = context(scope="process", run_id=self.run_id)
         self._request_counter = 0
         self._counter_lock = threading.Lock()
@@ -125,48 +130,38 @@ class TelemetrySession:
 def start(
     directory: str | os.PathLike,
     run_id: str | None = None,
-    enable_perf: bool = True,
     trace: object = None,
     **start_fields: object,
 ) -> TelemetrySession:
     """Enable telemetry into ``directory`` and return the live session.
 
     ``start_fields`` ride on the ``session.start`` event (the CLI passes
-    the subcommand and its arguments).  With ``enable_perf`` (default)
-    the :mod:`repro.perf` timers are reset, switched on, and registered
-    as the ``perf`` metrics source.  ``trace`` enables request tracing:
+    the subcommand and its arguments).  Every session installs a
+    :class:`~repro.obs.trace.Tracer` (uninstalled by :func:`stop`), so
+    each :func:`repro.obs.span` feeds a ``trace.<name>_s`` histogram.
+    ``trace`` additionally samples requests into ``trace.span`` events:
     pass a :class:`repro.obs.trace.TraceConfig`, a spec string
     (``"always"`` / ``"rate:0.1"`` / ``"slow:250"``), or ``True`` for
-    the default policy; the tracer sinks spans into this session's
-    event log and is uninstalled by :func:`stop`.
+    the default policy.
     """
     global _SESSION
-    from .. import perf
-
+    if isinstance(trace, str):
+        config = trace_mod.TraceConfig.parse(trace)
+    elif trace is True:
+        config = trace_mod.TraceConfig()
+    else:
+        config = trace or None
     with _STATE_LOCK:
         if _SESSION is not None:
             raise RuntimeError(
                 f"telemetry already active in {_SESSION.directory}; stop() it first"
             )
         session = TelemetrySession(directory, run_id=run_id)
-        if enable_perf:
-            perf.reset()
-            perf.enable()
-            session.metrics.register_source("perf", perf.metrics_source)
         from ..nn import workspace_metrics_source
 
         session.metrics.register_source("nn.workspace", workspace_metrics_source)
-        if trace is not None and trace is not False:
-            from . import trace as trace_mod
-
-            if isinstance(trace, str):
-                config = trace_mod.TraceConfig.parse(trace)
-            elif trace is True:
-                config = trace_mod.TraceConfig()
-            else:
-                config = trace
-            session.tracer = trace_mod.Tracer(session, config)
-            trace_mod.install(session.tracer)
+        session.tracer = trace_mod.Tracer(session, config)
+        trace_mod.install(session.tracer)
         session._open(**start_fields)
         _SESSION = session
     return session
@@ -175,20 +170,13 @@ def start(
 def stop(status: str = "ok", **end_fields: object) -> dict:
     """Close the active session (no-op if none); returns its final snapshot."""
     global _SESSION
-    from .. import perf
-
     with _STATE_LOCK:
         session = _SESSION
         _SESSION = None
     if session is None:
         return {}
-    if session.tracer is not None:
-        from . import trace as trace_mod
-
-        trace_mod.uninstall()
-    snapshot = session.close(status=status, **end_fields)
-    perf.disable()
-    return snapshot
+    trace_mod.uninstall()
+    return session.close(status=status, **end_fields)
 
 
 def active() -> TelemetrySession | None:

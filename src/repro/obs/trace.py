@@ -1,24 +1,31 @@
-"""Request tracing: spans over the event log with cross-process propagation.
+"""Spans: the one instrumentation primitive, with cross-process tracing.
 
-A *span* is one timed stage of a request (``http.read``,
-``admission.queue_wait``, ``worker.compute``, ...) recorded as a
-``trace.span`` event in the session's schema-versioned event log.  Spans
-carry ``trace_id`` / ``span_id`` / ``parent_id`` and form a tree per
-request; trace ids derive deterministically from the request id
-(``<run_id>/r<index>``) so a request can be correlated across processes
-and across re-runs.
+A *span* is one timed stage (``serve.repair``, ``nn.conv2d``,
+``admission.queue_wait``, ``worker.compute``, ...).  :func:`span` and
+:func:`record` are the only timing API in the codebase, and they have
+two modes:
 
-Design mirrors :mod:`repro.obs.log`:
+- **no telemetry session:** one module-level reference read
+  (``_TRACER is None``) returning :data:`NULL_SPAN`, so instrumentation
+  points cost nothing;
+- **session active:** every :class:`~repro.obs.session.TelemetrySession`
+  installs a :class:`Tracer`, and every span ending under it is observed
+  into the session's ``trace.<name>_s`` histogram.  The span is also
+  written as a ``trace.span`` event in the schema-versioned event log —
+  but only when it belongs to a *sampled* request.
+
+Sampled spans carry ``trace_id`` / ``span_id`` / ``parent_id`` and form
+a tree per request; trace ids derive deterministically from the request
+id (``<run_id>/r<index>``) so a request can be correlated across
+processes and across re-runs.  Design mirrors :mod:`repro.obs.log`:
 
 - a process-wide plus thread-local *span-context stack* supplies the
   ambient parent for nested spans, exactly like the event-context stack;
-- the disabled path is one module-level reference read
-  (:func:`tracer` / the ``_TRACER is None`` check inside :func:`span`),
-  so instrumentation points cost nothing when tracing is off;
 - sampling is decided once per trace: ``always``, deterministic
   ``rate:F`` (hash of the request id), or ``slow:MS`` (buffer the span
   tree, emit only if the root exceeds the threshold — the slow-request
-  capture).
+  capture).  A session started without a trace policy samples nothing:
+  its spans feed the histograms only.
 
 Cross-process: pool workers have no telemetry session.  They install a
 :class:`SegmentTracer` that appends span records to a per-worker JSONL
@@ -54,6 +61,7 @@ __all__ = [
     "uninstall",
     "tracer",
     "current_span",
+    "NULL_SPAN",
     "span",
     "record",
     "wire_context",
@@ -315,10 +323,39 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _TimedSpan(_NullSpan):
+    """A stage outside any sampled trace: timed into the session's
+    ``trace.<name>_s`` histogram on exit, never emitted as an event and
+    never an ambient parent (nested spans stay unsampled too)."""
+
+    __slots__ = ("name", "duration_s", "_t0", "_tracer")
+
+    def __init__(self, tracer: "Tracer", name: str) -> None:
+        self.name = name
+        self.duration_s: Optional[float] = None
+        self._tracer = tracer
+        self._t0 = time.perf_counter()
+
+    def end(self, **fields: Any) -> None:
+        if self.duration_s is None:
+            self.duration_s = time.perf_counter() - self._t0
+            self._tracer._observe(self.name, self.duration_s)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.end()
+
+
 class _BaseTracer:
     """Shared span-construction machinery; subclasses define the sink."""
 
     directory: Optional[str] = None
+
+    def unsampled(self, name: str):
+        """The span for a stage with no sampled parent."""
+        return NULL_SPAN
+
+    def _observe(self, name: str, duration_s: float) -> None:
+        """Feed one stage duration to the metrics sink, if any."""
 
     def child(self, parent: Span, name: str, attrs: Optional[dict] = None) -> Span:
         state = parent._state
@@ -357,8 +394,10 @@ class _BaseTracer:
         parent: Optional[Span],
         **attrs: Any,
     ) -> None:
-        """Record an already-measured stage as a completed child span."""
-        if parent is None or parent is NULL_SPAN:
+        """Record an already-measured stage as a completed child span
+        (histogram only when ``parent`` is not a sampled span)."""
+        if not parent:
+            self._observe(name, duration_s)
             return
         child = self.child(parent, name, attrs)
         child.start_ts = round(time.time() - duration_s, 6)
@@ -374,19 +413,34 @@ class _BaseTracer:
 
 
 class Tracer(_BaseTracer):
-    """Parent-process tracer: sinks spans into the session's event log
-    and per-stage latency histograms in the session's metrics registry."""
+    """Parent-process tracer: times every span into the session's
+    ``trace.<name>_s`` histograms and sinks sampled spans into its event
+    log.  ``config=None`` samples no request (histograms only)."""
 
     def __init__(self, session, config: Optional[TraceConfig] = None) -> None:
         self._session = session
-        self.config = config or TraceConfig()
+        self.config = config
         self.directory = getattr(session, "directory", None)
         self._live: Dict[str, _TraceState] = {}
         self._lock = threading.Lock()
         self._counter = 0
 
+    def unsampled(self, name: str) -> _TimedSpan:
+        """A histogram-only span for a stage outside any sampled trace."""
+        return _TimedSpan(self, name)
+
+    def _observe(self, name: str, duration_s: float) -> None:
+        try:
+            histogram = self._session.metrics.histogram(f"trace.{name}_s")
+        except ValueError:
+            return  # span name not a valid metric name: skip the histogram
+        histogram.observe(duration_s)
+
     # -- sampling ------------------------------------------------------
     def sample(self, request_id: str) -> bool:
+        """Whether ``request_id``'s trace is sampled under this policy."""
+        if self.config is None:
+            return False
         mode = self.config.mode
         if mode in ("always", "slow"):
             return True
@@ -427,9 +481,14 @@ class Tracer(_BaseTracer):
     def merge(self, record_dict: dict) -> None:
         """Fold a worker-segment span record into this tracer's sink.
 
-        Routed into the live trace's buffer when the trace is still
-        slow-mode buffered, otherwise emitted directly.
+        Observed into its stage histogram here (the worker has no
+        session), then routed into the live trace's buffer when the
+        trace is still slow-mode buffered, otherwise emitted directly.
         """
+        name = record_dict.get("name")
+        duration = record_dict.get("duration_s")
+        if isinstance(name, str) and isinstance(duration, (int, float)):
+            self._observe(name, duration)
         state = None
         trace_id = record_dict.get("trace_id")
         if isinstance(trace_id, str):
@@ -448,6 +507,7 @@ class Tracer(_BaseTracer):
             return f"x{self._counter}"
 
     def _finish(self, span_obj: Span) -> None:
+        self._observe(span_obj.name, span_obj.duration_s)
         state = span_obj._state
         record_dict = span_obj.to_record()
         if state is not None and state.buffer is not None:
@@ -489,13 +549,6 @@ class Tracer(_BaseTracer):
 
     def _emit_record(self, record_dict: dict) -> None:
         self._session.emit(SPAN_EVENT, **record_dict)
-        duration = record_dict.get("duration_s")
-        name = record_dict.get("name")
-        if isinstance(duration, (int, float)) and isinstance(name, str):
-            try:
-                self._session.metrics.histogram(f"trace.{name}_s").observe(duration)
-            except ValueError:
-                pass  # span name not a valid metric name: skip the histogram
 
 
 class SegmentTracer(_BaseTracer):
@@ -558,29 +611,32 @@ def tracer() -> Optional[_BaseTracer]:
 
 
 def span(name: str, parent: Optional[Span] = None, **attrs: Any):
-    """An ambient child span, or ``NULL_SPAN`` when tracing is off or no
-    trace is live on this thread/process."""
+    """Time a stage: ``with span("serve.repair"): ...``.
+
+    ``NULL_SPAN`` with no telemetry session.  Under a session the stage
+    always lands in the ``trace.<name>_s`` histogram; it is also a child
+    span of ``parent`` (default: the ambient span) when that belongs to
+    a sampled trace.
+    """
     t = _TRACER
     if t is None:
         return NULL_SPAN
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
-        return NULL_SPAN
+    if not parent:
+        return t.unsampled(name)
     return t.child(parent, name, attrs or None)
 
 
 def record(
     name: str, duration_s: float, parent: Optional[Span] = None, **attrs: Any
 ) -> None:
-    """Record an already-measured stage; no-op when tracing is off."""
+    """Record an already-measured stage; no-op without a session."""
     t = _TRACER
     if t is None:
         return
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
-        return
     t.record(name, duration_s, parent, **attrs)
 
 
@@ -591,7 +647,7 @@ def wire_context(parent: Optional[Span] = None) -> Optional[Tuple[str, str, Opti
         return None
     if parent is None:
         parent = current_span()
-    if parent is None or parent is NULL_SPAN:
+    if not parent:
         return None
     return (parent.trace_id, parent.span_id, parent.request_id)
 

@@ -169,6 +169,8 @@ class DaemonConfig:
             raise ValueError("client_body_deadline_s must be positive")
         if self.wedge_timeout_s <= 0:
             raise ValueError("wedge_timeout_s must be positive")
+        if self.watchdog_interval_s <= 0:
+            raise ValueError("watchdog_interval_s must be positive")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive")
         if self.reload_poll_s <= 0:
@@ -372,24 +374,19 @@ class _ScoringWorker(threading.Thread):
         tracer = obs_trace.tracer()
         if tracer is not None:
             now = time.monotonic()
-            lead: _Pending | None = None
             for pending in live:
-                if pending.trace is None:
-                    continue
-                if lead is None:
-                    lead = pending
                 tracer.record(
                     "admission.queue_wait", now - pending.enqueued,
                     parent=pending.trace,
                 )
-            if lead is not None:
-                # Batch-level stages attach to the first sampled request:
-                # a micro-batch mixes traces, and duplicating the span
-                # into every member would double-count the stage table.
-                tracer.record(
-                    "batch.form", now - batch[0].enqueued, parent=lead.trace,
-                    batch_size=len(live), queue_depth=owner._batcher.waiting(),
-                )
+            # Batch-level stages attach to the first sampled request:
+            # a micro-batch mixes traces, and duplicating the span into
+            # every member would double-count the stage table.
+            lead = next((p.trace for p in live if p.trace is not None), None)
+            tracer.record(
+                "batch.form", now - batch[0].enqueued, parent=lead,
+                batch_size=len(live), queue_depth=owner._batcher.waiting(),
+            )
         groups: dict[tuple, list[_Pending]] = {}
         for pending in live:
             groups.setdefault(pending.group_key, []).append(pending)
@@ -528,6 +525,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: silent connection cannot pin its handler thread (and the
     #: block_on_close join) forever.
     timeout = 10.0
+    #: TCP_NODELAY: headers and body go out as two writes, and Nagle
+    #: would hold the body until the client's delayed ACK (up to 40 ms)
+    #: on a keep-alive connection.
+    disable_nagle_algorithm = True
 
     # Telemetry owns request logging; the default stderr chatter would
     # swamp the drain test's pipe.
@@ -1010,7 +1011,7 @@ class ServingDaemon:
                     n_visits=int(mjd.shape[0]),
                     deadline_ms=round(deadline_s * 1000.0, 3),
                 )
-                if trace is not None and read_s > 0.0:
+                if read_s > 0.0:
                     tracer.record("http.read", read_s, parent=trace)
             return _Pending(
                 index,
@@ -1423,6 +1424,14 @@ class ServingDaemon:
     def _sync_shadow(self, candidate: str | None) -> None:
         """Start/stop/replace shadow scoring to match the registry candidate."""
         with self._reload_lock:
+            # Stale tick: the candidate changed (e.g. the shadow worker
+            # quarantined it) after the watcher read the state file.  A
+            # state file that fails to read is reported by the next tick.
+            try:
+                if self.registry.candidate() != candidate:
+                    return
+            except Exception:  # noqa: BLE001 - keep the watcher alive
+                return
             if candidate is None:
                 self._stop_shadow("candidate cleared")
                 return

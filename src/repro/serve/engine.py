@@ -38,8 +38,6 @@ from ..core.pipeline import SupernovaPipeline
 from ..datasets import N_BANDS, SupernovaDataset
 from ..obs import trace as _trace
 from ..obs.drift import DriftBaseline, DriftMonitor
-from ..perf.instrument import count as _count
-from ..perf.instrument import timed as _timed
 from ..photometry import GRIZY, signed_log10
 from .validation import InputDiagnostics, RepairConfig, diagnose_and_repair_batch
 
@@ -208,6 +206,30 @@ class PredictionResult:
     def to_json(self) -> str:
         """Compact single-line JSON for streaming output."""
         return json.dumps(self.to_dict(), separators=(",", ":"))
+
+
+def contain_batch_failure(
+    start: int, stop: int, exc: Exception
+) -> list[PredictionResult]:
+    """Placeholders for a non-strict batch whose scoring raised.
+
+    Every sample in ``[start, stop)`` comes back as
+    :meth:`PredictionResult.failed`; under a telemetry session the
+    failure is logged as ``serve.batch_failed`` and counted in
+    ``serve.batch_failures``.
+    """
+    session = obs.active()
+    if session is not None:
+        session.emit(
+            "serve.batch_failed",
+            level="error",
+            message=f"batch at {start} failed: {exc}",
+            start_index=start,
+            n_samples=stop - start,
+            error_type=type(exc).__name__,
+        )
+        session.metrics.counter("serve.batch_failures").inc()
+    return [PredictionResult.failed(i, exc) for i in range(start, stop)]
 
 
 class InferenceEngine:
@@ -412,11 +434,10 @@ class InferenceEngine:
         pairs, mjd = self._validate_batch(pairs, mjd)
         n, used = pairs.shape[0], self._n_used_visits
         stamp = pairs.shape[-1]
-        _count("serve.samples", n)
 
         # Validate/repair every visit of the batch in one vectorised pass
         # over the flattened (N*V) visit axis.
-        with _timed("serve.repair"), _trace.span("serve.repair", n_samples=n):
+        with _trace.span("serve.repair", n_samples=n):
             flat_pairs = np.ascontiguousarray(pairs.reshape(n * used, 2, stamp, stamp))
             visit_ids = np.tile(np.arange(used), n)
             repaired_flat, flat_diags, kept = diagnose_and_repair_batch(
@@ -469,7 +490,7 @@ class InferenceEngine:
                 cnn_input = repaired_flat
             else:
                 cnn_input = repaired_flat[flat_idx]
-            with _timed("serve.cnn"), _trace.span("serve.cnn", n_visits=int(flat_idx.size)):
+            with _trace.span("serve.cnn", n_visits=int(flat_idx.size)):
                 if self.fused:
                     mags = self.pipeline.cnn.fused_forward(
                         cnn_input, precision=self.precision
@@ -478,7 +499,7 @@ class InferenceEngine:
                     mags = self.pipeline.cnn.predict(cnn_input)
             flux.reshape(-1)[flat_idx] = 10.0 ** (-0.4 * (mags - 27.0))
 
-        with _timed("serve.features"), _trace.span("serve.features"):
+        with _trace.span("serve.features"):
             features = masked_features_from_arrays(
                 flux,
                 mjd,
@@ -704,22 +725,7 @@ class InferenceEngine:
                         if effective_strict:
                             raise
                         stop = min(start + task_size, len(dataset))
-                        _count("serve.contained_batch_failures")
-                        session = obs.active()
-                        if session is not None:
-                            session.emit(
-                                "serve.batch_failed",
-                                level="error",
-                                message=f"batch at {start} failed: {exc}",
-                                start_index=start,
-                                n_samples=stop - start,
-                                error_type=type(exc).__name__,
-                            )
-                            session.metrics.counter("serve.batch_failures").inc()
-                        results = [
-                            PredictionResult.failed(i, exc)
-                            for i in range(start, stop)
-                        ]
+                        results = contain_batch_failure(start, stop, exc)
                     yield from results
             except BaseException:
                 # Strict re-raise or a consumer closing the generator:

@@ -44,7 +44,6 @@ scatters micro-batches onto them:
 
 from __future__ import annotations
 
-import math
 import os
 import json
 import pickle
@@ -62,12 +61,15 @@ import numpy as np
 
 from ..nn.threads import blas_env_settings, blas_thread_plan, pinned_blas_env
 from ..obs import trace as obs_trace
-from ..perf.instrument import count as _count
-from ..perf.instrument import timed as _timed
 from ..photometry import GRIZY
 from ..runtime.errors import CorruptArtifactError
 from ..runtime.retry import RetrySpec
-from .engine import DegradedInputError, InferenceEngine, PredictionResult
+from .engine import (
+    DegradedInputError,
+    InferenceEngine,
+    PredictionResult,
+    contain_batch_failure,
+)
 
 __all__ = [
     "PoolConfig",
@@ -559,17 +561,14 @@ class ScoringPool:
         self._crashes = 0
         self._wedges = 0
         self._overflow = 0
+        self._crashed_shards = 0
+        self._poison_samples = 0
         self._tasks = 0
         self._samples = 0
         self._scatter_s = 0.0
         self._gather_s = 0.0
-        # Last-60s exponentially-decayed windows over scatter/gather work
-        # (seconds of work in the recent window; decays to 0 when idle).
-        self._window_t: float | None = None
-        self._scatter_win = 0.0
-        self._gather_win = 0.0
         # Tracing: telemetry dir for worker span segments (set at start
-        # when a tracer is installed) and per-worker merge offsets.
+        # when the session samples requests) and per-worker merge offsets.
         self._trace_dir: str | None = None
         self._segment_offsets: dict[int, int] = {}
 
@@ -592,7 +591,7 @@ class ScoringPool:
             )
             self._free_slots = deque(range(self._n_slots))
             tracer = obs_trace.tracer()
-            if tracer is not None and tracer.directory is not None:
+            if isinstance(tracer, obs_trace.Tracer) and tracer.config is not None:
                 self._trace_dir = tracer.directory
             try:
                 for worker_id in range(self.config.workers):
@@ -757,7 +756,6 @@ class ScoringPool:
             return current  # another path already replaced it
         worker.crashes += 1
         self._crashes += 1
-        _count("pool.worker_crashes")
         worker.process.join(1.0)
         worker.conn.close()
         now = time.monotonic()
@@ -778,7 +776,6 @@ class ScoringPool:
             raise PoolBrokenError(self._broken)
         time.sleep(delay)
         self._respawns += 1
-        _count("pool.worker_respawns")
         replacement = self._spawn(worker.id)
         replacement.crashes = worker.crashes
         self._await_ready(replacement, self.config.start_timeout_s)
@@ -841,7 +838,6 @@ class ScoringPool:
         dispatch_parent = obs_trace.current_span()
         with self._lock:
             self._ensure_live()
-            scatter_before, gather_before = self._scatter_s, self._gather_s
             wire = obs_trace.wire_context(dispatch_parent)
             with obs_trace.span(
                 "pool.scatter",
@@ -863,12 +859,8 @@ class ScoringPool:
                 results = self._settle(shards, pairs32, mjd32, strict,
                                        start_index)
             self._drain_trace_segments()
-            self._note_window(self._scatter_s - scatter_before,
-                              self._gather_s - gather_before)
         self._tasks += 1
         self._samples += n
-        _count("pool.batches")
-        _count("pool.samples", n)
         return results
 
     def _plan_shards(self, n: int) -> list[tuple[int, int]]:
@@ -913,17 +905,14 @@ class ScoringPool:
         if needed <= self.config.slot_bytes and self._free_slots:
             slot = self._free_slots.popleft()
             base = slot * self.config.slot_bytes
-            with _timed("pool.scatter"):
-                self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
-                message = ("task", task_id, slot, (n, v, s), strict,
-                           start_index + offset, wire)
+            self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
+            message = ("task", task_id, slot, (n, v, s), strict,
+                       start_index + offset, wire)
         else:
             self._overflow += 1
             res_off = None
-            _count("pool.shm_overflow")
-            with _timed("pool.scatter"):
-                message = ("task_pickle", task_id, shard_pairs, shard_mjd,
-                           strict, start_index + offset, wire)
+            message = ("task_pickle", task_id, shard_pairs, shard_mjd,
+                       strict, start_index + offset, wire)
         shard = _Shard(task_id, worker, slot, res_off, offset, count,
                        start_index + offset)
         try:
@@ -964,40 +953,39 @@ class ScoringPool:
         started = time.perf_counter()
         pending = {s.task_id: s for s in shards if s.outcome is None}
         deadline = time.monotonic() + self.config.task_timeout_s
-        with _timed("pool.gather"):
-            while pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._kill_wedged(pending)
-                    break
-                workers = {s.worker for s in pending.values()}
-                sentinels = {w.process.sentinel: w for w in workers}
-                conns = {w.conn: w for w in workers}
-                ready = connection.wait(
-                    list(conns) + list(sentinels), timeout=min(1.0, remaining)
-                )
-                progressed = False
-                for item in ready:
-                    worker = conns.get(item)
-                    if worker is None:
-                        continue
-                    progressed |= self._drain_conn(worker, pending)
-                if progressed:
-                    deadline = time.monotonic() + self.config.task_timeout_s
+        while pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._kill_wedged(pending)
+                break
+            workers = {s.worker for s in pending.values()}
+            sentinels = {w.process.sentinel: w for w in workers}
+            conns = {w.conn: w for w in workers}
+            ready = connection.wait(
+                list(conns) + list(sentinels), timeout=min(1.0, remaining)
+            )
+            progressed = False
+            for item in ready:
+                worker = conns.get(item)
+                if worker is None:
                     continue
-                for item in ready:
-                    worker = sentinels.get(item)
-                    if worker is None or worker.process.is_alive():
-                        continue
-                    # Dead with no message for its shard: a mid-task crash.
-                    for shard in list(pending.values()):
-                        if shard.worker is worker:
-                            shard.outcome = ("crash", None)
-                            self._free_slot(shard)
-                            del pending[shard.task_id]
-                            progressed = True
-                if progressed:
-                    deadline = time.monotonic() + self.config.task_timeout_s
+                progressed |= self._drain_conn(worker, pending)
+            if progressed:
+                deadline = time.monotonic() + self.config.task_timeout_s
+                continue
+            for item in ready:
+                worker = sentinels.get(item)
+                if worker is None or worker.process.is_alive():
+                    continue
+                # Dead with no message for its shard: a mid-task crash.
+                for shard in list(pending.values()):
+                    if shard.worker is worker:
+                        shard.outcome = ("crash", None)
+                        self._free_slot(shard)
+                        del pending[shard.task_id]
+                        progressed = True
+            if progressed:
+                deadline = time.monotonic() + self.config.task_timeout_s
         self._gather_s += time.perf_counter() - started
 
     def _kill_wedged(self, pending: dict[int, _Shard]) -> None:
@@ -1011,7 +999,6 @@ class ScoringPool:
             worker = shard.worker
             if worker.process.is_alive():
                 self._wedges += 1
-                _count("pool.worker_wedges")
                 worker.process.terminate()
                 worker.process.join(1.0)
                 if worker.process.is_alive():  # pragma: no cover - last resort
@@ -1101,7 +1088,7 @@ class ScoringPool:
             # Crash: respawn the dead worker(s) eagerly (under the retry
             # budget), then re-score one sample at a time so the culprit
             # is isolated, not the whole shard.
-            _count("pool.crashed_shards")
+            self._crashed_shards += 1
             for dead in list(self._workers):
                 if not dead.process.is_alive():
                     self._note_crash(dead)
@@ -1150,42 +1137,15 @@ class ScoringPool:
                     )
                     if effective_strict:
                         raise crash
-                    _count("pool.poison_samples")
+                    self._poison_samples += 1
                     healed.append(
                         PredictionResult.failed(start_index + i, crash)
                     )
         return healed
 
     # ------------------------------------------------------------------
-    # Tracing + windowed rates
+    # Tracing
     # ------------------------------------------------------------------
-    #: Time constant of the scatter/gather work windows in stats().
-    _WINDOW_TAU_S = 60.0
-
-    def _note_window(self, scatter_s: float, gather_s: float) -> None:
-        """Fold one dispatch's scatter/gather work into the 60s windows.
-
-        The windows are exponentially-decayed sums (time constant 60s):
-        recent dispatches dominate, an idle minute decays them to ~zero,
-        so ``/healthz`` reflects current rather than lifetime behavior.
-        """
-        now = time.monotonic()
-        if self._window_t is not None:
-            decay = math.exp(-(now - self._window_t) / self._WINDOW_TAU_S)
-            self._scatter_win *= decay
-            self._gather_win *= decay
-        self._window_t = now
-        self._scatter_win += scatter_s
-        self._gather_win += gather_s
-
-    def _window_now(self) -> tuple[float, float]:
-        if self._window_t is None:
-            return 0.0, 0.0
-        decay = math.exp(
-            -(time.monotonic() - self._window_t) / self._WINDOW_TAU_S
-        )
-        return self._scatter_win * decay, self._gather_win * decay
-
     def _drain_trace_segments(self) -> None:
         """Merge new worker-segment span lines into the parent tracer.
 
@@ -1259,10 +1219,7 @@ class ScoringPool:
             except Exception as exc:  # noqa: BLE001 - containment contract
                 if effective_strict:
                     raise
-                _count("pool.contained_chunk_failures")
-                results = [
-                    PredictionResult.failed(i, exc) for i in range(start, stop)
-                ]
+                results = contain_batch_failure(start, stop, exc)
             yield from results
 
     # ------------------------------------------------------------------
@@ -1284,7 +1241,7 @@ class ScoringPool:
             self._epoch += 1
             epoch = self._epoch
             self._model_source = source
-            with _timed("pool.reload"):
+            with obs_trace.span("pool.reload"):
                 try:
                     self._broadcast_reload(source, epoch)
                 except PoolError:
@@ -1292,7 +1249,6 @@ class ScoringPool:
                     self._epoch += 1
                     self._broadcast_reload(previous, self._epoch)
                     raise
-            _count("pool.reloads")
             return epoch
 
     def _broadcast_reload(self, source: str, epoch: int) -> None:
@@ -1367,7 +1323,6 @@ class ScoringPool:
             if self._started_at is not None
             else 0.0
         )
-        scatter_win, gather_win = self._window_now()
         per_worker = []
         for worker in self._workers:
             per_worker.append(
@@ -1396,11 +1351,11 @@ class ScoringPool:
             "wedges": self._wedges,
             "respawns": self._respawns,
             "shm_overflow": self._overflow,
+            "crashed_shards": self._crashed_shards,
+            "poison_samples": self._poison_samples,
             "reload_epoch": self._epoch,
             "scatter_s_total": round(self._scatter_s, 6),
             "gather_s_total": round(self._gather_s, 6),
-            "scatter_s_window60s": round(scatter_win, 6),
-            "gather_s_window60s": round(gather_win, 6),
             "broken": self._broken,
             "per_worker": per_worker,
         }

@@ -1,6 +1,8 @@
 """Serving daemon: round trips, admission, deadlines, watchdog, drain."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -68,6 +70,7 @@ class TestDaemonConfig:
             {"client_body_deadline_s": 0.0},
             {"wedge_timeout_s": 0.0},
             {"drain_timeout_s": 0.0},
+            {"watchdog_interval_s": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -76,6 +79,27 @@ class TestDaemonConfig:
 
 
 class TestRoundTrip:
+    def test_keep_alive_responses_skip_the_delayed_ack(self, engine, sample):
+        """Headers and body leave as two writes; without TCP_NODELAY the
+        body waits for the client's delayed ACK (up to 40 ms)."""
+        pairs, mjd = sample
+        body = classify_body(pairs, mjd)
+        headers = {"Content-Type": "application/json"}
+        latencies = []
+        with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+            try:
+                for _ in range(10):
+                    start = time.perf_counter()
+                    conn.request("POST", "/classify", body=body, headers=headers)
+                    response = conn.getresponse()
+                    response.read()
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        assert statistics.median(latencies[1:]) < 0.035, latencies
+
     def test_single_request_parity_and_introspection(self, engine, sample):
         pairs, mjd = sample
         with running_daemon(engine, DaemonConfig(batch_deadline_ms=5.0)) as daemon:

@@ -22,7 +22,6 @@ from repro.obs import (
     context,
     current_context,
     ks_statistic,
-    prometheus_from_snapshot,
     psi_statistic,
     read_events,
     validate_event,
@@ -218,21 +217,6 @@ class TestMetrics:
         assert 'serve_latency_s_bucket{le="+Inf"} 4' in lines
         assert "serve_latency_s_count 4" in lines
         assert any(line.startswith("serve_latency_s_sum ") for line in lines)
-
-    def test_prometheus_renders_perf_source(self):
-        snapshot = {
-            "counters": {}, "gauges": {}, "histograms": {},
-            "sources": {
-                "perf": {
-                    "timers": {"serve.cnn": {"calls": 2, "total_s": 0.5, "mean_s": 0.25}},
-                    "counters": {"serve.samples": 64},
-                }
-            },
-        }
-        text = prometheus_from_snapshot(snapshot)
-        assert 'perf_timer_seconds_total{name="serve_cnn"} 0.5' in text
-        assert 'perf_timer_calls_total{name="serve_cnn"} 2' in text
-        assert "perf_serve_samples_total 64" in text
 
     def test_snapshot_write_round_trip(self, tmp_path):
         registry = MetricsRegistry()

@@ -30,6 +30,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.runtime.errors import CorruptArtifactError, TrainingDiverged
 from repro.runtime.faults import (
     CrashWorkerOnMarker,
@@ -291,6 +292,8 @@ class TestPoolCrash:
         # samples re-scored alone (batch of 1 < min_batch passes).
         assert stats["crashes"] >= 1
         assert stats["respawns"] >= 1
+        assert stats["crashed_shards"] >= 1
+        assert stats["poison_samples"] == 0
         assert [r.error for r in got] == [None] * len(got)
         assert_wire_parity(got, want)
 
@@ -305,6 +308,8 @@ class TestPoolCrash:
             worker_init=CrashWorkerOnMarker(MARKER, min_batch=1),
         ) as pool:
             got = pool.classify_arrays(marked, mjd)
+            stats = pool.stats()
+        assert stats["poison_samples"] == 1
         assert len(got) == len(pairs)
         culprit = got[7]
         assert culprit.error is not None and "WorkerCrashError" in culprit.error
@@ -412,6 +417,28 @@ class TestPoolStream:
         assert len(got) == len(pairs)
         assert got[3].error is not None
         assert all(r.error is None for i, r in enumerate(got) if i != 3)
+
+    def test_stream_counts_a_raising_chunk_like_the_engine(
+        self, engine, batch, tmp_path
+    ):
+        """A chunk whose scoring raises comes back as placeholders and
+        counts once in ``serve.batch_failures``, as the thread path does."""
+        pairs, mjd = batch
+        marked = pairs.copy()
+        marked[3, 0, 0, 0, 0] = MARKER
+        obs.start(tmp_path)
+        try:
+            with ScoringPool(
+                engine=engine,
+                config=PoolConfig(workers=2),
+                worker_init=RaiseWorkerOnMarker(MARKER, _diverged_error),
+            ) as pool:
+                got = list(pool.stream(_ArrayDataset(marked, mjd), batch_size=3))
+        finally:
+            counters = obs.stop()["counters"]
+        assert counters["serve.batch_failures"] == 1
+        # Chunks are batch_size x workers = 6 samples; the first one failed.
+        assert [r.error is not None for r in got] == [i < 6 for i in range(len(got))]
 
 
 class TestPoolWedge:

@@ -388,6 +388,22 @@ class TestShadowScoring:
         assert quarantined[0]["version"] == "v2"
         assert quarantined[0]["restored"] == "v1"
 
+    def test_stale_tick_cannot_revive_a_quarantined_candidate(
+        self, two_version_registry
+    ):
+        """A watcher tick that read the registry before the shadow worker
+        quarantined the candidate must not start shadowing it again."""
+        registry = two_version_registry
+        config = DaemonConfig(reload_poll_s=0.05)
+        with running_registry_daemon(registry, config) as daemon:
+            registry.shadow("v2")
+            _wait_for(lambda: daemon._shadow_version == "v2")
+            daemon._quarantine_candidate("v2", "divergence over budget")
+            assert registry.state()["versions"]["v2"]["status"] == "rolled_back"
+            daemon._sync_shadow("v2")  # the stale tick, replayed
+            assert daemon._shadow_version is None
+            assert registry.candidate() is None
+
     def test_clean_candidate_keeps_shadowing(self, two_version_registry):
         """Identical weights diverge by ~0: the candidate must survive."""
         registry = two_version_registry

@@ -1,10 +1,12 @@
 """Request tracing: span layer, sampling, cross-process propagation,
+the one-clock contract (every span feeds its histogram, sampled or not),
 the trace analysis CLI, and the satellites that ride along (access log,
-configurable latency buckets, windowed pool rates)."""
+configurable latency buckets, pool stats)."""
 
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,12 +115,14 @@ class TestConfig:
 # ----------------------------------------------------------------------
 class TestSpans:
     def test_disabled_path_is_null(self):
+        """No session: ``obs.span`` is ``NULL_SPAN`` and records nothing."""
         assert trace_mod.tracer() is None
-        assert trace_mod.span("anything") is NULL_SPAN
+        assert obs.span("anything") is NULL_SPAN
         assert trace_mod.wire_context() is None
-        trace_mod.record("anything", 0.1)  # no-op, no error
-        with trace_mod.span("nested") as s:
+        obs.record("anything", 0.1)  # no-op, no error
+        with obs.span("nested", n_samples=3) as s:
             assert s is NULL_SPAN
+        assert obs.active() is None and trace_mod.tracer() is None
 
     def test_ambient_nesting_and_emission(self, tmp_path):
         session = obs.start(tmp_path, run_id="t", trace="always")
@@ -402,7 +406,9 @@ class TestPoolTracing:
         assert healed
         assert all(s["trace_id"] == root.trace_id for s in healed)
 
-    def test_windowed_rates_in_stats(self, engine, tmp_path):
+    def test_stats_carry_counters_not_windows(self, engine):
+        """No windowed timing keys (Prometheus rate() over the *_s_total
+        gauges gives any window); crash healing is counted in stats."""
         rng = np.random.default_rng(5)
         v, s = engine._n_used_visits, 40
         pairs = rng.normal(0.0, 30.0, size=(4, v, 2, s, s)).astype(np.float32)
@@ -416,8 +422,65 @@ class TestPoolTracing:
             stats = pool.stats()
         finally:
             pool.close()
-        assert 0.0 < stats["scatter_s_window60s"] <= stats["scatter_s_total"]
-        assert 0.0 < stats["gather_s_window60s"] <= stats["gather_s_total"]
+        assert not [key for key in stats if "window" in key]
+        assert stats["poison_samples"] == 0
+        assert stats["crashed_shards"] == 0
+        assert stats["scatter_s_total"] > 0.0 and stats["gather_s_total"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# One clock: spans are the only timing primitive
+# ----------------------------------------------------------------------
+def _stage_counts(histograms):
+    """``{stage: count}`` of the ``trace.<stage>_s`` histograms."""
+    return {
+        name[len("trace."):-len("_s")]: hist["count"]
+        for name, hist in histograms.items()
+        if name.startswith("trace.")
+    }
+
+
+class TestOneClock:
+    def test_session_without_trace_times_every_stage(self, engine, tmp_path):
+        pairs, mjd = make_serve_sample(engine)
+        batch, dates = np.stack([pairs, pairs]), np.stack([mjd, mjd])
+        obs.start(tmp_path, run_id="clock")
+        try:
+            for _ in range(3):
+                engine.classify_arrays(batch, dates)
+        finally:
+            histograms = obs.stop()["histograms"]
+        counts = _stage_counts(histograms)
+        n_convs = len(engine.pipeline.cnn._conv_blocks)
+        assert counts["serve.repair"] == 3
+        assert counts["serve.cnn"] == 3 and counts["serve.features"] == 3
+        assert counts["nn.conv2d"] == 3 * n_convs
+        assert _span_events(tmp_path) == []
+
+    def test_sampled_histograms_equal_span_events(self, engine, tmp_path):
+        """Under ``always`` every stage is counted exactly once — worker
+        spans merged across the pipe included."""
+        rng = np.random.default_rng(6)
+        v, s = engine._n_used_visits, 40
+        pairs = rng.normal(0.0, 30.0, size=(4, v, 2, s, s)).astype(np.float32)
+        mjd = np.tile(
+            (57000.0 + np.arange(v) * 0.01).astype(np.float32), (4, 1)
+        )
+        session = obs.start(tmp_path, run_id="clock", trace="always")
+        pool = ScoringPool(engine=engine, config=PoolConfig(workers=2))
+        try:
+            pool.start()
+            with session.tracer.start_trace("clock/r0"):
+                pool.classify_arrays(pairs, mjd)
+            with session.tracer.start_trace("clock/r1"):
+                engine.classify_arrays(pairs[:2], mjd[:2])
+        finally:
+            pool.close()
+            histograms = obs.stop()["histograms"]
+        events = Counter(event["name"] for event in _span_events(tmp_path))
+        assert events["worker.compute"] == 2
+        assert events["serve.cnn"] == 3  # one per worker shard + in-process
+        assert _stage_counts(histograms) == dict(events)
 
 
 # ----------------------------------------------------------------------
