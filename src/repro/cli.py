@@ -611,9 +611,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             strict=args.strict,
             workers=args.workers,
-            # Thread tasks amortize GEMM setup over at least 32 samples
-            # even when --batch-size streams finer-grained.
-            min_task_size=32 if args.workers > 1 else None,
         )
     try:
         for result in stream:

@@ -27,9 +27,10 @@ Request flow
    (resolution is exactly-once by construction).
 4. **Poison isolation** — an exception escaping a scoring batch (strict
    :class:`DegradedInputError`, a payload the validators missed, an
-   injected chaos fault) triggers per-sample re-scoring: the poison
-   sample alone gets its typed error response while its batch-mates are
-   scored normally.
+   injected chaos fault) triggers per-sample re-scoring through
+   :func:`~repro.serve.engine.isolate`: the poison sample alone gets its
+   typed error response while its batch-mates are scored normally.  A
+   broken scoring pool is not poison: its group is answered 500 at once.
 5. **Watchdog** — a supervisor thread detects a wedged scoring worker
    (in-flight batch older than ``wedge_timeout_s``), answers its
    in-flight requests, abandons the thread and starts a replacement
@@ -94,7 +95,7 @@ from ..obs.drift import DriftMonitor
 from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
 from ..runtime.retry import RetrySpec
-from .engine import DegradedInputError, InferenceEngine, PredictionResult
+from .engine import DegradedInputError, InferenceEngine, PredictionResult, isolate
 from .pool import PoolBrokenError, PoolConfig, ScoringPool
 
 __all__ = ["DaemonConfig", "ServingDaemon", "DEFAULT_RESTART_SPEC"]
@@ -391,34 +392,40 @@ class _ScoringWorker(threading.Thread):
         for pending in live:
             groups.setdefault(pending.group_key, []).append(pending)
         for group in groups.values():
-            self._score(group, allow_split=True)
+            self._score(group)
 
-    def _score(self, group: list[_Pending], allow_split: bool) -> None:
+    def _score(self, group: list[_Pending]) -> None:
         """Score one shape-uniform group; isolate poison members on failure."""
         owner = self.owner
+
+        def note_poison(exc: Exception) -> None:
+            owner.metrics.counter("daemon.poison_batches").inc()
+            owner._emit(
+                "serve.poison_batch",
+                level="warning",
+                message=f"batch of {len(group)} failed ({exc}); re-scoring "
+                "each sample alone",
+                n_samples=len(group),
+                error_type=type(exc).__name__,
+            )
+
         try:
-            results = owner._score_group(group)
-        except Exception as exc:  # noqa: BLE001 - every failure gets a typed reply
-            if allow_split and len(group) > 1:
-                owner.metrics.counter("daemon.poison_batches").inc()
-                owner._emit(
-                    "serve.poison_batch",
-                    level="warning",
-                    message=f"batch of {len(group)} failed ({exc}); re-scoring "
-                    "each sample alone",
-                    n_samples=len(group),
-                    error_type=type(exc).__name__,
-                )
-                for pending in group:
-                    self._score([pending], allow_split=False)
-                return
-            pending = group[0]
-            status, payload = owner._failure_response(pending, exc)
-            if pending.resolve(status, payload):
-                owner.metrics.counter("daemon.request_errors").inc()
-            return
-        for pending, result in zip(group, results):
-            payload = {"request_id": pending.request_id, "result": result.to_dict()}
+            outcomes = isolate(
+                lambda a, b: owner._score_group(group[a:b]),
+                len(group),
+                on_split=note_poison,
+            )
+        except PoolBrokenError as exc:
+            # Not a poison batch: the pool is gone for every member alike,
+            # and the daemon is already draining with exit code 4.
+            outcomes = [exc] * len(group)
+        for pending, outcome in zip(group, outcomes):
+            if isinstance(outcome, Exception):
+                status, payload = owner._failure_response(pending, outcome)
+                if pending.resolve(status, payload):
+                    owner.metrics.counter("daemon.request_errors").inc()
+                continue
+            payload = {"request_id": pending.request_id, "result": outcome.to_dict()}
             if pending.resolve(200, payload):
                 owner.metrics.counter("daemon.responses").inc()
                 owner._latency_hist.observe(time.monotonic() - pending.enqueued)

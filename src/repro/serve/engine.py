@@ -28,7 +28,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -151,11 +151,11 @@ class PredictionResult:
         visit was masked) — the input-side statistic the drift monitor
         tracks against the training baseline.
     error:
-        ``None`` for a scored sample.  When serving machinery failed
-        outright (a scoring exception contained by
-        :meth:`InferenceEngine.stream` or the daemon's poison-batch
-        isolation), the ``"ExcType: message"`` string — the probability
-        is then the 0.5 no-information prior and ``confidence`` is 0.
+        ``None`` for a scored sample.  When the sample's own scoring
+        failed even alone (the :func:`isolate` contract: a stream's
+        lone failure, or a sample that crashed a pool worker twice), the
+        ``"ExcType: message"`` string — the probability is then the 0.5
+        no-information prior and ``confidence`` is 0.
     """
 
     index: int
@@ -208,28 +208,100 @@ class PredictionResult:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def contain_batch_failure(
-    start: int, stop: int, exc: Exception
-) -> list[PredictionResult]:
-    """Placeholders for a non-strict batch whose scoring raised.
-
-    Every sample in ``[start, stop)`` comes back as
-    :meth:`PredictionResult.failed`; under a telemetry session the
-    failure is logged as ``serve.batch_failed`` and counted in
-    ``serve.batch_failures``.
-    """
-    session = obs.active()
-    if session is not None:
-        session.emit(
-            "serve.batch_failed",
-            level="error",
-            message=f"batch at {start} failed: {exc}",
-            start_index=start,
-            n_samples=stop - start,
-            error_type=type(exc).__name__,
+def check_batch_shape(pairs, mjd) -> tuple[np.ndarray, np.ndarray]:
+    """The model-independent batch checks: numeric ``(N, V, 2, S, S)``
+    square stamp pairs and ``(N, V)`` dates; bad requests always raise."""
+    pairs = np.asarray(pairs)
+    mjd = np.asarray(mjd)
+    if pairs.ndim != 5 or pairs.shape[2] != 2:
+        raise ValueError(
+            f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs.shape}"
         )
-        session.metrics.counter("serve.batch_failures").inc()
-    return [PredictionResult.failed(i, exc) for i in range(start, stop)]
+    if pairs.shape[3] != pairs.shape[4]:
+        raise ValueError(
+            f"stamps must be square, got {pairs.shape[3]}x{pairs.shape[4]}"
+        )
+    if not np.issubdtype(pairs.dtype, np.number):
+        raise ValueError(f"pairs must be numeric, got dtype {pairs.dtype}")
+    if mjd.shape != pairs.shape[:2]:
+        raise ValueError(
+            f"visit_mjd shape {mjd.shape} does not match pairs {pairs.shape[:2]}"
+        )
+    return pairs, mjd
+
+
+def isolate(
+    score: Callable[[int, int], list],
+    n: int,
+    on_split: Callable[[Exception], None],
+    failure: Exception | None = None,
+) -> list:
+    """Score ``[0, n)`` with ``score(start, stop)``; if that raises and
+    ``n > 1``, call ``on_split(exc)`` once and score every index alone.
+
+    The one isolation path (DESIGN §10 "Isolation contract").  Returns
+    one entry per index: its result, or the exception its lone attempt
+    raised — the caller maps that to its own answer.  ``failure`` (the
+    range already failed elsewhere) skips straight to the singles.
+    :class:`~repro.serve.pool.PoolBrokenError` re-raises unsplit.
+    """
+    from .pool import PoolBrokenError  # pool imports this module
+
+    if failure is None:
+        try:
+            return list(score(0, n))
+        except PoolBrokenError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - isolation contract
+            if n == 1:
+                return [exc]
+            failure = exc
+    on_split(failure)
+    outcomes: list = []
+    for i in range(n):
+        try:
+            outcomes.extend(score(i, i + 1))
+        except PoolBrokenError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - isolation contract
+            outcomes.append(exc)
+    return outcomes
+
+
+def isolate_batch(classify, pairs, mjd, strict, start: int) -> list:
+    """One stream batch through :func:`isolate`; a split is logged as
+    ``serve.batch_failed`` and counted in ``serve.batch_failures``."""
+
+    def score(a: int, b: int) -> list[PredictionResult]:
+        return classify(pairs[a:b], mjd[a:b], strict=strict, start_index=start + a)
+
+    def note_failure(exc: Exception) -> None:
+        session = obs.active()
+        if session is not None:
+            session.emit(
+                "serve.batch_failed",
+                level="error",
+                message=f"batch at {start} failed: {exc}; scoring each sample alone",
+                start_index=start,
+                n_samples=len(pairs),
+                error_type=type(exc).__name__,
+            )
+            session.metrics.counter("serve.batch_failures").inc()
+
+    return isolate(score, len(pairs), on_split=note_failure)
+
+
+def stream_outcomes(
+    outcomes: list, start: int, strict: bool
+) -> Iterator[PredictionResult]:
+    """Yield isolated outcomes in order: a lone failure raises when
+    ``strict``, else becomes a :meth:`PredictionResult.failed`."""
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            if strict:
+                raise outcome
+            outcome = PredictionResult.failed(start + i, outcome)
+        yield outcome
 
 
 class InferenceEngine:
@@ -369,22 +441,7 @@ class InferenceEngine:
 
     def _validate_batch(self, pairs: np.ndarray, mjd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch-level shape/dtype checks; bad requests always raise."""
-        pairs = np.asarray(pairs)
-        mjd = np.asarray(mjd)
-        if pairs.ndim != 5 or pairs.shape[2] != 2:
-            raise ValueError(
-                f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs.shape}"
-            )
-        if pairs.shape[3] != pairs.shape[4]:
-            raise ValueError(
-                f"stamps must be square, got {pairs.shape[3]}x{pairs.shape[4]}"
-            )
-        if not np.issubdtype(pairs.dtype, np.number):
-            raise ValueError(f"pairs must be numeric, got dtype {pairs.dtype}")
-        if mjd.shape != pairs.shape[:2]:
-            raise ValueError(
-                f"visit_mjd shape {mjd.shape} does not match pairs {pairs.shape[:2]}"
-            )
+        pairs, mjd = check_batch_shape(pairs, mjd)
         used = self._n_used_visits
         if pairs.shape[1] < used:
             raise ValueError(
@@ -649,7 +706,6 @@ class InferenceEngine:
         batch_size: int = 64,
         strict: bool | None = None,
         workers: int = 1,
-        min_task_size: int | None = None,
     ) -> Iterator[PredictionResult]:
         """Yield :class:`PredictionResult` objects batch by batch.
 
@@ -660,40 +716,33 @@ class InferenceEngine:
         With ``workers > 1`` micro-batches are classified on a thread
         pool — the BLAS GEMMs behind the CNN release the GIL, so batches
         genuinely overlap — while results still stream in request order.
-        ``min_task_size`` coalesces adjacent micro-batches into thread
-        tasks of at least that many samples (rounded up to whole
-        batches): small ``--batch-size`` values keep their streaming
-        granularity on the single-threaded path while the threaded path
-        amortizes per-GEMM setup over engine-sized batches instead of
-        scoring slivers.  ``None`` (the default) keeps one task per
-        micro-batch, which is also the containment granularity below.
+        Every worker count scores the same ``batch_size`` micro-batches,
+        so threaded scores are bit-identical to ``workers=1``.
 
-        A non-strict exception escaping one worker's batch (a scoring
-        bug, a poison payload the validators missed) is contained to
-        that batch: its samples come back as
-        :meth:`PredictionResult.failed` placeholders and every other
-        batch still streams.  Strict mode (``strict=True`` or the
-        engine default) re-raises instead — but only after the pool has
-        been told to drop the remaining batches, so the generator never
-        abandons live futures.
+        Every batch goes through :func:`isolate`, so only a culprit
+        sample fails: as a :meth:`PredictionResult.failed` placeholder,
+        or in strict mode by re-raising — after the thread pool has been
+        told to drop the remaining batches.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if min_task_size is not None and min_task_size < 1:
-            raise ValueError("min_task_size must be >= 1")
         effective_strict = self.strict if strict is None else strict
         starts = range(0, len(dataset), batch_size)
+
+        def run(start: int) -> list:
+            return isolate_batch(
+                self.classify_arrays,
+                dataset.pairs[start : start + batch_size],
+                dataset.visit_mjd[start : start + batch_size],
+                strict,
+                start,
+            )
+
         if workers == 1:
             for start in starts:
-                stop = min(start + batch_size, len(dataset))
-                yield from self.classify_arrays(
-                    dataset.pairs[start:stop],
-                    dataset.visit_mjd[start:stop],
-                    strict=strict,
-                    start_index=start,
-                )
+                yield from stream_outcomes(run(start), start, effective_strict)
             return
 
         # Pin eval mode up front: predict() toggles train/eval on the
@@ -702,31 +751,13 @@ class InferenceEngine:
         self.pipeline.classifier.eval()
         from concurrent.futures import ThreadPoolExecutor
 
-        task_size = batch_size
-        if min_task_size is not None and min_task_size > batch_size:
-            task_size = -(-min_task_size // batch_size) * batch_size
-        starts = range(0, len(dataset), task_size)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    self.classify_arrays,
-                    dataset.pairs[start : start + task_size],
-                    dataset.visit_mjd[start : start + task_size],
-                    strict,
-                    start,
-                )
-                for start in starts
-            ]
+            futures = [pool.submit(run, start) for start in starts]
             try:
                 for start, future in zip(starts, futures):
-                    try:
-                        results = future.result()
-                    except Exception as exc:
-                        if effective_strict:
-                            raise
-                        stop = min(start + task_size, len(dataset))
-                        results = contain_batch_failure(start, stop, exc)
-                    yield from results
+                    yield from stream_outcomes(
+                        future.result(), start, effective_strict
+                    )
             except BaseException:
                 # Strict re-raise or a consumer closing the generator:
                 # don't leave queued batches running behind our back.

@@ -8,9 +8,12 @@ scatters micro-batches onto them:
 
 * **Zero pickle of pixel data.**  Request tensors and result arrays
   move through a :class:`multiprocessing.shared_memory.SharedMemory`
-  ring of fixed-size slots; only ``(task_id, slot, shape)`` tuples and
-  per-sample diagnostics cross the pipe.  A batch too large for a slot
-  falls back to pickle transport (counted in :meth:`stats`).
+  ring of ``2 * workers`` fixed-size slots (:data:`SLOT_BYTES` each);
+  only ``(task_id, ring, slot, shape)`` tuples and per-sample
+  diagnostics cross the pipe.  A shard too large for a slot grows the
+  ring instead: a new segment with power-of-two slots replaces the old
+  one, and workers re-attach when a task names the new ring (counted
+  as ``shm_overflow`` in :meth:`ScoringPool.stats`).
 * **BLAS thread pinning.**  Workers are spawned (never forked — the
   daemon owns threads) under :func:`repro.nn.pinned_blas_env`, so each
   child's numpy import sizes its BLAS pool to ``cores // workers``
@@ -22,7 +25,8 @@ scatters micro-batches onto them:
   path; float16 is covered by the benchmark's AUC gate.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
   is respawned under a :class:`~repro.runtime.retry.RetrySpec` budget
-  and its shard is re-scored sample by sample; a sample that kills the
+  and its shard is re-scored sample by sample through
+  :func:`~repro.serve.engine.isolate`; a sample that kills the
   replacement too comes back as a flagged
   :meth:`PredictionResult.failed` placeholder instead of sinking the
   batch.  A worker that is *alive but silent* — wedged inside a GEMM,
@@ -68,7 +72,10 @@ from .engine import (
     DegradedInputError,
     InferenceEngine,
     PredictionResult,
-    contain_batch_failure,
+    check_batch_shape,
+    isolate,
+    isolate_batch,
+    stream_outcomes,
 )
 
 __all__ = [
@@ -78,6 +85,7 @@ __all__ = [
     "WorkerCrashError",
     "ScoringPool",
     "DEFAULT_RESPAWN_SPEC",
+    "SLOT_BYTES",
 ]
 
 #: Worker-respawn budget: generous enough to heal a poison batch (one
@@ -100,23 +108,22 @@ class WorkerCrashError(PoolError):
     """A scoring worker process died while scoring a sample."""
 
 
+#: Initial size of one shm ring slot.  Fits a 64-sample shard of
+#: 5-visit 65x65 stamp pairs (about 11 MB), so steady traffic never
+#: grows the ring; a larger shard grows it (see :meth:`ScoringPool._fit_ring`).
+SLOT_BYTES = 16 << 20
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Tunables of :class:`ScoringPool`.
 
-    ``slot_bytes`` bounds the largest batch served through shared
-    memory: a shard needing more falls back to pickle transport (still
-    correct, just slower).  The default fits a 16-sample batch of
-    5-visit 160x160 stamp pairs with room to spare.
+    Each of the ``workers`` processes gets ``max(1, cores // workers)``
+    BLAS threads, and the shm ring holds ``2 * workers`` slots of
+    :data:`SLOT_BYTES` (at most ``workers`` shards are ever in flight).
     """
 
     workers: int = 2
-    #: Ring slots; 0 means ``2 * workers`` (dispatch never blocks on a
-    #: free slot: at most ``workers`` tasks are in flight at once).
-    slots: int = 0
-    slot_bytes: int = 16 << 20
-    #: BLAS threads per worker; 0 means ``max(1, cores // workers)``.
-    blas_threads: int = 0
     respawn: RetrySpec = field(default_factory=lambda: DEFAULT_RESPAWN_SPEC)
     start_timeout_s: float = 120.0
     reload_timeout_s: float = 120.0
@@ -132,12 +139,6 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.slots < 0:
-            raise ValueError("slots must be >= 0")
-        if self.slot_bytes < 4096:
-            raise ValueError("slot_bytes must be >= 4096")
-        if self.blas_threads < 0:
-            raise ValueError("blas_threads must be >= 0")
         if (
             self.start_timeout_s <= 0
             or self.reload_timeout_s <= 0
@@ -331,9 +332,9 @@ def _task_span(wire, task_id: int, n_samples: int):
     return tracer.resume(wire, "worker.compute", f"t{task_id}", n_samples=n_samples)
 
 
-def _run_task(engine: InferenceEngine, buf, slot_bytes: int, msg: tuple) -> tuple:
+def _run_task(engine: InferenceEngine, buf, msg: tuple) -> tuple:
     """Score one shm task; views over ``buf`` die at function exit."""
-    _, task_id, slot, shape, strict, start_index, wire = msg
+    _, task_id, _, slot_bytes, slot, shape, strict, start_index, wire = msg
     n, v, s = shape
     base = slot * slot_bytes
     mjd_off, res_off, _ = _slot_layout(n, v, s)
@@ -353,25 +354,8 @@ def _run_task(engine: InferenceEngine, buf, slot_bytes: int, msg: tuple) -> tupl
             time.perf_counter() - started)
 
 
-def _run_task_pickle(engine: InferenceEngine, msg: tuple) -> tuple:
-    """Pickle-transport fallback for batches larger than one slot."""
-    _, task_id, pairs, mjd, strict, start_index, wire = msg
-    started = time.perf_counter()
-    try:
-        with _task_span(wire, task_id, int(np.asarray(pairs).shape[0])):
-            results = engine.classify_arrays(
-                pairs, mjd, strict=strict, start_index=start_index
-            )
-    except Exception as exc:  # noqa: BLE001
-        return ("task_error", task_id, _describe_error(exc),
-                time.perf_counter() - started)
-    return ("results_pickle", task_id, results, time.perf_counter() - started)
-
-
 def _worker_main(
     conn,
-    shm_name: str,
-    slot_bytes: int,
     worker_id: int,
     model_source: str,
     engine_kwargs: dict,
@@ -382,9 +366,10 @@ def _worker_main(
 
     Spawned (not forked) so the pinned BLAS environment is read by a
     fresh numpy import and no daemon thread state leaks in.  The worker
-    owns one warm engine, answers ``task`` messages against the shared
-    ring and swaps its engine on ``reload`` broadcasts, acking each
-    version epoch so the parent can prove an exactly-once swap.
+    owns one warm engine, answers ``task`` messages against the shm ring
+    each one names (re-attaching when the parent has grown it) and swaps
+    its engine on ``reload`` broadcasts, acking each version epoch so
+    the parent can prove an exactly-once swap.
 
     With ``trace_dir`` set (the parent's telemetry directory when
     tracing is on) a :class:`~repro.obs.trace.SegmentTracer` is
@@ -399,13 +384,7 @@ def _worker_main(
                 worker=worker_id,
             )
         )
-    shm = None
     try:
-        # Attaching re-registers the segment with the resource tracker the
-        # spawned child shares with the parent — a set-add no-op.  Do NOT
-        # unregister here: that would strip the parent's registration and
-        # break its own unlink-at-close bookkeeping.
-        shm = shared_memory.SharedMemory(name=shm_name)
         engine = _load_worker_engine(
             model_source, engine_kwargs, worker_init, worker_id
         )
@@ -414,9 +393,8 @@ def _worker_main(
             conn.send(("boot_error", worker_id, _describe_error(exc)))
         except OSError:
             pass
-        if shm is not None:
-            shm.close()
         return
+    shm = None
     conn.send(("ready", worker_id, os.getpid(), blas_env_settings()))
     while True:
         try:
@@ -437,9 +415,15 @@ def _worker_main(
                 conn.send(("reload_ack", worker_id, epoch, _describe_error(exc)))
             continue
         if kind == "task":
-            reply = _run_task(engine, shm.buf, slot_bytes, msg)
-        elif kind == "task_pickle":
-            reply = _run_task_pickle(engine, msg)
+            if shm is None or shm.name != msg[2]:
+                if shm is not None:
+                    shm.close()
+                # Attaching re-registers the segment with the resource
+                # tracker the spawned child shares with the parent — a
+                # set-add no-op.  Do NOT unregister: that would strip the
+                # parent's registration and its unlink bookkeeping.
+                shm = shared_memory.SharedMemory(name=msg[2])
+            reply = _run_task(engine, shm.buf, msg)
         else:  # pragma: no cover - protocol bug
             reply = ("task_error", None,
                      {"type": "PoolError", "message": f"unknown message {kind}"},
@@ -449,7 +433,8 @@ def _worker_main(
         except (BrokenPipeError, OSError):
             break
     try:
-        shm.close()
+        if shm is not None:
+            shm.close()
     except BufferError:  # pragma: no cover - a leaked view; exiting anyway
         pass
     segment = obs_trace.tracer()
@@ -487,8 +472,8 @@ class _Shard:
     __slots__ = ("task_id", "worker", "slot", "res_off", "offset", "count",
                  "start_index", "outcome")
 
-    def __init__(self, task_id: int, worker: _Worker, slot: int | None,
-                 res_off: int | None, offset: int, count: int,
+    def __init__(self, task_id: int, worker: _Worker, slot: int,
+                 res_off: int, offset: int, count: int,
                  start_index: int) -> None:
         self.task_id = task_id
         self.worker = worker
@@ -544,10 +529,9 @@ class ScoringPool:
         self._workers: list[_Worker] = []
         self._free_slots: deque[int] = deque()
         self._shm: shared_memory.SharedMemory | None = None
-        self._n_slots = self.config.slots or 2 * self.config.workers
-        self._blas_threads = self.config.blas_threads or blas_thread_plan(
-            self.config.workers
-        )
+        self._n_slots = 2 * self.config.workers
+        self._slot_bytes = SLOT_BYTES
+        self._blas_threads = blas_thread_plan(self.config.workers)
         self._respawn_delays = self.config.respawn.delays()
         self._last_crash_at: float | None = None
         self._started_at: float | None = None
@@ -587,7 +571,7 @@ class ScoringPool:
                 self._engine.save(self._tmpdir.name)
                 self._model_source = self._tmpdir.name
             self._shm = shared_memory.SharedMemory(
-                create=True, size=self._n_slots * self.config.slot_bytes
+                create=True, size=self._n_slots * self._slot_bytes
             )
             self._free_slots = deque(range(self._n_slots))
             tracer = obs_trace.tracer()
@@ -700,8 +684,6 @@ class ScoringPool:
             target=_worker_main,
             args=(
                 child_conn,
-                self._shm.name,
-                self.config.slot_bytes,
                 worker_id,
                 self._model_source,
                 self._engine_kwargs,
@@ -809,25 +791,9 @@ class ScoringPool:
         crash is healed internally (respawn + per-sample re-score) with
         only repeat offenders flagged as failed placeholders.
         """
-        pairs_arr = np.asarray(pairs)
-        mjd_arr = np.asarray(mjd)
-        # Mirror the engine's batch-level checks the shm layout depends
-        # on (same messages), before any bytes move.
-        if pairs_arr.ndim != 5 or pairs_arr.shape[2] != 2:
-            raise ValueError(
-                f"expected (N, V, 2, S, S) stamp pairs, got shape {pairs_arr.shape}"
-            )
-        if pairs_arr.shape[3] != pairs_arr.shape[4]:
-            raise ValueError(
-                f"stamps must be square, got {pairs_arr.shape[3]}x{pairs_arr.shape[4]}"
-            )
-        if not np.issubdtype(pairs_arr.dtype, np.number):
-            raise ValueError(f"pairs must be numeric, got dtype {pairs_arr.dtype}")
-        if mjd_arr.shape != pairs_arr.shape[:2]:
-            raise ValueError(
-                f"visit_mjd shape {mjd_arr.shape} does not match pairs "
-                f"{pairs_arr.shape[:2]}"
-            )
+        # The engine's batch-level checks the shm layout depends on,
+        # before any bytes move.
+        pairs_arr, mjd_arr = check_batch_shape(pairs, mjd)
         n = pairs_arr.shape[0]
         if n == 0:
             return []
@@ -845,8 +811,13 @@ class ScoringPool:
                 n_samples=n,
                 workers=len(self._workers),
             ):
+                plan = self._plan_shards(n)
+                # The first shard is the largest (_plan_shards).
+                self._fit_ring(
+                    _slot_layout(plan[0][1], pairs32.shape[1], pairs32.shape[3])[2]
+                )
                 shards: list[_Shard] = []
-                for offset, count in self._plan_shards(n):
+                for offset, count in plan:
                     worker = self._pick_worker()
                     shards.append(
                         self._submit(worker, pairs32, mjd32, offset, count,
@@ -897,22 +868,14 @@ class ScoringPool:
         shard_pairs = pairs32[offset : offset + count]
         shard_mjd = mjd32[offset : offset + count]
         n, v, s = count, pairs32.shape[1], pairs32.shape[3]
-        mjd_off, res_off, needed = _slot_layout(n, v, s)
+        mjd_off, res_off, _ = _slot_layout(n, v, s)
         task_id = self._task_counter
         self._task_counter += 1
         started = time.perf_counter()
-        slot: int | None = None
-        if needed <= self.config.slot_bytes and self._free_slots:
-            slot = self._free_slots.popleft()
-            base = slot * self.config.slot_bytes
-            self._write_slot(base, mjd_off, shard_pairs, shard_mjd)
-            message = ("task", task_id, slot, (n, v, s), strict,
-                       start_index + offset, wire)
-        else:
-            self._overflow += 1
-            res_off = None
-            message = ("task_pickle", task_id, shard_pairs, shard_mjd,
-                       strict, start_index + offset, wire)
+        slot = self._free_slots.popleft()
+        self._write_slot(slot * self._slot_bytes, mjd_off, shard_pairs, shard_mjd)
+        message = ("task", task_id, self._shm.name, self._slot_bytes, slot,
+                   (n, v, s), strict, start_index + offset, wire)
         shard = _Shard(task_id, worker, slot, res_off, offset, count,
                        start_index + offset)
         try:
@@ -922,6 +885,25 @@ class ScoringPool:
             self._free_slot(shard)
         self._scatter_s += time.perf_counter() - started
         return shard
+
+    def _fit_ring(self, needed: int) -> None:
+        """Grow the ring to power-of-two slots of at least ``needed`` bytes.
+
+        Runs under the dispatch lock before a scatter writes, so no shard
+        is in flight on the old (unlinked) segment; workers re-attach
+        when a task message names the new one.
+        """
+        if needed <= self._slot_bytes:
+            return
+        slot_bytes = 1 << (needed - 1).bit_length()
+        old = self._shm
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=self._n_slots * slot_bytes
+        )
+        self._slot_bytes = slot_bytes
+        self._overflow += 1
+        old.close()
+        old.unlink()
 
     def _write_slot(self, base: int, mjd_off: int,
                     shard_pairs: np.ndarray, shard_mjd: np.ndarray) -> None:
@@ -936,9 +918,7 @@ class ScoringPool:
         dst_mjd[...] = shard_mjd
 
     def _free_slot(self, shard: _Shard) -> None:
-        if shard.slot is not None:
-            self._free_slots.append(shard.slot)
-            shard.slot = None
+        self._free_slots.append(shard.slot)
 
     def _gather(self, shards: list[_Shard]) -> None:
         """Wait for every shard's outcome; crashes become outcomes too.
@@ -1021,46 +1001,29 @@ class ScoringPool:
     def _handle_message(
         self, worker: _Worker, msg: tuple, pending: dict[int, _Shard]
     ) -> bool:
+        # A reload_ack cannot arrive mid-scoring under the dispatch lock;
+        # it (like a stale reply) is ignored defensively.
         kind = msg[0]
+        shard = (
+            pending.pop(msg[2], None) if kind in ("task_done", "task_error") else None
+        )
+        if shard is None:  # pragma: no cover
+            return False
         if kind == "task_done":
-            _, _, task_id, count, diags, elapsed = msg
-            shard = pending.pop(task_id, None)
-            if shard is None:  # pragma: no cover - stale reply
-                return False
-            base = shard.slot * self.config.slot_bytes
+            _, _, _, count, diags, elapsed = msg
             results = _load_results(
-                self._shm.buf, base + shard.res_off, count,
-                shard.start_index, diags
+                self._shm.buf, shard.slot * self._slot_bytes + shard.res_off,
+                count, shard.start_index, diags
             )
-            self._free_slot(shard)
             shard.outcome = ("ok", results)
-            self._note_done(worker, shard, elapsed)
-            return True
-        if kind == "results_pickle":
-            _, _, task_id, results, elapsed = msg
-            shard = pending.pop(task_id, None)
-            if shard is None:  # pragma: no cover
-                return False
-            shard.outcome = ("ok", results)
-            self._note_done(worker, shard, elapsed)
-            return True
-        if kind == "task_error":
-            _, _, task_id, desc, elapsed = msg
-            shard = pending.pop(task_id, None)
-            if shard is None:  # pragma: no cover
-                return False
-            self._free_slot(shard)
+        else:
+            _, _, _, desc, elapsed = msg
             shard.outcome = ("error", _rebuild_error(desc))
-            self._note_done(worker, shard, elapsed)
-            return True
-        # reload_ack or unknown mid-scoring: impossible under the dispatch
-        # lock; ignore defensively.
-        return False  # pragma: no cover
-
-    def _note_done(self, worker: _Worker, shard: _Shard, elapsed: float) -> None:
+        self._free_slot(shard)
         worker.tasks += 1
         worker.samples += shard.count
         worker.busy_s += elapsed
+        return True
 
     def _settle(
         self,
@@ -1071,76 +1034,78 @@ class ScoringPool:
         start_index: int,
     ) -> list[PredictionResult]:
         """Combine shard outcomes; heal crashes; re-raise scoring errors."""
-        errors = [
-            (shard.start_index, shard.outcome[1])
-            for shard in shards
-            if shard.outcome is not None and shard.outcome[0] == "error"
-        ]
-        if errors:
-            errors.sort(key=lambda item: item[0])
-            raise errors[0][1]
+        for shard in shards:  # in offset order: the first error wins
+            if shard.outcome[0] == "error":
+                raise shard.outcome[1]
         results: list[PredictionResult] = []
         for shard in shards:
-            kind = shard.outcome[0] if shard.outcome else "crash"
-            if kind == "ok":
+            if shard.outcome[0] == "ok":
                 results.extend(shard.outcome[1])
-                continue
-            # Crash: respawn the dead worker(s) eagerly (under the retry
-            # budget), then re-score one sample at a time so the culprit
-            # is isolated, not the whole shard.
-            self._crashed_shards += 1
-            for dead in list(self._workers):
-                if not dead.process.is_alive():
-                    self._note_crash(dead)
-            results.extend(
-                self._rescore_singles(
-                    pairs32, mjd32, shard.offset, shard.count, strict,
-                    start_index
+            else:
+                results.extend(
+                    self._heal(shard, pairs32, mjd32, strict, start_index)
                 )
-            )
         return results
 
-    def _rescore_singles(
+    def _heal(
         self,
+        shard: _Shard,
         pairs32: np.ndarray,
         mjd32: np.ndarray,
-        offset: int,
-        count: int,
         strict: bool | None,
         start_index: int,
     ) -> list[PredictionResult]:
+        """Respawn dead workers, then re-score a crashed shard's samples
+        alone via :func:`isolate` (never the whole shard again).  A repeat
+        crash becomes a :class:`WorkerCrashError` placeholder (raised
+        under strict); any other lone scoring error re-raises."""
         effective_strict = (
             self._default_strict if strict is None else bool(strict)
         )
-        healed: list[PredictionResult] = []
+        for dead in list(self._workers):
+            if not dead.process.is_alive():
+                self._note_crash(dead)
+
         # Called inside the gather span's scope, so the heal — and the
         # respawned workers' compute spans resumed from its wire context
         # — records as a child of ``pool.gather``.
-        with obs_trace.span("pool.heal", n_samples=count, offset=offset):
+        with obs_trace.span("pool.heal", n_samples=shard.count, offset=shard.offset):
             wire = obs_trace.wire_context()
-            for i in range(offset, offset + count):
-                worker = self._pick_worker()
-                shard = self._submit(worker, pairs32, mjd32, i, 1, strict,
-                                     start_index, wire)
-                self._gather([shard])
-                kind = shard.outcome[0] if shard.outcome else "crash"
+
+            def score(a: int, b: int) -> list[PredictionResult]:
+                single = self._submit(self._pick_worker(), pairs32, mjd32,
+                                      shard.offset + a, b - a, strict,
+                                      start_index, wire)
+                self._gather([single])
+                kind = single.outcome[0]
                 if kind == "ok":
-                    healed.extend(shard.outcome[1])
-                elif kind == "error":
-                    raise shard.outcome[1]
-                else:
-                    # This sample killed a worker twice: flag it, keep going.
-                    self._note_crash(shard.worker)
-                    crash = WorkerCrashError(
-                        f"sample {start_index + i} crashed the scoring worker; "
-                        "served at the no-information prior"
-                    )
-                    if effective_strict:
-                        raise crash
-                    self._poison_samples += 1
-                    healed.append(
-                        PredictionResult.failed(start_index + i, crash)
-                    )
+                    return single.outcome[1]
+                if kind == "error":
+                    raise single.outcome[1]
+                self._note_crash(single.worker)
+                raise WorkerCrashError(
+                    f"sample {single.start_index} crashed the scoring worker; "
+                    "served at the no-information prior"
+                )
+
+            def note_crashed_shard(exc: Exception) -> None:
+                self._crashed_shards += 1
+
+            outcomes = isolate(
+                score, shard.count, on_split=note_crashed_shard,
+                failure=WorkerCrashError(
+                    f"worker {shard.worker.id} died scoring {shard.count} "
+                    f"sample(s) from {shard.start_index}"
+                ),
+            )
+        healed: list[PredictionResult] = []
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                if effective_strict or not isinstance(outcome, WorkerCrashError):
+                    raise outcome
+                self._poison_samples += 1
+                outcome = PredictionResult.failed(shard.start_index + i, outcome)
+            healed.append(outcome)
         return healed
 
     # ------------------------------------------------------------------
@@ -1194,9 +1159,10 @@ class ScoringPool:
         The pool-backed analogue of :meth:`InferenceEngine.stream`:
         chunks of ``batch_size * workers`` samples are scattered so every
         worker scores one engine-sized batch per round, and results
-        stream in request order.  Non-strict chunk failures are contained
-        as :meth:`PredictionResult.failed` placeholders, matching the
-        thread path's contract.
+        stream in request order.  Chunks go through the same
+        :func:`~repro.serve.engine.isolate` contract as the thread path:
+        only a failing chunk's culprit becomes a failed placeholder (or
+        raises under strict); :class:`PoolBrokenError` always raises.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -1204,23 +1170,15 @@ class ScoringPool:
             self._default_strict if strict is None else bool(strict)
         )
         step = batch_size * self.config.workers
-        total = len(dataset)
-        for start in range(0, total, step):
-            stop = min(start + step, total)
-            try:
-                results = self.classify_arrays(
-                    dataset.pairs[start:stop],
-                    dataset.visit_mjd[start:stop],
-                    strict=strict,
-                    start_index=start,
-                )
-            except PoolBrokenError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - containment contract
-                if effective_strict:
-                    raise
-                results = contain_batch_failure(start, stop, exc)
-            yield from results
+        for start in range(0, len(dataset), step):
+            outcomes = isolate_batch(
+                self.classify_arrays,
+                dataset.pairs[start : start + step],
+                dataset.visit_mjd[start : start + step],
+                strict,
+                start,
+            )
+            yield from stream_outcomes(outcomes, start, effective_strict)
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -1311,11 +1269,6 @@ class ScoringPool:
         """The version epoch every live worker has acked."""
         return self._epoch
 
-    @property
-    def blas_threads(self) -> int:
-        """BLAS threads pinned into each worker's environment."""
-        return self._blas_threads
-
     def stats(self) -> dict:
         """Pool-level and per-worker utilization/queue/occupancy stats."""
         uptime = (
@@ -1344,7 +1297,7 @@ class ScoringPool:
             "blas_threads": self._blas_threads,
             "slots": self._n_slots,
             "slots_free": len(self._free_slots),
-            "slot_bytes": self.config.slot_bytes,
+            "slot_bytes": self._slot_bytes,
             "batches": self._tasks,
             "samples": self._samples,
             "crashes": self._crashes,

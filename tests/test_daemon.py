@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import RetrySpec, WedgeBatch
-from repro.serve import DaemonConfig, ServingDaemon
+from repro.serve import DaemonConfig, PoolBrokenError, PoolConfig, ServingDaemon
 
 from .helpers import (
     classify_body,
@@ -371,6 +371,65 @@ class TestStrictPoisonIsolation:
             )[0]
             assert doc["result"]["probability"] == round(solo.probability, 6)
             assert int(daemon.metrics.counter("daemon.poison_batches").value) == 1
+
+
+class _BrokenPool:
+    """Injected scoring pool whose respawn budget is already spent."""
+
+    started = True
+
+    def __init__(self):
+        self.config = PoolConfig(workers=2)
+        self.dispatches = 0
+
+    def classify_arrays(self, pairs, mjd, strict=None, start_index=0):
+        self.dispatches += 1
+        raise PoolBrokenError("respawn budget exhausted (injected)")
+
+    def close(self):
+        pass
+
+
+class TestBrokenPool:
+    def test_broken_pool_is_not_a_poison_batch(self, engine, sample):
+        """A broken pool fails a whole group at once: one 500 per request,
+        no per-sample re-dispatch into the dead pool, drain with exit 4."""
+        pairs, mjd = sample
+        pool = _BrokenPool()
+        wedge = WedgeBatch({0})
+        config = DaemonConfig(batch_deadline_ms=5.0, wedge_timeout_s=60.0)
+        daemon = ServingDaemon(engine, config, fault_hook=wedge, pool=pool)
+        daemon.start()
+        body = classify_body(pairs, mjd, deadline_ms=30000)
+        results: dict = {}
+        try:
+            threads = [_post_async(daemon.port, body, results, "head")]
+            assert wedge.wedged.wait(10.0)
+            for key in ("a", "b"):
+                threads.append(_post_async(daemon.port, body, results, key))
+            _wait_for(lambda: daemon._batcher.waiting() == 2)
+            wedge.release()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert daemon.wait() == 4
+        finally:
+            wedge.release()
+            daemon.drain(reason="test-teardown")
+            daemon.wait()
+        # Batch 0 = {head}, batch 1 = {a, b}: two dispatches, no split.
+        assert pool.dispatches == 2
+        assert int(daemon.metrics.counter("daemon.poison_batches").value) == 0
+        statuses = [status for status, _ in results.values()]
+        assert statuses == [500, 500, 500]
+        for _, doc in results.values():
+            assert "PoolBrokenError" in doc["error"]["message"]
+        admitted = int(daemon.metrics.counter("daemon.admitted").value)
+        responses = int(daemon.metrics.counter("daemon.responses").value)
+        timeouts = int(daemon.metrics.counter("daemon.timeouts").value)
+        errors = int(daemon.metrics.counter("daemon.request_errors").value)
+        assert admitted == len(results) == 3
+        assert responses + timeouts + errors == admitted
+        assert errors == statuses.count(500)
 
 
 class TestWatchdog:

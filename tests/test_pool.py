@@ -40,6 +40,7 @@ from repro.runtime.faults import (
     WedgeWorkerOnMarker,
 )
 from repro.runtime.retry import RetrySpec
+from repro.serve import pool as pool_module
 from repro.serve import (
     DegradedInputError,
     InferenceEngine,
@@ -143,8 +144,6 @@ class TestPoolLifecycle:
         with pytest.raises(ValueError):
             PoolConfig(workers=0)
         with pytest.raises(ValueError):
-            PoolConfig(slot_bytes=16)
-        with pytest.raises(ValueError):
             PoolConfig(task_timeout_s=0.0)
         with pytest.raises(ValueError):
             PoolConfig(respawn_reset_s=-1.0)
@@ -245,13 +244,23 @@ class TestPoolParity:
         assert str(pool_exc.value) == str(single_exc.value)
         assert pool_exc.value.index == single_exc.value.index
 
-    def test_shm_overflow_falls_back_to_pickle(self, engine, batch):
+    def test_shm_ring_grows_for_oversized_shard(self, engine, batch, monkeypatch):
         pairs, mjd = batch
         want = shard_reference(engine, 2, pairs, mjd)
-        config = PoolConfig(workers=2, slot_bytes=4096)  # far too small
-        with ScoringPool(engine=engine, config=config) as pool:
+        # One-sample shards fit a slot; the six-sample shards below do not.
+        monkeypatch.setattr(pool_module, "SLOT_BYTES", 1 << 17)
+        with ScoringPool(engine=engine, config=PoolConfig(workers=2)) as pool:
+            small = pool.classify_arrays(pairs[:2], mjd[:2])
+            assert_bit_exact(small, shard_reference(engine, 2, pairs[:2], mjd[:2]))
+            assert pool.stats()["shm_overflow"] == 0
+            # Workers attached to the first ring re-attach to the grown one.
             got = pool.classify_arrays(pairs, mjd)
-            assert pool.stats()["shm_overflow"] >= 2
+            stats = pool.stats()
+            assert stats["shm_overflow"] == 1
+            assert stats["slot_bytes"] > 1 << 17
+            assert stats["crashes"] == 0  # not healed: scored on the new ring
+            assert_bit_exact(pool.classify_arrays(pairs, mjd), want)
+            assert pool.stats()["shm_overflow"] == 1
         assert_bit_exact(got, want)
 
 
@@ -421,8 +430,9 @@ class TestPoolStream:
     def test_stream_counts_a_raising_chunk_like_the_engine(
         self, engine, batch, tmp_path
     ):
-        """A chunk whose scoring raises comes back as placeholders and
-        counts once in ``serve.batch_failures``, as the thread path does."""
+        """A chunk whose scoring raises is split: only the culprit comes
+        back as a placeholder, counted once in ``serve.batch_failures``
+        as the thread path does."""
         pairs, mjd = batch
         marked = pairs.copy()
         marked[3, 0, 0, 0, 0] = MARKER
@@ -437,8 +447,9 @@ class TestPoolStream:
         finally:
             counters = obs.stop()["counters"]
         assert counters["serve.batch_failures"] == 1
-        # Chunks are batch_size x workers = 6 samples; the first one failed.
-        assert [r.error is not None for r in got] == [i < 6 for i in range(len(got))]
+        # Chunks are batch_size x workers = 6 samples; the first one
+        # failed and was re-scored per sample.
+        assert [r.error is not None for r in got] == [i == 3 for i in range(len(got))]
 
 
 class TestPoolWedge:

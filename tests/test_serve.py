@@ -330,46 +330,15 @@ class TestInferenceEngine:
         results = list(engine.stream(dataset, batch_size=4, workers=2))
         assert [r.index for r in results] == list(range(len(dataset)))
         failed = [r for r in results if r.error is not None]
-        assert [r.index for r in failed] == [4, 5, 6, 7]
+        assert [r.index for r in failed] == [4]
         for result in failed:
             assert result.degraded and result.confidence == 0.0
             assert result.probability == 0.5 and result.usable_bands == []
             assert "RuntimeError" in result.error
             assert result.to_dict()["error"] == result.error
         healthy = [r for r in results if r.error is None]
-        assert len(healthy) == len(dataset) - 4
+        assert len(healthy) == len(dataset) - 1
         assert all(r.error is None for r in healthy)
-
-    def test_stream_workers_coalesce_to_min_task_size(
-        self, engine, dataset, monkeypatch
-    ):
-        """Thread tasks carry >= min_task_size samples (whole batches)."""
-        real = engine.classify_arrays
-        task_sizes = []
-
-        def spying(pairs, mjd, strict=None, start_index=0):
-            task_sizes.append(len(pairs))
-            return real(pairs, mjd, strict=strict, start_index=start_index)
-
-        monkeypatch.setattr(engine, "classify_arrays", spying)
-        serial = list(engine.stream(dataset, batch_size=3))
-        task_sizes.clear()
-        coalesced = list(
-            engine.stream(dataset, batch_size=3, workers=2, min_task_size=5)
-        )
-        # 5 rounded up to whole batches of 3 -> tasks of 6 (last may be
-        # shorter); small --batch-size no longer means sliver GEMMs.
-        assert all(size == 6 for size in task_sizes[:-1])
-        assert [r.index for r in coalesced] == [r.index for r in serial]
-        np.testing.assert_allclose(
-            [r.probability for r in coalesced],
-            [r.probability for r in serial],
-            rtol=1e-6,
-        )
-
-    def test_stream_min_task_size_validation(self, engine, dataset):
-        with pytest.raises(ValueError, match="min_task_size"):
-            list(engine.stream(dataset, batch_size=3, min_task_size=0))
 
     def test_stream_workers_strict_reraises_batch_failure(
         self, engine, dataset, monkeypatch
