@@ -16,7 +16,7 @@ measures the three serving/training hot paths:
 * ``classify_arrays_mp{W}_samples_per_s`` — the same clean-traffic
   workload scattered over a ``repro.serve.pool.ScoringPool`` of W
   BLAS-pinned worker processes (W in ``MP_WORKER_COUNTS``), the
-  ``repro classify --mp`` / ``repro serve --scoring-workers`` path.
+  ``repro classify --workers W`` / ``repro serve --scoring-workers`` path.
 
 ``--check`` additionally runs the deterministic accuracy gates: the
 fused float32 path must match chunked ``predict`` bit for bit, the

@@ -68,6 +68,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -246,15 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="classify batches on N threads (BLAS releases the GIL); "
-        "results still stream in order",
-    )
-    cl.add_argument(
-        "--mp", action="store_true",
-        help="score on N worker *processes* (a shared-memory ScoringPool) "
-        "instead of threads; bit-compatible with the single-process "
-        "path and still streams in order.  With --workers 1 this is a "
-        "pool of one process — the single-process fallback",
+        help="score on N worker processes (a shared-memory ScoringPool), "
+        "each taking one --batch-size shard per round; results still "
+        "stream in order.  1 (the default) scores in this process",
     )
     _add_telemetry_arg(cl)
 
@@ -586,42 +581,35 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .serve import InferenceEngine
+    from .serve import InferenceEngine, PoolConfig, ScoringPool
 
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    if args.batch_size < 1:
+        raise ValueError("--batch-size must be >= 1")
     dataset = load_dataset(args.dataset, require_finite=args.strict)
     n_degraded = 0
     confidences = []
-    sink = open(args.out, "w") if args.out else sys.stdout
-    pool = None
-    if args.mp:
-        from .serve import PoolConfig, ScoringPool
-
-        pool = ScoringPool(
-            model_source=args.model,
-            config=PoolConfig(workers=max(1, args.workers)),
-            engine_kwargs={"strict": args.strict},
-        ).start()
-        stream = pool.stream(
+    with contextlib.ExitStack() as stack:
+        if args.workers == 1:
+            scorer = InferenceEngine.from_directory(args.model)
+        else:
+            scorer = stack.enter_context(
+                ScoringPool(
+                    model_source=args.model,
+                    config=PoolConfig(workers=args.workers),
+                    engine_kwargs={"strict": args.strict},
+                )
+            )
+        # Opened only once the scorer is up: a model that fails to load
+        # must not truncate an earlier results file.
+        sink = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        for result in scorer.stream(
             dataset, batch_size=args.batch_size, strict=args.strict
-        )
-    else:
-        engine = InferenceEngine.from_directory(args.model)
-        stream = engine.stream(
-            dataset,
-            batch_size=args.batch_size,
-            strict=args.strict,
-            workers=args.workers,
-        )
-    try:
-        for result in stream:
+        ):
             n_degraded += result.degraded
             confidences.append(result.confidence)
             print(result.to_json(), file=sink, flush=args.out is None)
-    finally:
-        if pool is not None:
-            pool.close()
-        if args.out:
-            sink.close()
     if confidences:
         summary = (
             f"served {len(confidences)} sample(s), {n_degraded} degraded, "

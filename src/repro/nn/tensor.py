@@ -34,9 +34,10 @@ class _TensorFlags(threading.local):
     """Per-thread autograd/dtype mode flags.
 
     Thread-local (like ``torch.no_grad``) so that inference threads —
-    e.g. ``InferenceEngine.stream(workers=N)`` calling ``predict()``
-    concurrently — cannot tear the enter/exit save-restore of a shared
-    flag and leave graph recording disabled for the whole process.
+    the serving daemon's scoring and shadow threads calling
+    ``predict()`` concurrently — cannot tear the enter/exit save-restore
+    of a shared flag and leave graph recording disabled for the whole
+    process.
     """
 
     def __init__(self) -> None:

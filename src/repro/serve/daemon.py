@@ -112,6 +112,17 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 #: Shadow score-divergence histogram buckets (per-sample |Δp|).
 _DIVERGENCE_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
+#: How often the watchdog checks the scoring thread for a wedge.
+WATCHDOG_INTERVAL_S = 0.1
+
+#: Longest a drain waits for queued and in-flight work to flush;
+#: stragglers past it get typed 503s.
+DRAIN_TIMEOUT_S = 10.0
+
+#: Most shadow items (scored micro-batches) allowed to wait for the
+#: shadow worker; beyond it shadow copies are shed, never queued.
+SHADOW_QUEUE_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -135,16 +146,11 @@ class DaemonConfig:
     max_body_bytes: int = 32 << 20
     strict: bool = False
     wedge_timeout_s: float = 5.0
-    watchdog_interval_s: float = 0.1
-    drain_timeout_s: float = 10.0
     run_id: str = "serve"
     worker_restarts: RetrySpec = field(default_factory=lambda: DEFAULT_RESTART_SPEC)
     #: How often the version watcher re-reads ``registry.json`` (with a
     #: registry attached); a promote becomes live within about one poll.
     reload_poll_s: float = 0.25
-    #: Most shadow items (scored micro-batches) allowed to wait for the
-    #: shadow worker; beyond it shadow copies are shed, never queued.
-    shadow_queue_depth: int = 8
     #: Scoring worker *processes*.  0 (the default) scores in-process on
     #: the daemon's scoring thread; N >= 1 scatters each micro-batch
     #: across a :class:`~repro.serve.pool.ScoringPool` of N warm spawned
@@ -170,14 +176,8 @@ class DaemonConfig:
             raise ValueError("client_body_deadline_s must be positive")
         if self.wedge_timeout_s <= 0:
             raise ValueError("wedge_timeout_s must be positive")
-        if self.watchdog_interval_s <= 0:
-            raise ValueError("watchdog_interval_s must be positive")
-        if self.drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
         if self.reload_poll_s <= 0:
             raise ValueError("reload_poll_s must be positive")
-        if self.shadow_queue_depth < 1:
-            raise ValueError("shadow_queue_depth must be >= 1")
         if self.scoring_workers < 0:
             raise ValueError("scoring_workers must be >= 0")
         if self.latency_buckets_ms is not None:
@@ -444,8 +444,7 @@ class _Watchdog(threading.Thread):
 
     def run(self) -> None:
         owner = self.owner
-        interval = owner.config.watchdog_interval_s
-        while not self.stop_event.wait(interval):
+        while not self.stop_event.wait(WATCHDOG_INTERVAL_S):
             worker = owner._worker
             started = worker.batch_started
             if started is None:
@@ -940,7 +939,7 @@ class ServingDaemon:
 
         # Flush: the worker keeps consuming until the queue is empty and
         # nothing is mid-score, bounded by the drain timeout.
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while time.monotonic() < deadline:
             worker = self._worker
             if self._batcher.waiting() == 0 and (
@@ -1492,7 +1491,7 @@ class ServingDaemon:
         with self._shadow_cond:
             if self._shadow_engine is None:
                 return
-            if len(self._shadow_queue) >= self.config.shadow_queue_depth:
+            if len(self._shadow_queue) >= SHADOW_QUEUE_DEPTH:
                 # Shedding, not waiting: the primary path must never slow
                 # down because the candidate cannot keep up.
                 self.metrics.counter("daemon.shadow_shed").inc(len(results))

@@ -268,40 +268,57 @@ def isolate(
     return outcomes
 
 
-def isolate_batch(classify, pairs, mjd, strict, start: int) -> list:
-    """One stream batch through :func:`isolate`; a split is logged as
-    ``serve.batch_failed`` and counted in ``serve.batch_failures``."""
-
-    def score(a: int, b: int) -> list[PredictionResult]:
-        return classify(pairs[a:b], mjd[a:b], strict=strict, start_index=start + a)
-
-    def note_failure(exc: Exception) -> None:
-        session = obs.active()
-        if session is not None:
-            session.emit(
-                "serve.batch_failed",
-                level="error",
-                message=f"batch at {start} failed: {exc}; scoring each sample alone",
-                start_index=start,
-                n_samples=len(pairs),
-                error_type=type(exc).__name__,
-            )
-            session.metrics.counter("serve.batch_failures").inc()
-
-    return isolate(score, len(pairs), on_split=note_failure)
-
-
-def stream_outcomes(
-    outcomes: list, start: int, strict: bool
+def stream_isolated(
+    classify: Callable[..., list[PredictionResult]],
+    dataset,
+    step: int,
+    strict: bool | None,
+    default_strict: bool,
 ) -> Iterator[PredictionResult]:
-    """Yield isolated outcomes in order: a lone failure raises when
-    ``strict``, else becomes a :meth:`PredictionResult.failed`."""
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            if strict:
-                raise outcome
-            outcome = PredictionResult.failed(start + i, outcome)
-        yield outcome
+    """Score ``dataset`` in ``step``-sample chunks and yield results in
+    request order: the one streaming loop behind
+    :meth:`InferenceEngine.stream` and
+    :meth:`~repro.serve.pool.ScoringPool.stream`.
+
+    ``classify(pairs, mjd, strict=, start_index=)`` scores a chunk.
+    Every chunk goes through :func:`isolate`: a split is logged as
+    ``serve.batch_failed`` and counted in ``serve.batch_failures``, and
+    a lone failure raises when strict (``strict``, or ``default_strict``
+    when it is None), else becomes a :meth:`PredictionResult.failed`.
+    """
+    if step < 1:
+        raise ValueError("batch_size must be >= 1")
+    effective_strict = default_strict if strict is None else bool(strict)
+    for start in range(0, len(dataset), step):
+        pairs = dataset.pairs[start : start + step]
+        mjd = dataset.visit_mjd[start : start + step]
+
+        def score(a: int, b: int) -> list[PredictionResult]:
+            return classify(
+                pairs[a:b], mjd[a:b], strict=strict, start_index=start + a
+            )
+
+        def note_failure(exc: Exception) -> None:
+            session = obs.active()
+            if session is not None:
+                session.emit(
+                    "serve.batch_failed",
+                    level="error",
+                    message=f"batch at {start} failed: {exc}; "
+                    "scoring each sample alone",
+                    start_index=start,
+                    n_samples=len(pairs),
+                    error_type=type(exc).__name__,
+                )
+                session.metrics.counter("serve.batch_failures").inc()
+
+        outcomes = isolate(score, len(pairs), on_split=note_failure)
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                if effective_strict:
+                    raise outcome
+                outcome = PredictionResult.failed(start + i, outcome)
+            yield outcome
 
 
 class InferenceEngine:
@@ -610,10 +627,11 @@ class InferenceEngine:
     ) -> None:
         """Write one audit event per served sample plus batch metrics.
 
-        Called only with a live telemetry session; safe under the
-        ``stream(workers=N)`` thread pool — the event log and the
-        metrics instruments serialise internally, and the drift monitor
-        transition check runs under the engine's own lock.
+        Called only with a live telemetry session; safe when the
+        daemon's scoring and shadow threads score concurrently — the
+        event log and the metrics instruments serialise internally, and
+        the drift monitor transition check runs under the engine's own
+        lock.
         """
         n = len(results)
         if n == 0:
@@ -705,62 +723,17 @@ class InferenceEngine:
         dataset: SupernovaDataset,
         batch_size: int = 64,
         strict: bool | None = None,
-        workers: int = 1,
     ) -> Iterator[PredictionResult]:
         """Yield :class:`PredictionResult` objects batch by batch.
 
         The classify CLI consumes this to emit per-sample JSON lines as
         soon as each batch clears the CNN, rather than after the whole
-        dataset.
-
-        With ``workers > 1`` micro-batches are classified on a thread
-        pool — the BLAS GEMMs behind the CNN release the GIL, so batches
-        genuinely overlap — while results still stream in request order.
-        Every worker count scores the same ``batch_size`` micro-batches,
-        so threaded scores are bit-identical to ``workers=1``.
-
-        Every batch goes through :func:`isolate`, so only a culprit
-        sample fails: as a :meth:`PredictionResult.failed` placeholder,
-        or in strict mode by re-raising — after the thread pool has been
-        told to drop the remaining batches.
+        dataset.  Every batch goes through :func:`stream_isolated`, so
+        only a culprit sample fails: as a :meth:`PredictionResult.failed`
+        placeholder, or in strict mode by re-raising.  To score on
+        several cores, stream through a
+        :class:`~repro.serve.pool.ScoringPool` instead.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        effective_strict = self.strict if strict is None else strict
-        starts = range(0, len(dataset), batch_size)
-
-        def run(start: int) -> list:
-            return isolate_batch(
-                self.classify_arrays,
-                dataset.pairs[start : start + batch_size],
-                dataset.visit_mjd[start : start + batch_size],
-                strict,
-                start,
-            )
-
-        if workers == 1:
-            for start in starts:
-                yield from stream_outcomes(run(start), start, effective_strict)
-            return
-
-        # Pin eval mode up front: predict() toggles train/eval on the
-        # shared modules, which must not race across worker threads.
-        self.pipeline.cnn.eval()
-        self.pipeline.classifier.eval()
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, start) for start in starts]
-            try:
-                for start, future in zip(starts, futures):
-                    yield from stream_outcomes(
-                        future.result(), start, effective_strict
-                    )
-            except BaseException:
-                # Strict re-raise or a consumer closing the generator:
-                # don't leave queued batches running behind our back.
-                for pending in futures:
-                    pending.cancel()
-                raise
+        return stream_isolated(
+            self.classify_arrays, dataset, batch_size, strict, self.strict
+        )

@@ -74,8 +74,7 @@ from .engine import (
     PredictionResult,
     check_batch_shape,
     isolate,
-    isolate_batch,
-    stream_outcomes,
+    stream_isolated,
 )
 
 __all__ = [
@@ -113,6 +112,13 @@ class WorkerCrashError(PoolError):
 #: grows the ring; a larger shard grows it (see :meth:`ScoringPool._fit_ring`).
 SLOT_BYTES = 16 << 20
 
+#: How long a spawned worker may take to load its engine and report
+#: ready, at start and on every respawn.
+START_TIMEOUT_S = 120.0
+
+#: How long a reload broadcast waits for every worker's ack.
+RELOAD_TIMEOUT_S = 120.0
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -125,8 +131,6 @@ class PoolConfig:
 
     workers: int = 2
     respawn: RetrySpec = field(default_factory=lambda: DEFAULT_RESPAWN_SPEC)
-    start_timeout_s: float = 120.0
-    reload_timeout_s: float = 120.0
     #: No-progress deadline per gather: a worker that is alive but has
     #: sent nothing for this long while owing a shard is treated as
     #: wedged — terminated, its shard marked crashed, healed via the
@@ -139,12 +143,7 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if (
-            self.start_timeout_s <= 0
-            or self.reload_timeout_s <= 0
-            or self.task_timeout_s <= 0
-            or self.respawn_reset_s <= 0
-        ):
+        if self.task_timeout_s <= 0 or self.respawn_reset_s <= 0:
             raise ValueError("timeouts must be positive")
 
 
@@ -581,7 +580,7 @@ class ScoringPool:
                 for worker_id in range(self.config.workers):
                     self._workers.append(self._spawn(worker_id))
                 for worker in self._workers:
-                    self._await_ready(worker, self.config.start_timeout_s)
+                    self._await_ready(worker, START_TIMEOUT_S)
             except BaseException:
                 self._teardown()
                 raise
@@ -717,10 +716,9 @@ class ScoringPool:
                     worker.blas_env = msg[3]
                     return
                 if msg[0] == "boot_error":
-                    raise PoolError(
-                        f"worker {worker.id} failed to boot: "
-                        f"{msg[2]['type']}: {msg[2]['message']}"
-                    )
+                    # Typed, so a missing or corrupt model fails the
+                    # caller exactly as an in-process load would.
+                    raise _rebuild_error(msg[2])
             elif not worker.process.is_alive():
                 raise PoolError(
                     f"worker {worker.id} died during boot "
@@ -760,7 +758,7 @@ class ScoringPool:
         self._respawns += 1
         replacement = self._spawn(worker.id)
         replacement.crashes = worker.crashes
-        self._await_ready(replacement, self.config.start_timeout_s)
+        self._await_ready(replacement, START_TIMEOUT_S)
         self._workers[worker.id] = replacement
         return replacement
 
@@ -1156,29 +1154,19 @@ class ScoringPool:
     ) -> Iterator[PredictionResult]:
         """Yield results for a dataset, ``workers`` batches in flight.
 
-        The pool-backed analogue of :meth:`InferenceEngine.stream`:
-        chunks of ``batch_size * workers`` samples are scattered so every
-        worker scores one engine-sized batch per round, and results
-        stream in request order.  Chunks go through the same
-        :func:`~repro.serve.engine.isolate` contract as the thread path:
-        only a failing chunk's culprit becomes a failed placeholder (or
-        raises under strict); :class:`PoolBrokenError` always raises.
+        The pool-backed :meth:`InferenceEngine.stream`, through the same
+        :func:`~repro.serve.engine.stream_isolated` loop: chunks of
+        ``batch_size * workers`` samples are scattered so every worker
+        scores one engine-sized batch per round, and results stream in
+        request order.  :class:`PoolBrokenError` always raises.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        effective_strict = (
-            self._default_strict if strict is None else bool(strict)
+        return stream_isolated(
+            self.classify_arrays,
+            dataset,
+            batch_size * self.config.workers,
+            strict,
+            self._default_strict,
         )
-        step = batch_size * self.config.workers
-        for start in range(0, len(dataset), step):
-            outcomes = isolate_batch(
-                self.classify_arrays,
-                dataset.pairs[start : start + step],
-                dataset.visit_mjd[start : start + step],
-                strict,
-                start,
-            )
-            yield from stream_outcomes(outcomes, start, effective_strict)
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -1221,13 +1209,13 @@ class ScoringPool:
                 pending[worker.id] = worker
             except (BrokenPipeError, OSError):
                 self._note_crash(worker)
-        deadline = time.monotonic() + self.config.reload_timeout_s
+        deadline = time.monotonic() + RELOAD_TIMEOUT_S
         failures: list[str] = []
         while pending:
             if time.monotonic() > deadline:
                 raise PoolError(
                     f"reload epoch {epoch} not acked by workers "
-                    f"{sorted(pending)} within {self.config.reload_timeout_s}s"
+                    f"{sorted(pending)} within {RELOAD_TIMEOUT_S}s"
                 )
             workers = list(pending.values())
             sentinels = {w.process.sentinel: w for w in workers}

@@ -199,6 +199,73 @@ class TestClassify:
         assert code == 2
         assert "pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_model_load_keeps_existing_out(
+        self, served, tmp_path, capsys, workers
+    ):
+        _, dataset_path, _ = served
+        out = tmp_path / "night.jsonl"
+        out.write_bytes(b'{"index":0,"probability":0.25}\n')
+        before = out.read_bytes()
+        code = main([
+            "classify", "--model", str(tmp_path / "missing"),
+            "--dataset", str(dataset_path), "--out", str(out),
+            "--workers", workers,
+        ])
+        assert code in (2, 3)
+        assert out.read_bytes() == before
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--workers", "--batch-size"])
+    def test_option_below_one_exits_2(self, served, tmp_path, capsys, option):
+        model_dir, dataset_path, _ = served
+        out = tmp_path / "night.jsonl"
+        out.write_bytes(b"earlier results\n")
+        code = main([
+            "classify", "--model", str(model_dir),
+            "--dataset", str(dataset_path), "--out", str(out),
+            option, "0",
+        ])
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier results\n"
+
+    @pytest.mark.serve
+    def test_pool_workers_match_in_process(self, served, tmp_path):
+        """``--workers 2`` (the process pool) serves what ``--workers 1``
+        serves, at the wire precision of the pool parity contract."""
+        import json
+        from dataclasses import replace
+
+        from repro.datasets import save_dataset
+        from repro.runtime import DropBand
+
+        model_dir, _, dataset = served
+        pairs = dataset.pairs.copy()
+        pairs[:4] = DropBand(1)(pairs[:4])
+        mixed = tmp_path / "mixed.npz"
+        save_dataset(replace(dataset, pairs=pairs), mixed)
+        streams = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.jsonl"
+            code = main([
+                "classify", "--model", str(model_dir), "--dataset", str(mixed),
+                "--out", str(out), "--batch-size", "3", "--workers", workers,
+            ])
+            assert code == 0
+            streams[workers] = [
+                json.loads(line) for line in out.read_text().splitlines()
+            ]
+        serial, pooled = streams["1"], streams["2"]
+        assert [r["index"] for r in serial] == list(range(len(dataset)))
+        for key in ("index", "degraded", "usable_bands"):
+            assert [r[key] for r in pooled] == [r[key] for r in serial]
+        assert [r.get("error") for r in pooled] == [r.get("error") for r in serial]
+        assert any(r["degraded"] for r in serial)
+        assert [r["probability"] for r in pooled] == pytest.approx(
+            [r["probability"] for r in serial], abs=1e-6
+        )
+
     def test_missing_dataset_exits_2(self, served, capsys):
         model_dir, _, _ = served
         code = main([

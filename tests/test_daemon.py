@@ -69,8 +69,6 @@ class TestDaemonConfig:
             {"request_deadline_ms": 0.0},
             {"client_body_deadline_s": 0.0},
             {"wedge_timeout_s": 0.0},
-            {"drain_timeout_s": 0.0},
-            {"watchdog_interval_s": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -441,7 +439,6 @@ class TestWatchdog:
         config = DaemonConfig(
             batch_deadline_ms=2.0,
             wedge_timeout_s=0.4,
-            watchdog_interval_s=0.05,
             worker_restarts=RetrySpec(max_attempts=3, base_delay_s=0.01, jitter=0.0),
         )
         with running_daemon(engine, config, fault_hook=wedge) as daemon:
@@ -468,7 +465,6 @@ class TestWatchdog:
         config = DaemonConfig(
             batch_deadline_ms=2.0,
             wedge_timeout_s=0.3,
-            watchdog_interval_s=0.05,
             worker_restarts=RetrySpec(max_attempts=1, jitter=0.0),
         )
         with running_daemon(engine, config, fault_hook=wedge) as daemon:

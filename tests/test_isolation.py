@@ -1,11 +1,12 @@
 """The isolation contract: one raising sample fails alone, on every path.
 
 ``repro.serve.engine.isolate`` is the only place a failed batch is split
-and re-scored per sample.  Whatever path scores it — the single-thread
-stream (``repro classify``), the threaded stream (``--workers N``), the
-process pool (``--mp``) or the serving daemon — the same poisoned batch
-must give the same per-sample outcome: the culprit fails, its batch-mates
-get real scores, and the split counts once.
+and re-scored per sample.  Whatever path scores it — the in-process
+stream (``repro classify``), the pool-backed stream (``repro classify
+--workers N``), both through the one ``stream_isolated`` loop, or the
+serving daemon — the same poisoned batch must give the same per-sample
+outcome: the culprit fails, its batch-mates get real scores, and the
+split counts once.
 """
 
 import threading
@@ -79,34 +80,35 @@ def _stream_outcomes(results, counters):
     )
 
 
-def _engine_stream(workers):
+def _engine_stream(pairs, mjd, tmp_path):
+    engine = _tripped_engine()
+    obs.start(tmp_path)
+    try:
+        results = list(engine.stream(_ArrayDataset(pairs, mjd), batch_size=4))
+    finally:
+        counters = obs.stop()["counters"]
+    return _stream_outcomes(results, counters)
+
+
+def _pool_stream(batch_size):
+    """Two workers; each chunk holds ``batch_size x 2`` samples."""
+
     def run(pairs, mjd, tmp_path):
-        engine = _tripped_engine()
         obs.start(tmp_path)
         try:
-            results = list(
-                engine.stream(_ArrayDataset(pairs, mjd), batch_size=4, workers=workers)
-            )
+            with ScoringPool(
+                engine=make_serve_engine(seed=0),
+                config=PoolConfig(workers=2),
+                worker_init=_tripwire(),
+            ) as pool:
+                results = list(
+                    pool.stream(_ArrayDataset(pairs, mjd), batch_size=batch_size)
+                )
         finally:
             counters = obs.stop()["counters"]
         return _stream_outcomes(results, counters)
 
     return run
-
-
-def _pool_stream(pairs, mjd, tmp_path):
-    obs.start(tmp_path)
-    try:
-        with ScoringPool(
-            engine=make_serve_engine(seed=0),
-            config=PoolConfig(workers=2),
-            worker_init=_tripwire(),
-        ) as pool:
-            # Chunks of batch_size x workers = 4 samples.
-            results = list(pool.stream(_ArrayDataset(pairs, mjd), batch_size=2))
-    finally:
-        counters = obs.stop()["counters"]
-    return _stream_outcomes(results, counters)
 
 
 def _daemon(pairs, mjd, tmp_path):
@@ -142,7 +144,10 @@ def _daemon(pairs, mjd, tmp_path):
 
 @pytest.mark.parametrize(
     "path",
-    [_engine_stream(1), _engine_stream(2), _pool_stream, _daemon],
+    # stream-workers2 is ``classify --workers 2 --batch-size 4``: one
+    # 8-sample chunk, one 4-sample shard per worker, the culprit in the
+    # first.  pool-stream splits the batch into two 4-sample chunks.
+    [_engine_stream, _pool_stream(4), _pool_stream(2), _daemon],
     ids=["stream-workers1", "stream-workers2", "pool-stream", "daemon"],
 )
 def test_only_the_culprit_fails(path, engine, batch, tmp_path):

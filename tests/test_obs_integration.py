@@ -89,13 +89,38 @@ class TestServeAudit:
         assert snapshot["counters"]["serve.degraded"] == len(dataset)
 
     def test_concurrent_stream_audit_is_consistent(self, engine, dataset, tmp_path):
+        """Four threads audit at once, as the daemon's scoring and shadow
+        threads do; eval mode is pinned first, as the daemon pins it."""
+        import threading
+
+        engine.pipeline.cnn.eval()
+        engine.pipeline.classifier.eval()
+        bounds = np.linspace(0, len(dataset), 5).astype(int)
+        results: list = []
+        lock = threading.Lock()
+
+        def score(a, b):
+            scored = engine.classify_arrays(
+                dataset.pairs[a:b], dataset.visit_mjd[a:b], start_index=a
+            )
+            with lock:
+                results.extend(scored)
+
         directory = tmp_path / "t"
         obs.start(directory)
         try:
-            results = list(engine.stream(dataset, batch_size=2, workers=4))
+            threads = [
+                threading.Thread(target=score, args=(a, b))
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
         finally:
             obs.stop()
-        assert len(results) == len(dataset)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(r.index for r in results) == list(range(len(dataset)))
         n, errors = validate_file(directory / EVENTS_FILE)
         assert errors == []  # no interleaved/torn lines, seq strictly monotonic
         requests = _events(directory, "serve.request")

@@ -305,55 +305,6 @@ class TestInferenceEngine:
             rtol=1e-6,
         )
 
-    def test_stream_workers_match_serial(self, engine, dataset):
-        serial = list(engine.stream(dataset, batch_size=3))
-        threaded = list(engine.stream(dataset, batch_size=3, workers=3))
-        assert [r.index for r in threaded] == [r.index for r in serial]
-        np.testing.assert_allclose(
-            [r.probability for r in threaded],
-            [r.probability for r in serial],
-            rtol=1e-6,
-        )
-
-    def test_stream_workers_contain_batch_failure(
-        self, engine, dataset, monkeypatch
-    ):
-        """A batch blowing up on one worker must not sink the stream."""
-        real = engine.classify_arrays
-
-        def flaky(pairs, mjd, strict=None, start_index=0):
-            if start_index == 4:
-                raise RuntimeError("injected batch failure")
-            return real(pairs, mjd, strict=strict, start_index=start_index)
-
-        monkeypatch.setattr(engine, "classify_arrays", flaky)
-        results = list(engine.stream(dataset, batch_size=4, workers=2))
-        assert [r.index for r in results] == list(range(len(dataset)))
-        failed = [r for r in results if r.error is not None]
-        assert [r.index for r in failed] == [4]
-        for result in failed:
-            assert result.degraded and result.confidence == 0.0
-            assert result.probability == 0.5 and result.usable_bands == []
-            assert "RuntimeError" in result.error
-            assert result.to_dict()["error"] == result.error
-        healthy = [r for r in results if r.error is None]
-        assert len(healthy) == len(dataset) - 1
-        assert all(r.error is None for r in healthy)
-
-    def test_stream_workers_strict_reraises_batch_failure(
-        self, engine, dataset, monkeypatch
-    ):
-        real = engine.classify_arrays
-
-        def flaky(pairs, mjd, strict=None, start_index=0):
-            if start_index == 4:
-                raise RuntimeError("injected batch failure")
-            return real(pairs, mjd, strict=strict, start_index=start_index)
-
-        monkeypatch.setattr(engine, "classify_arrays", flaky)
-        with pytest.raises(RuntimeError, match="injected batch failure"):
-            list(engine.stream(dataset, batch_size=4, workers=2, strict=True))
-
     def test_batch_shape_errors(self, engine, dataset):
         with pytest.raises(ValueError, match="stamp pairs"):
             engine.classify_arrays(np.zeros((2, 5, 9, 9)), np.zeros((2, 5)))

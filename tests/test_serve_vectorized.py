@@ -1,23 +1,19 @@
-"""Vectorized serve hot path: batch repair parity and threaded streaming.
+"""Vectorized serve hot path: batch repair parity.
 
 The serving engine validates/repairs visits through
 :func:`diagnose_and_repair_batch`, a whole-batch vectorisation of the
 per-visit :func:`diagnose_and_repair`.  These tests pin the contract
 that the two are *bit-identical* — same diagnostics, same repaired
 pixels, same keep/reject verdicts — on traffic damaged by every
-:mod:`repro.runtime.faults` injector, and that the thread-pooled stream
-returns exactly what the serial one does.
+:mod:`repro.runtime.faults` injector.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import SupernovaPipeline
 from repro.datasets import BuildConfig, DatasetBuilder
 from repro.runtime import DropBand, NaNPixels, SaturateRegion, TruncateCutout
 from repro.serve import (
-    FluxPrior,
-    InferenceEngine,
     RepairConfig,
     diagnose_and_repair,
     diagnose_and_repair_batch,
@@ -94,33 +90,3 @@ class TestBatchRepairParity:
             diagnose_and_repair_batch(np.zeros((3, 9, 9)), np.zeros(3))
         with pytest.raises(ValueError, match="visits"):
             diagnose_and_repair_batch(np.zeros((3, 2, 9, 9)), np.zeros(2))
-
-
-class TestThreadedStream:
-    @pytest.fixture(scope="class")
-    def engine(self, dataset):
-        pipe = SupernovaPipeline(input_size=36, units=8, epochs_used=1, seed=0)
-        return InferenceEngine(pipe, prior=FluxPrior.from_dataset(dataset))
-
-    def test_workers_match_serial(self, engine, dataset):
-        serial = list(engine.stream(dataset, batch_size=3, workers=1))
-        pooled = list(engine.stream(dataset, batch_size=3, workers=4))
-        assert [r.index for r in serial] == [r.index for r in pooled]
-        np.testing.assert_array_equal(
-            [r.probability for r in serial], [r.probability for r in pooled]
-        )
-        assert [r.confidence for r in serial] == [r.confidence for r in pooled]
-
-    def test_workers_match_on_degraded_traffic(self, engine, dataset):
-        import dataclasses
-
-        corrupted = dataclasses.replace(
-            dataset, pairs=NaNPixels(0.04, seed=1)(dataset.pairs)
-        )
-        serial = list(engine.stream(corrupted, batch_size=4, workers=1))
-        pooled = list(engine.stream(corrupted, batch_size=4, workers=3))
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-
-    def test_workers_validation(self, engine, dataset):
-        with pytest.raises(ValueError, match="workers"):
-            list(engine.stream(dataset, workers=0))
