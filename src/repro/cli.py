@@ -22,8 +22,11 @@ refuses it with exit code ``2`` instead.
 ``serve`` is the persistent flavour of the same path: a warm
 :class:`~repro.serve.ServingDaemon` that coalesces concurrent HTTP
 requests into micro-batches behind admission control, per-request
-deadlines, poison-request isolation, a scoring-worker watchdog and
-graceful drain on SIGTERM/SIGINT (see :mod:`repro.serve.daemon`).
+deadlines, poison-request isolation, a wedge deadline and graceful
+drain on SIGTERM/SIGINT (see :mod:`repro.serve.daemon`).  With
+``--scoring-workers N`` the wedge deadline is the pool's per-gather
+deadline: the silent worker is terminated, its shard healed and no
+thread restarted.
 
 ``models`` manages the versioned model registry
 (:mod:`repro.registry`): ``register`` copies a saved model directory in
@@ -302,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--wedge-timeout-s", type=float, default=5.0, metavar="S",
-        help="scoring batches older than this get the worker restarted",
+        help="scoring calls older than this get the scoring thread restarted; "
+        "with --scoring-workers N the pool terminates the silent worker "
+        "and heals its shard instead (no thread restart)",
     )
     srv.add_argument(
         "--scoring-workers", type=int, default=0, metavar="N",

@@ -31,12 +31,12 @@ Request flow
    :func:`~repro.serve.engine.isolate`: the poison sample alone gets its
    typed error response while its batch-mates are scored normally.  A
    broken scoring pool is not poison: its group is answered 500 at once.
-5. **Watchdog** — a supervisor thread detects a wedged scoring worker
-   (in-flight batch older than ``wedge_timeout_s``), answers its
-   in-flight requests, abandons the thread and starts a replacement
-   under a bounded :class:`~repro.runtime.retry.RetrySpec` budget —
-   without ever dropping the accept loop.  A exhausted restart budget
-   drains the daemon with exit code 4.
+5. **Watchdog** — one deadline, ``wedge_timeout_s``, per scoring call,
+   owned by whoever runs it.  A scoring pool heals its own wedged
+   workers at that deadline.  The watchdog guards the in-process
+   scoring thread: a batch older than it is answered 504, the thread
+   abandoned and replaced under :data:`DEFAULT_RESTART_SPEC` without
+   dropping the accept loop.  An exhausted budget drains with exit 4.
 6. **Graceful drain** — SIGTERM/SIGINT (or :meth:`ServingDaemon.drain`)
    stops admission, flushes every in-flight batch, emits a terminal
    ``serve.drained`` audit event and exits 0.
@@ -82,7 +82,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -100,8 +100,8 @@ from .pool import PoolBrokenError, PoolConfig, ScoringPool
 
 __all__ = ["DaemonConfig", "ServingDaemon", "DEFAULT_RESTART_SPEC"]
 
-#: Restart budget for wedged scoring workers: two replacements, then
-#: the daemon drains with exit code 4 rather than flap forever.
+#: Restart budget for wedged in-process scoring threads: two
+#: replacements, then the daemon drains with exit code 4.
 DEFAULT_RESTART_SPEC = RetrySpec(
     max_attempts=3, base_delay_s=0.05, factor=2.0, jitter=0.0
 )
@@ -131,9 +131,9 @@ class DaemonConfig:
     ``queue_depth`` is the hard admission limit — the most requests that
     may wait for a batch slot; beyond it the daemon sheds.  In-flight
     (already batched) requests do not count against it.
-    ``worker_restarts`` follows :class:`~repro.runtime.retry.RetrySpec`
-    semantics: ``max_attempts - 1`` worker replacements are allowed
-    before the daemon gives up and drains with exit code 4.
+    ``wedge_timeout_s`` is the one deadline of a scoring call: the
+    pool's gather deadline with ``scoring_workers >= 1``, the
+    watchdog's otherwise.  Durations must be finite.
     """
 
     host: str = "127.0.0.1"
@@ -147,7 +147,6 @@ class DaemonConfig:
     strict: bool = False
     wedge_timeout_s: float = 5.0
     run_id: str = "serve"
-    worker_restarts: RetrySpec = field(default_factory=lambda: DEFAULT_RESTART_SPEC)
     #: How often the version watcher re-reads ``registry.json`` (with a
     #: registry attached); a promote becomes live within about one poll.
     reload_poll_s: float = 0.25
@@ -166,26 +165,23 @@ class DaemonConfig:
     def __post_init__(self) -> None:
         if self.batch_max_size < 1:
             raise ValueError("batch_max_size must be >= 1")
-        if self.batch_deadline_ms < 0:
-            raise ValueError("batch_deadline_ms must be non-negative")
+        if not math.isfinite(self.batch_deadline_ms) or self.batch_deadline_ms < 0:
+            raise ValueError("batch_deadline_ms must be finite and non-negative")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.request_deadline_ms <= 0:
-            raise ValueError("request_deadline_ms must be positive")
-        if self.client_body_deadline_s <= 0:
-            raise ValueError("client_body_deadline_s must be positive")
-        if self.wedge_timeout_s <= 0:
-            raise ValueError("wedge_timeout_s must be positive")
-        if self.reload_poll_s <= 0:
-            raise ValueError("reload_poll_s must be positive")
+        for name in ("request_deadline_ms", "client_body_deadline_s",
+                     "wedge_timeout_s", "reload_poll_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and positive")
         if self.scoring_workers < 0:
             raise ValueError("scoring_workers must be >= 0")
         if self.latency_buckets_ms is not None:
             buckets = tuple(float(b) for b in self.latency_buckets_ms)
             if not buckets:
                 raise ValueError("latency_buckets_ms must not be empty")
-            if any(b <= 0 for b in buckets):
-                raise ValueError("latency_buckets_ms must all be positive")
+            if any(not math.isfinite(b) or b <= 0 for b in buckets):
+                raise ValueError("latency_buckets_ms must all be finite and positive")
             if any(b >= c for b, c in zip(buckets, buckets[1:])):
                 raise ValueError("latency_buckets_ms must increase strictly")
             object.__setattr__(self, "latency_buckets_ms", buckets)
@@ -435,7 +431,7 @@ class _ScoringWorker(threading.Thread):
 
 
 class _Watchdog(threading.Thread):
-    """Detects a wedged scoring worker and swaps in a replacement."""
+    """Replaces a wedged in-process scoring thread (never runs with a pool)."""
 
     def __init__(self, daemon: "ServingDaemon") -> None:
         super().__init__(name="repro-serve-watchdog", daemon=True)
@@ -729,7 +725,6 @@ class ServingDaemon:
         #: Multi-process scoring pool; built in start() when
         #: ``config.scoring_workers > 0`` (or injected here by tests).
         self._pool = pool
-        self._pool_broken_noted = False
         session = obs.active()
         self.metrics: MetricsRegistry = (
             session.metrics if session is not None else MetricsRegistry()
@@ -794,8 +789,9 @@ class ServingDaemon:
         #: batch completes.  Sizes the 429 Retry-After header.
         self._drain_rate: float | None = None
         self._drain_rate_lock = threading.Lock()
-        self._restart_lock = threading.Lock()
-        self._restart_delays = self.config.worker_restarts.delays()
+        self._restart_lock = threading.RLock()  # re-entered on a spent budget
+        self._restart_delays = DEFAULT_RESTART_SPEC.delays()
+        self._budget_spent = False
         self._worker_generation = 0
         self._draining = False
         self._drain_lock = threading.Lock()
@@ -830,8 +826,9 @@ class ServingDaemon:
         self._server.owner = self
         self._worker = _ScoringWorker(self, self._worker_generation)
         self._worker.start()
-        self._watchdog = _Watchdog(self)
-        self._watchdog.start()
+        if self._pool is None:  # a pool owns the deadline of its calls
+            self._watchdog = _Watchdog(self)
+            self._watchdog.start()
         self._serve_thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -875,14 +872,9 @@ class ServingDaemon:
             if self.config.scoring_workers < 1:
                 return
             kwargs: dict = {
-                # The pool detects its own wedged *processes* at half
-                # the daemon's wedge horizon, so it usually terminates,
-                # respawns and re-scores before the thread watchdog
-                # fires; the watchdog stays the bounded backstop for the
-                # scoring *thread*, and drain can never wait forever.
                 "config": PoolConfig(
                     workers=self.config.scoring_workers,
-                    task_timeout_s=max(0.05, self.config.wedge_timeout_s / 2.0),
+                    task_timeout_s=self.config.wedge_timeout_s,
                 ),
                 "engine_kwargs": self._engine_kwargs,
             }
@@ -921,8 +913,8 @@ class ServingDaemon:
     def drain(self, reason: str = "requested", exit_code: int | None = None) -> int:
         """Stop admitting, flush in-flight work, stop the server; idempotent.
 
-        Returns the daemon exit code (0 for a clean drain, 4 when the
-        worker-restart budget forced the drain).  Safe to call from any
+        Returns the daemon exit code (0 for a clean drain, 4 when a spent
+        restart or respawn budget forced the drain).  Safe to call from any
         thread except the accept thread.
         """
         with self._drain_lock:
@@ -1153,7 +1145,11 @@ class ServingDaemon:
                             strict=group[0].strict, start_index=group[0].index,
                         )
                     except PoolBrokenError:
-                        self._note_pool_broken()
+                        self._drain_on_spent_budget(
+                            "serve.pool_broken",
+                            "scoring pool respawn budget exhausted; draining",
+                            "pool_failure",
+                        )
                         raise
             else:
                 # One consistent (engine, version, monitor) snapshot per
@@ -1598,18 +1594,12 @@ class ServingDaemon:
                     self.metrics.counter("daemon.timeouts").inc()
             delay = next(self._restart_delays, None)
             if delay is None:
-                self._emit(
+                self._drain_on_spent_budget(
                     "serve.worker_failed",
-                    level="error",
-                    message="scoring-worker restart budget exhausted; draining",
+                    "scoring-worker restart budget exhausted; draining",
+                    "worker_failure",
                     generation=worker.generation,
                 )
-                threading.Thread(
-                    target=self.drain,
-                    kwargs={"reason": "worker_failure", "exit_code": 4},
-                    name="repro-serve-drain",
-                    daemon=True,
-                ).start()
                 return
             self.metrics.counter("daemon.worker_restarts").inc()
             self._emit(
@@ -1625,25 +1615,19 @@ class ServingDaemon:
             self._worker = _ScoringWorker(self, self._worker_generation)
             self._worker.start()
 
-    def _note_pool_broken(self) -> None:
-        """The pool's respawn budget is spent: drain with exit code 4.
-
-        The process-pool analogue of an exhausted scoring-thread restart
-        budget — the daemon refuses to flap between broken pool states
-        and instead drains loudly so an orchestrator restarts it whole.
-        """
+    def _drain_on_spent_budget(self, event: str, message: str, reason: str,
+                               **fields: object) -> None:
+        """A restart or respawn budget is spent: log ``event`` once and
+        drain with exit code 4, so an orchestrator restarts the daemon
+        whole instead of it flapping between broken states."""
         with self._restart_lock:
-            if self._pool_broken_noted:
+            if self._budget_spent:
                 return
-            self._pool_broken_noted = True
-        self._emit(
-            "serve.pool_broken",
-            level="error",
-            message="scoring pool respawn budget exhausted; draining",
-        )
+            self._budget_spent = True
+        self._emit(event, level="error", message=message, **fields)
         threading.Thread(
             target=self.drain,
-            kwargs={"reason": "pool_failure", "exit_code": 4},
+            kwargs={"reason": reason, "exit_code": 4},
             name="repro-serve-drain",
             daemon=True,
         ).start()

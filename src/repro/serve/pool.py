@@ -24,19 +24,20 @@ scatters micro-batches onto them:
   invariant, so pool output is bit-identical to the single-process
   path; float16 is covered by the benchmark's AUC gate.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
-  is respawned under a :class:`~repro.runtime.retry.RetrySpec` budget
-  and its shard is re-scored sample by sample through
+  is respawned under the :data:`DEFAULT_RESPAWN_SPEC` budget and its
+  shard is re-scored sample by sample through
   :func:`~repro.serve.engine.isolate`; a sample that kills the
   replacement too comes back as a flagged
   :meth:`PredictionResult.failed` placeholder instead of sinking the
   batch.  A worker that is *alive but silent* — wedged inside a GEMM,
   stopped, swapping — is caught by the gather's no-progress deadline
   (``task_timeout_s``), terminated and healed through the same respawn
-  path, so a dispatch can never block forever.  The budget replenishes
-  after a crash-free ``respawn_reset_s`` period (it bounds *flapping*,
-  not lifetime crashes); exhausting it inside one unhealthy window
-  marks the pool broken (:class:`PoolBrokenError`) so the daemon can
-  drain with exit code 4.  :meth:`close` never waits on a stuck
+  path, so a dispatch can never block forever (a daemon scoring through
+  the pool runs no watchdog: this is its one wedge deadline).  The
+  budget replenishes after a crash-free :data:`RESPAWN_RESET_S` (it
+  bounds *flapping*, not lifetime crashes); exhausting it inside one
+  unhealthy window marks the pool broken (:class:`PoolBrokenError`) so
+  the daemon can drain with exit code 4.  :meth:`close` never waits on a stuck
   dispatch: if the scoring lock cannot be acquired promptly it
   terminates the workers outright and unlinks the shm ring, so a drain
   cannot deadlock behind a wedge.
@@ -50,12 +51,13 @@ from __future__ import annotations
 
 import os
 import json
+import math
 import pickle
 import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import multiprocessing
@@ -84,6 +86,7 @@ __all__ = [
     "WorkerCrashError",
     "ScoringPool",
     "DEFAULT_RESPAWN_SPEC",
+    "RESPAWN_RESET_S",
     "SLOT_BYTES",
 ]
 
@@ -93,6 +96,10 @@ __all__ = [
 DEFAULT_RESPAWN_SPEC = RetrySpec(
     max_attempts=8, base_delay_s=0.05, factor=1.5, max_delay_s=1.0, jitter=0.0
 )
+
+#: A crash-free period this long replenishes the respawn budget, so the
+#: budget bounds flapping rather than total lifetime crashes.
+RESPAWN_RESET_S = 60.0
 
 
 class PoolError(RuntimeError):
@@ -127,24 +134,22 @@ class PoolConfig:
     Each of the ``workers`` processes gets ``max(1, cores // workers)``
     BLAS threads, and the shm ring holds ``2 * workers`` slots of
     :data:`SLOT_BYTES` (at most ``workers`` shards are ever in flight).
+    The respawn budget is :data:`DEFAULT_RESPAWN_SPEC`.
     """
 
     workers: int = 2
-    respawn: RetrySpec = field(default_factory=lambda: DEFAULT_RESPAWN_SPEC)
     #: No-progress deadline per gather: a worker that is alive but has
     #: sent nothing for this long while owing a shard is treated as
     #: wedged — terminated, its shard marked crashed, healed via the
-    #: respawn path.  The daemon sets this from ``wedge_timeout_s``.
+    #: respawn path.  The daemon passes its ``wedge_timeout_s``;
+    #: ``repro classify --workers N`` keeps the default.
     task_timeout_s: float = 30.0
-    #: A crash-free period this long replenishes the respawn budget, so
-    #: the budget bounds flapping rather than total lifetime crashes.
-    respawn_reset_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.task_timeout_s <= 0 or self.respawn_reset_s <= 0:
-            raise ValueError("timeouts must be positive")
+        if not math.isfinite(self.task_timeout_s) or self.task_timeout_s <= 0:
+            raise ValueError("task_timeout_s must be finite and positive")
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +536,7 @@ class ScoringPool:
         self._n_slots = 2 * self.config.workers
         self._slot_bytes = SLOT_BYTES
         self._blas_threads = blas_thread_plan(self.config.workers)
-        self._respawn_delays = self.config.respawn.delays()
+        self._respawn_delays = DEFAULT_RESPAWN_SPEC.delays()
         self._last_crash_at: float | None = None
         self._started_at: float | None = None
         self._started = False
@@ -741,17 +746,17 @@ class ScoringPool:
         now = time.monotonic()
         if (
             self._last_crash_at is not None
-            and now - self._last_crash_at >= self.config.respawn_reset_s
+            and now - self._last_crash_at >= RESPAWN_RESET_S
         ):
             # A sustained healthy period replenishes the budget: it
             # bounds flapping, not total crashes over a long uptime.
-            self._respawn_delays = self.config.respawn.delays()
+            self._respawn_delays = DEFAULT_RESPAWN_SPEC.delays()
         self._last_crash_at = now
         delay = next(self._respawn_delays, None)
         if delay is None:
             self._broken = (
                 f"worker {worker.id} died and the respawn budget "
-                f"({self.config.respawn.max_attempts - 1} respawns) is exhausted"
+                f"({DEFAULT_RESPAWN_SPEC.max_attempts - 1} respawns) is exhausted"
             )
             raise PoolBrokenError(self._broken)
         time.sleep(delay)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import RetrySpec, WedgeBatch
+from repro.runtime import WedgeBatch
 from repro.serve import DaemonConfig, PoolBrokenError, PoolConfig, ServingDaemon
 
 from .helpers import (
@@ -69,6 +69,12 @@ class TestDaemonConfig:
             {"request_deadline_ms": 0.0},
             {"client_body_deadline_s": 0.0},
             {"wedge_timeout_s": 0.0},
+            {"batch_deadline_ms": float("nan")},
+            {"request_deadline_ms": float("nan")},
+            {"client_body_deadline_s": float("nan")},
+            {"wedge_timeout_s": float("nan")},
+            {"reload_poll_s": float("nan")},
+            {"latency_buckets_ms": (1.0, float("nan"))},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -439,7 +445,6 @@ class TestWatchdog:
         config = DaemonConfig(
             batch_deadline_ms=2.0,
             wedge_timeout_s=0.4,
-            worker_restarts=RetrySpec(max_attempts=3, base_delay_s=0.01, jitter=0.0),
         )
         with running_daemon(engine, config, fault_hook=wedge) as daemon:
             try:
@@ -460,21 +465,21 @@ class TestWatchdog:
                 wedge.release()
 
     def test_restart_budget_exhaustion_drains_with_exit_4(self, engine, sample):
+        """Three wedges spend DEFAULT_RESTART_SPEC: two restarts, then exit 4."""
         pairs, mjd = sample
-        wedge = WedgeBatch({0})
-        config = DaemonConfig(
-            batch_deadline_ms=2.0,
-            wedge_timeout_s=0.3,
-            worker_restarts=RetrySpec(max_attempts=1, jitter=0.0),
-        )
+        wedge = WedgeBatch({0, 1, 2})
+        config = DaemonConfig(batch_deadline_ms=2.0, wedge_timeout_s=0.3)
         with running_daemon(engine, config, fault_hook=wedge) as daemon:
             try:
-                status, doc = post_classify(daemon.port, classify_body(pairs, mjd))
-                assert status == 504
+                for _ in range(3):
+                    status, doc = post_classify(
+                        daemon.port, classify_body(pairs, mjd)
+                    )
+                    assert status == 504
                 assert daemon.wait() == 4
                 assert int(
                     daemon.metrics.counter("daemon.worker_restarts").value
-                ) == 0
+                ) == 2
             finally:
                 wedge.release()
 

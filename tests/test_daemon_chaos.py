@@ -25,7 +25,8 @@ from repro.runtime import (
     malformed_bodies,
     send_slow_request,
 )
-from repro.serve import DaemonConfig
+from repro.runtime.faults import WedgeWorkerOnMarker
+from repro.serve import DaemonConfig, PoolConfig, ScoringPool, ServingDaemon
 
 from .helpers import (
     classify_body,
@@ -295,6 +296,120 @@ class TestPoolWorkerKill:
             assert status == 200
             solo = engine.classify_arrays(pairs[None], mjd[None])[0]
             assert doc["result"]["probability"] == round(solo.probability, 6)
+
+
+class TestPoolWedge:
+    """With a pool, the pool owns the wedge deadline: no watchdog runs, so
+    a wedged worker costs nobody but the sample that wedged it."""
+
+    def test_stopped_worker_is_healed_without_a_504(self, engine, sample):
+        """A daemon-built pool gathers at ``wedge_timeout_s``; a SIGSTOPped
+        worker is terminated and its shard re-scored, and no scoring
+        thread is restarted."""
+        import os
+        import signal as _signal
+
+        pairs, mjd = sample
+        body = classify_body(pairs, mjd, deadline_ms=30000)
+        config = DaemonConfig(
+            batch_max_size=4, batch_deadline_ms=5.0, wedge_timeout_s=1.0,
+            scoring_workers=2,
+        )
+        with running_daemon(engine, config) as daemon:
+            pool = daemon._pool
+            stopped = pool.pids()[0]
+            os.kill(stopped, _signal.SIGSTOP)
+            try:
+                results: list = [None] * 6
+
+                def fire(k):
+                    results[k] = post_classify(daemon.port, body)
+
+                threads = [
+                    threading.Thread(target=fire, args=(k,), daemon=True)
+                    for k in range(len(results))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                try:
+                    os.kill(stopped, _signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+            assert [status for status, _ in results] == [200] * len(results)
+            solo = engine.classify_arrays(pairs[None], mjd[None])[0]
+            for _, doc in results:
+                assert doc["result"]["probability"] == round(solo.probability, 6)
+            assert int(daemon.metrics.counter("daemon.worker_restarts").value) == 0
+            assert int(daemon.metrics.counter("daemon.timeouts").value) == 0
+            assert pool.stats()["wedges"] >= 1
+            status, payload = daemon.health()
+            assert status == 200 and payload["state"] == "ready"
+            # The one deadline: the pool's, at the daemon's wedge horizon.
+            assert pool.config.task_timeout_s == config.wedge_timeout_s
+            assert daemon._watchdog is None
+
+    def test_wedging_sample_fails_alone(self, engine, sample):
+        """An injected pool whose workers hang on one sample: its two
+        batch-mates get their clean scores, the culprit a crash placeholder."""
+        pairs, mjd = sample
+        marker = 12345.0
+        culprit = pairs.copy()
+        culprit[0, 0, 0, 0] = marker
+        pool = ScoringPool(
+            engine=engine,
+            config=PoolConfig(workers=2, task_timeout_s=1.0),
+            worker_init=WedgeWorkerOnMarker(marker, min_batch=1),
+        )
+        hold = WedgeBatch({0})
+        config = DaemonConfig(batch_deadline_ms=5.0, wedge_timeout_s=1.0)
+        daemon = ServingDaemon(engine, config, fault_hook=hold, pool=pool)
+        daemon.start()
+        results: dict = {}
+        bodies = {
+            "head": classify_body(pairs, mjd, deadline_ms=30000),
+            "culprit": classify_body(culprit, mjd, deadline_ms=30000),
+            "a": classify_body(pairs, mjd, deadline_ms=30000),
+            "b": classify_body(pairs, mjd, deadline_ms=30000),
+        }
+
+        def post(key):
+            results[key] = post_classify(daemon.port, bodies[key])
+
+        try:
+            threads = [threading.Thread(target=post, args=("head",), daemon=True)]
+            threads[0].start()
+            # Hold batch 0 so the culprit and its mates queue into batch 1.
+            assert hold.wedged.wait(10.0)
+            for key in ("culprit", "a", "b"):
+                threads.append(threading.Thread(target=post, args=(key,), daemon=True))
+                threads[-1].start()
+            deadline = time.monotonic() + 10.0
+            while daemon._batcher.waiting() < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            hold.release()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            solo = engine.classify_arrays(pairs[None], mjd[None])[0]
+            for key in ("head", "a", "b"):
+                status, doc = results[key]
+                assert status == 200
+                assert "error" not in doc["result"]
+                assert doc["result"]["probability"] == round(solo.probability, 6)
+            status, doc = results["culprit"]
+            assert status == 200
+            assert "WorkerCrashError" in doc["result"]["error"]
+            assert int(daemon.metrics.counter("daemon.worker_restarts").value) == 0
+            assert pool.stats()["wedges"] >= 1
+            assert daemon._watchdog is None
+        finally:
+            hold.release()
+            daemon.drain(reason="test-teardown")
+        assert daemon.wait() == 0
 
 
 class TestCleanTrafficParity:

@@ -146,7 +146,7 @@ class TestPoolLifecycle:
         with pytest.raises(ValueError):
             PoolConfig(task_timeout_s=0.0)
         with pytest.raises(ValueError):
-            PoolConfig(respawn_reset_s=-1.0)
+            PoolConfig(task_timeout_s=float("nan"))
 
     def test_close_is_idempotent_and_fatal(self, engine, batch):
         pairs, mjd = batch
@@ -338,17 +338,19 @@ class TestPoolCrash:
             with pytest.raises(WorkerCrashError):
                 pool.classify_arrays(marked, mjd, strict=True)
 
-    def test_respawn_budget_exhaustion_breaks_the_pool(self, engine, batch):
+    def test_respawn_budget_exhaustion_breaks_the_pool(
+        self, engine, batch, monkeypatch
+    ):
         pairs, mjd = batch
         marked = pairs.copy()
         marked[:, 0, 0, 0, 0] = MARKER  # every sample is poison
-        config = PoolConfig(
-            workers=2,
-            respawn=RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
+        monkeypatch.setattr(
+            pool_module, "DEFAULT_RESPAWN_SPEC",
+            RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
         )
         with ScoringPool(
             engine=engine,
-            config=config,
+            config=PoolConfig(workers=2),
             worker_init=CrashWorkerOnMarker(MARKER, min_batch=1),
         ) as pool:
             with pytest.raises(PoolBrokenError):
@@ -461,11 +463,7 @@ class TestPoolWedge:
         marked = pairs.copy()
         marked[5, 0, 0, 0, 0] = MARKER
         want = shard_reference(engine, 2, marked, mjd)
-        config = PoolConfig(
-            workers=2,
-            task_timeout_s=1.0,
-            respawn=RetrySpec(max_attempts=8, base_delay_s=0.01, jitter=0.0),
-        )
+        config = PoolConfig(workers=2, task_timeout_s=1.0)
         with ScoringPool(
             engine=engine,
             config=config,
@@ -488,11 +486,7 @@ class TestPoolWedge:
         pairs, mjd = batch
         marked = pairs.copy()
         marked[7, 0, 0, 0, 0] = MARKER
-        config = PoolConfig(
-            workers=2,
-            task_timeout_s=0.5,
-            respawn=RetrySpec(max_attempts=8, base_delay_s=0.01, jitter=0.0),
-        )
+        config = PoolConfig(workers=2, task_timeout_s=0.5)
         with ScoringPool(
             engine=engine,
             config=config,
@@ -540,17 +534,19 @@ class TestPoolWedge:
         assert not thread.is_alive()
         assert outcome and isinstance(outcome[0], PoolBrokenError)
 
-    def test_respawn_budget_replenishes_after_healthy_period(self, engine, batch):
+    def test_respawn_budget_replenishes_after_healthy_period(
+        self, engine, batch, monkeypatch
+    ):
         """The budget bounds flapping, not lifetime crashes over weeks."""
         pairs, mjd = batch
-        config = PoolConfig(
-            workers=2,
-            respawn=RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
-            respawn_reset_s=0.2,
+        monkeypatch.setattr(
+            pool_module, "DEFAULT_RESPAWN_SPEC",
+            RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
         )
-        with ScoringPool(engine=engine, config=config) as pool:
+        monkeypatch.setattr(pool_module, "RESPAWN_RESET_S", 0.2)
+        with ScoringPool(engine=engine, config=PoolConfig(workers=2)) as pool:
             # Three isolated crashes, each fully healed, each separated
-            # by a crash-free period longer than respawn_reset_s: every
+            # by a crash-free period longer than RESPAWN_RESET_S: every
             # one must respawn even though the budget alone (1 respawn)
             # would have broken the pool at the second.
             for _ in range(3):
