@@ -320,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse degraded samples with a typed 422 instead of masking",
     )
     srv.add_argument(
-        "--precision", choices=("float32", "float16"), default="float32",
-        help="inference activation storage precision of the fused CNN "
-        "path (GEMMs always accumulate in float32; float16 accuracy is "
-        "gated by the benchmark's AUC check)",
-    )
-    srv.add_argument(
         "--trace", nargs="?", const="always", default=None, metavar="SPEC",
         help="record per-request span trees into the telemetry directory "
         "(requires --telemetry); SPEC is always (default), rate:FRACTION "
@@ -677,11 +671,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 divergence_budget=args.divergence_budget,
                 sustained_checks=args.sustained_drift_checks,
             ),
-            engine_kwargs={"precision": args.precision},
         )
         model_source = f"registry {args.registry} ({daemon._engine_version})"
     else:
-        engine = InferenceEngine.from_directory(args.model, precision=args.precision)
+        engine = InferenceEngine.from_directory(args.model)
         daemon = ServingDaemon(engine, config)
         model_source = args.model
     daemon.start()

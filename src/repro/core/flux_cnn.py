@@ -136,17 +136,8 @@ class BandwiseCNN(nn.Module):
         (:meth:`predict` and :meth:`fused_forward`) route through here,
         so their bit-identity contract is unaffected.  Training uses the
         unfolded ``self.convs`` stack.
-
-        Half-precision inputs compute each block in float32 (half ufuncs
-        are an order of magnitude slower than single on CPU) and narrow
-        back to float16 at the block boundary, after pooling has shrunk
-        the activation 4x — the layer-to-layer storage stays half
-        precision without paying half-precision arithmetic.
         """
-        half = x.data.dtype == np.float16
         for conv, bn, act, pool in self._conv_blocks:
-            if x.data.dtype == np.float16:
-                x = Tensor(x.data.astype(np.float32))
             scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
             shift = bn.beta.data - bn.running_mean * scale
             w = conv.weight.data * scale[:, None, None, None]
@@ -162,8 +153,6 @@ class BandwiseCNN(nn.Module):
                 scratch_out=True,
             )
             x = pool(act(out))
-            if half:
-                x = Tensor(x.data.astype(np.float16))
         return x
 
     # ------------------------------------------------------------------
@@ -185,9 +174,7 @@ class BandwiseCNN(nn.Module):
             self.train()
         return np.concatenate(outputs) if outputs else np.empty(0, dtype=np.float32)
 
-    def fused_forward(
-        self, pairs: np.ndarray, precision: str = "float32"
-    ) -> np.ndarray:
+    def fused_forward(self, pairs: np.ndarray) -> np.ndarray:
         """Single-pass inference over the whole ``(M, 2, S, S)`` batch.
 
         The serving engine flattens its ``(N, V)`` sample/visit axes into
@@ -196,20 +183,15 @@ class BandwiseCNN(nn.Module):
         no per-chunk Tensor/workspace churn, and the bucketed workspace
         cache in :mod:`repro.nn.ops` is reused across the whole batch.
 
-        ``precision="float16"`` stores inter-layer activations in half
-        precision while every GEMM still accumulates in float32 (see
-        :class:`repro.nn.tensor.inference_precision`); the returned
-        magnitudes are always float32.  At float32 the result is
-        bit-identical to :meth:`predict`.
+        The returned float32 magnitudes are bit-identical to
+        :meth:`predict`.
         """
         pairs = np.asarray(pairs)
         if len(pairs) == 0:
             return np.empty(0, dtype=np.float32)
         was_training = self.training
         self.eval()
-        with nn.no_grad(), nn.inference_precision(precision):
-            if nn.inference_dtype() == np.float16:
-                pairs = pairs.astype(np.float16)
+        with nn.no_grad():
             out = self.forward(Tensor(pairs)).numpy()
         if was_training:
             self.train()

@@ -61,8 +61,6 @@ from .tensor import (
     as_tensor,
     concat,
     float64_preserved,
-    inference_dtype,
-    inference_precision,
     is_grad_enabled,
     no_grad,
     preserve_float64,
@@ -80,8 +78,6 @@ __all__ = [
     "is_grad_enabled",
     "preserve_float64",
     "float64_preserved",
-    "inference_precision",
-    "inference_dtype",
     "Module",
     "ModuleList",
     "Parameter",

@@ -167,14 +167,10 @@ class _BatchNorm(Module):
         ):
             # Inference fast path: fold the whole affine normalisation
             # into one per-channel multiply-add (no graph, 1 temporary).
-            # float16 activations are computed in float32 (the multiply
-            # promotes) and narrowed back to storage precision.
             scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
             shift = self.beta.data - self.running_mean * scale
             out = x.data * scale.reshape(shape)
             out += shift.reshape(shape)
-            if out.dtype != x.data.dtype:
-                out = out.astype(x.data.dtype)
             return Tensor(out)
         if self.training:
             mean = x.data.mean(axis=axes)

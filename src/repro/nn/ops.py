@@ -280,19 +280,10 @@ def conv2d(
     with _trace.span("nn.conv2d"):
         x_padded = pad2d(x.data, padding)
         batch = x_padded.shape[0]
-        if x_padded.dtype == np.float16:
-            # Promote before im2col: converting the contiguous input once
-            # is vectorised, while an f16->f32 cast inside the strided
-            # column copy is element-at-a-time.  Exact (f16 c f32), so
-            # the GEMM sees the same float32 operands either way.
-            x_padded = x_padded.astype(np.float32)
         cols = _im2col(x_padded, kernel_h, kernel_w, stride)
         out_h, out_w = cols.shape[4], cols.shape[5]
         k_dim = in_channels * kernel_h * kernel_w
         n_loc = out_h * out_w
-        # float16 inputs accumulate in float32: result_type promotes the
-        # column workspace and the GEMM, and the output is only narrowed
-        # back to storage precision after the bias add.
         out_dtype = np.result_type(x.data.dtype, weight.data.dtype)
 
         requires = is_grad_enabled() and (
@@ -321,8 +312,6 @@ def conv2d(
         if bias is not None:
             out_data += bias.data.reshape(1, out_channels, 1)
         out_data = out_data.reshape(batch, out_channels, out_h, out_w)
-        if not requires and x.data.dtype == np.float16:
-            out_data = out_data.astype(np.float16)
 
         padded_shape = x_padded.shape
 

@@ -26,8 +26,6 @@ __all__ = [
     "is_grad_enabled",
     "preserve_float64",
     "float64_preserved",
-    "inference_precision",
-    "inference_dtype",
 ]
 
 class _TensorFlags(threading.local):
@@ -43,7 +41,6 @@ class _TensorFlags(threading.local):
     def __init__(self) -> None:
         self.grad_enabled = True
         self.keep_float64 = False
-        self.keep_float16 = False
 
 
 _FLAGS = _TensorFlags()
@@ -99,49 +96,6 @@ def float64_preserved() -> bool:
     return _FLAGS.keep_float64
 
 
-class inference_precision:
-    """Context manager selecting the inference activation storage dtype.
-
-    ``inference_precision("float16")`` lets float16 arrays keep their
-    dtype inside :class:`Tensor` (instead of being promoted to float32
-    by the dtype policy), enabling the reduced-precision serving path:
-    activations are *stored* half-precision between layers while every
-    GEMM still *accumulates* in float32 (see ``repro.nn.ops.conv2d``).
-    ``inference_precision("float32")`` is the identity and exists so the
-    precision can be threaded through call sites unconditionally::
-
-        with nn.no_grad(), nn.inference_precision("float16"):
-            out = model(nn.Tensor(x.astype(np.float16)))
-
-    Training numerics are untouched: the flag only widens what the
-    dtype policy accepts, and nothing on the training path constructs
-    float16 arrays.  The flag is thread-local, like :class:`no_grad`.
-    """
-
-    _DTYPES = {"float32": np.float32, "float16": np.float16}
-
-    def __init__(self, precision: str = "float32") -> None:
-        if precision not in self._DTYPES:
-            raise ValueError(
-                f"unknown inference precision {precision!r}; "
-                f"expected one of {sorted(self._DTYPES)}"
-            )
-        self.precision = precision
-
-    def __enter__(self) -> "inference_precision":
-        self._previous = _FLAGS.keep_float16
-        _FLAGS.keep_float16 = self.precision == "float16"
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _FLAGS.keep_float16 = self._previous
-
-
-def inference_dtype() -> np.dtype:
-    """Storage dtype of the active inference-precision mode."""
-    return np.dtype(np.float16 if _FLAGS.keep_float16 else np.float32)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting.
 
@@ -171,9 +125,10 @@ class Tensor:
         Array-like payload.  Data is stored as ``float32`` — the
         precision the paper's GPU framework would have used — and
         float64 inputs are *downcast* so mixed-precision GEMMs cannot
-        sneak into the hot path.  Wrap construction in
-        :class:`preserve_float64` to keep float64 end to end (numerical
-        gradient checks), or pass ``dtype`` explicitly.
+        sneak into the hot path; float16 inputs are promoted to float32.
+        Wrap construction in :class:`preserve_float64` to keep float64
+        end to end (numerical gradient checks), or pass ``dtype``
+        explicitly.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -199,8 +154,7 @@ class Tensor:
             if arr.dtype != np.dtype(dtype):
                 arr = arr.astype(dtype)
         elif arr.dtype != np.float32 and not (
-            (arr.dtype == np.float64 and _FLAGS.keep_float64)
-            or (arr.dtype == np.float16 and _FLAGS.keep_float16)
+            arr.dtype == np.float64 and _FLAGS.keep_float64
         ):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr

@@ -701,9 +701,7 @@ class ServingDaemon:
     ``guard`` (a :class:`~repro.registry.GuardConfig`).  ``reload_hook
     (engine, version)`` runs after every registry load — the seam the
     chaos suite uses to poison a specific version's scores
-    (:class:`~repro.runtime.faults.ShiftScores`); ``engine_kwargs`` are
-    forwarded to :meth:`InferenceEngine.from_directory` on every reload
-    so precision/strictness survive a swap.
+    (:class:`~repro.runtime.faults.ShiftScores`).
     """
 
     def __init__(
@@ -714,14 +712,12 @@ class ServingDaemon:
         registry: ModelRegistry | None = None,
         guard: GuardConfig | None = None,
         reload_hook: Callable[[InferenceEngine, str], None] | None = None,
-        engine_kwargs: dict | None = None,
         pool: ScoringPool | None = None,
     ) -> None:
         self.config = config or DaemonConfig()
         self.fault_hook = fault_hook
         self.registry = registry
         self.reload_hook = reload_hook
-        self._engine_kwargs = dict(engine_kwargs or {})
         #: Multi-process scoring pool; built in start() when
         #: ``config.scoring_workers > 0`` (or injected here by tests).
         self._pool = pool
@@ -876,7 +872,6 @@ class ServingDaemon:
                     workers=self.config.scoring_workers,
                     task_timeout_s=self.config.wedge_timeout_s,
                 ),
-                "engine_kwargs": self._engine_kwargs,
             }
             if self.registry is not None and self._engine_version is not None:
                 kwargs["model_source"] = self.registry.path(self._engine_version)
@@ -1233,9 +1228,7 @@ class ServingDaemon:
         """Verify + load one registry version into a warm engine."""
         assert self.registry is not None
         self.registry.verify(version)
-        engine = InferenceEngine.from_directory(
-            self.registry.path(version), **self._engine_kwargs
-        )
+        engine = InferenceEngine.from_directory(self.registry.path(version))
         engine.pipeline.cnn.eval()
         engine.pipeline.classifier.eval()
         if self.reload_hook is not None:
@@ -1651,7 +1644,6 @@ class ServingDaemon:
             "admitted": self._admitted,
             "worker_generation": self._worker_generation,
             "model_version": self._engine_version,
-            "precision": self.engine.precision,
             "reloads": int(self.metrics.counter("daemon.reloads").value),
             "reload_failures": int(
                 self.metrics.counter("daemon.reload_failures").value

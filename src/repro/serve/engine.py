@@ -346,13 +346,8 @@ class InferenceEngine:
         When True (default) the CNN stage runs the whole flattened
         ``(N·V)`` visit batch through :meth:`BandwiseCNN.fused_forward`
         — one GEMM per conv layer — instead of the chunked
-        :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` path.  At
-        float32 the two are bit-identical.
-    precision:
-        ``"float32"`` (default) or ``"float16"`` — the inference
-        activation storage precision of the fused path (GEMMs always
-        accumulate in float32).  Implies ``fused=True`` behaviour for
-        the CNN stage; accuracy is gated by the benchmark's AUC check.
+        :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` path.  The
+        two are bit-identical.
     """
 
     def __init__(
@@ -363,18 +358,12 @@ class InferenceEngine:
         strict: bool = False,
         drift_baseline: DriftBaseline | None = None,
         fused: bool = True,
-        precision: str = "float32",
     ) -> None:
-        if precision not in ("float32", "float16"):
-            raise ValueError(
-                f"unknown precision {precision!r}; expected 'float32' or 'float16'"
-            )
         self.pipeline = pipeline
         self.prior = prior or FluxPrior.neutral()
         self.repair = repair or RepairConfig()
         self.strict = strict
         self.fused = bool(fused) and hasattr(pipeline.cnn, "fused_forward")
-        self.precision = precision
         self.drift_baseline = drift_baseline
         self.drift_monitor = (
             DriftMonitor(drift_baseline) if drift_baseline is not None else None
@@ -396,7 +385,6 @@ class InferenceEngine:
         repair: RepairConfig | None = None,
         strict: bool = False,
         fused: bool = True,
-        precision: str = "float32",
     ) -> "InferenceEngine":
         """Build an engine from a :meth:`SupernovaPipeline.save` directory.
 
@@ -421,7 +409,7 @@ class InferenceEngine:
                     model_dir=os.fspath(directory),
                 )
         return cls(pipeline, prior=prior, repair=repair, strict=strict,
-                   drift_baseline=baseline, fused=fused, precision=precision)
+                   drift_baseline=baseline, fused=fused)
 
     def save(self, directory: str) -> None:
         """Persist the pipeline, flux prior and (if set) drift baseline."""
@@ -566,9 +554,7 @@ class InferenceEngine:
                 cnn_input = repaired_flat[flat_idx]
             with _trace.span("serve.cnn", n_visits=int(flat_idx.size)):
                 if self.fused:
-                    mags = self.pipeline.cnn.fused_forward(
-                        cnn_input, precision=self.precision
-                    )
+                    mags = self.pipeline.cnn.fused_forward(cnn_input)
                 else:
                     mags = self.pipeline.cnn.predict(cnn_input)
             flux.reshape(-1)[flat_idx] = 10.0 ** (-0.4 * (mags - 27.0))

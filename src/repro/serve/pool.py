@@ -20,9 +20,8 @@ scatters micro-batches onto them:
   threads and N workers never oversubscribe the machine.
 * **Deterministic gather.**  A batch of ``n`` samples is split into
   contiguous shards, one per worker, and results are reassembled in
-  request order.  At float32 the engine's scores are chunk-size
-  invariant, so pool output is bit-identical to the single-process
-  path; float16 is covered by the benchmark's AUC gate.
+  request order.  The engine's scores are chunk-size invariant, so
+  pool output is bit-identical to the single-process path.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
   is respawned under the :data:`DEFAULT_RESPAWN_SPEC` budget and its
   shard is re-scored sample by sample through
@@ -498,7 +497,8 @@ class ScoringPool:
     already have) or a live ``engine`` (persisted once to a pool-owned
     temp directory so spawned workers can load it).  ``engine_kwargs``
     are forwarded to :meth:`InferenceEngine.from_directory` in every
-    worker and on every reload, mirroring the daemon's contract.
+    worker and on every reload; a ``strict`` entry is also the default
+    for calls that pass no ``strict=``.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
     callable applied to each worker's engine after load (the pool

@@ -82,6 +82,33 @@ def make_serve_sample(engine, seed: int = 0, stamp: int = 40):
     return pairs, mjd
 
 
+def smoke_classify_workload(seed: int, n: int = 32, stamp: int = 40):
+    """Engine + clean traffic of the timing gates: ``(engine, pairs, mjd)``.
+
+    A 36 px CNN with the default classifier, and ``n`` samples of
+    N(0, 30) stamps with a point source on the observation channel (a
+    non-trivial difference image for the sigma-clip stage).
+    """
+    from repro.core import SupernovaPipeline
+    from repro.serve import FluxPrior, InferenceEngine
+
+    pipeline = SupernovaPipeline(input_size=36, epochs_used=1, seed=seed)
+    pipeline.cnn.eval()
+    pipeline.classifier.eval()
+    engine = InferenceEngine(pipeline, prior=FluxPrior.neutral())
+    visits = engine._n_used_visits
+    rng = np.random.default_rng(seed)
+    pairs = rng.normal(0.0, 30.0, size=(n, visits, 2, stamp, stamp)).astype(
+        np.float32
+    )
+    yy, xx = np.mgrid[0:stamp, 0:stamp]
+    pairs[..., 1, :, :] += 200.0 * np.exp(
+        -((yy - stamp // 2) ** 2 + (xx - stamp // 2) ** 2) / (2 * 2.5**2)
+    ).astype(np.float32)
+    mjd = 57000.0 + np.arange(n * visits).reshape(n, visits) * 0.01
+    return engine, pairs, mjd
+
+
 def classify_body(pairs, mjd, **extra) -> bytes:
     """The JSON body ``POST /classify`` expects for one sample."""
     doc = {"pairs": np.asarray(pairs).tolist(), "mjd": np.asarray(mjd).tolist()}

@@ -1,14 +1,11 @@
-"""Fused batch inference: parity, reduced precision, workspace cache.
+"""Fused batch inference: parity and the workspace cache.
 
 The serving contract pinned here:
 
-* ``BandwiseCNN.fused_forward`` at float32 is bit-identical to the
-  chunked ``predict`` reference path — for clean inputs, for any chunk
-  size, and for inputs damaged by the :mod:`repro.runtime.faults`
-  corruptors and repaired by the serve layer;
-* ``precision="float16"`` stores activations in half precision but
-  accumulates every GEMM in float32, staying within a tight tolerance
-  of the float32 magnitudes;
+* ``BandwiseCNN.fused_forward`` is bit-identical to the chunked
+  ``predict`` reference path — for clean inputs, for any chunk size,
+  and for inputs damaged by the :mod:`repro.runtime.faults` corruptors
+  and repaired by the serve layer;
 * the im2col workspace cache buckets batch sizes, so bursty mixed-size
   traffic hits cached buffers instead of thrashing allocations.
 """
@@ -105,54 +102,6 @@ class TestFusedChunkedParity:
         for a, b in zip(got, want):
             assert a.probability == b.probability
             assert a.confidence == b.confidence
-
-
-class TestFloat16Inference:
-    def test_close_to_float32(self, cnn):
-        rng = np.random.default_rng(4)
-        pairs = _pairs(11, rng)
-        f32 = cnn.fused_forward(pairs)
-        f16 = cnn.fused_forward(pairs, precision="float16")
-        assert f16.dtype == np.float32  # outputs are always full precision
-        # Half-precision storage with float32 accumulation stays within
-        # a few hundredths of a magnitude on unit-scale regression.
-        np.testing.assert_allclose(f16, f32, atol=0.1)
-        assert np.abs(f16 - f32).max() > 0.0  # it genuinely ran at f16
-
-    def test_precision_context_dtype_policy(self):
-        x64 = np.ones((2, 2), dtype=np.float64)
-        x16 = np.ones((2, 2), dtype=np.float16)
-        assert Tensor(x16).data.dtype == np.float32  # default: promote
-        with nn.inference_precision("float16"):
-            assert nn.inference_dtype() == np.float16
-            assert Tensor(x16).data.dtype == np.float16  # kept
-            assert Tensor(x64).data.dtype == np.float32  # still demoted
-        assert nn.inference_dtype() == np.float32
-        assert Tensor(x16).data.dtype == np.float32  # restored
-
-    def test_unknown_precision_rejected(self, cnn):
-        with pytest.raises(ValueError, match="precision"):
-            with nn.inference_precision("float8"):
-                pass
-        with pytest.raises(ValueError):
-            cnn.fused_forward(_pairs(1, np.random.default_rng(0)), precision="bf16")
-
-    def test_engine_precision_validated(self):
-        from repro.core import SupernovaPipeline
-        from repro.serve import FluxPrior, InferenceEngine
-
-        pipe = SupernovaPipeline(input_size=SIZE, units=8, epochs_used=1, seed=0)
-        with pytest.raises(ValueError, match="precision"):
-            InferenceEngine(pipe, prior=FluxPrior.neutral(), precision="float64")
-
-    def test_engine_float16_scores_sane(self):
-        engine16 = make_serve_engine(seed=0)
-        engine16.precision = "float16"
-        engine32 = make_serve_engine(seed=0)
-        pairs, mjd = make_serve_sample(engine16, seed=6)
-        got = engine16.classify_arrays(pairs[None], mjd[None])[0]
-        want = engine32.classify_arrays(pairs[None], mjd[None])[0]
-        assert got.probability == pytest.approx(want.probability, abs=0.05)
 
 
 class TestWorkspaceCache:

@@ -1,6 +1,8 @@
 """Telemetry end-to-end: serving audit records, concurrent stream() writes,
-drift tripping on the dropped-band ladder, and the CLI obs-smoke path."""
+drift tripping on the dropped-band ladder, the cost of the disabled
+hooks on the classify hot path, and the CLI obs-smoke path."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +13,12 @@ from repro.cli import EXIT_BAD_INPUT, main
 from repro.core import SupernovaPipeline
 from repro.datasets import BuildConfig, DatasetBuilder, N_BANDS, save_dataset
 from repro.obs import EVENTS_FILE, read_events, validate_file
+from repro.obs import trace as trace_mod
 from repro.runtime import DropBand, SaturateRegion
 from repro.serve import DegradedInputError, FluxPrior, InferenceEngine
 from repro.survey import ImagingConfig
+
+from .helpers import smoke_classify_workload
 
 pytestmark = pytest.mark.obs
 
@@ -185,6 +190,90 @@ class TestDriftLadder:
         np.testing.assert_allclose(
             reloaded.drift_baseline.score_probs, engine.drift_baseline.score_probs
         )
+
+
+#: Share of one classify batch's time each disabled hook may cost.
+DISABLED_HOOK_GATE = 0.02
+
+
+class TestTelemetryOverhead:
+    def test_classify_hot_path(self, tmp_path):
+        """Telemetry changes no output and its disabled hooks stay cheap.
+
+        Wall-clock A/B timing of the disabled path is hopeless on shared
+        runners, so the cost gate is a same-run ratio: the disabled hook
+        (one ``obs.active()`` per classify batch) and the disabled
+        tracing hook (``trace.span`` returning ``NULL_SPAN``, six per
+        batch: three engine stages and three ``nn.conv2d`` layers) are
+        microbenchmarked against the batch time measured here.
+        """
+        n, batch_size = 32, 16
+        engine, pairs, mjd = smoke_classify_workload(seed=3, n=n)
+        batches = (n + batch_size - 1) // batch_size
+
+        def run():
+            results = []
+            for start in range(0, n, batch_size):
+                results.extend(
+                    engine.classify_arrays(
+                        pairs[start : start + batch_size],
+                        mjd[start : start + batch_size],
+                    )
+                )
+            return results
+
+        assert obs.active() is None
+        assert trace_mod.tracer() is None
+        for _ in range(2):  # warm caches, allocator and BLAS threads
+            run()
+
+        rounds = 4
+        times_off, n_events = [], 0
+        for index in range(rounds):
+            start = time.perf_counter()
+            results_off = run()
+            times_off.append(time.perf_counter() - start)
+            round_dir = tmp_path / f"round{index}"
+            obs.start(round_dir, command="telemetry-overhead")
+            try:
+                results_on = run()
+            finally:
+                obs.stop()
+            n_events += len(_events(round_dir))
+            assert [(r.probability, r.degraded) for r in results_on] == [
+                (r.probability, r.degraded) for r in results_off
+            ]
+        assert obs.active() is None, "telemetry session leaked after stop()"
+        # At least one event per served sample, plus session bookkeeping.
+        assert n_events > n * rounds
+
+        traced_rounds, n_spans = 2, 0
+        for index in range(traced_rounds):
+            round_dir = tmp_path / f"trace{index}"
+            session = obs.start(round_dir, command="telemetry-trace", trace="always")
+            try:
+                with session.tracer.start_trace(f"overhead/round{index}"):
+                    run()
+            finally:
+                obs.stop()
+            n_spans += len(_events(round_dir, trace_mod.SPAN_EVENT))
+        # Each traced round records its root plus a span per batch.
+        assert n_spans >= traced_rounds * (1 + batches)
+
+        batch_time = min(times_off) / batches
+        iterations = 200_000
+        start = time.perf_counter()
+        for _ in range(iterations):
+            if obs.active() is not None:  # pragma: no cover - never taken
+                raise AssertionError
+        hook_share = (time.perf_counter() - start) / iterations / batch_time
+        start = time.perf_counter()
+        for _ in range(iterations):
+            with trace_mod.span("overhead.hook"):
+                pass
+        span_share = 6 * (time.perf_counter() - start) / iterations / batch_time
+        assert hook_share <= DISABLED_HOOK_GATE, f"obs.active() {hook_share:.2%}"
+        assert span_share <= DISABLED_HOOK_GATE, f"6 x trace.span {span_share:.2%}"
 
 
 class TestCliTelemetry:

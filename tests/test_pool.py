@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.nn import cpu_count
 from repro.runtime.errors import CorruptArtifactError, TrainingDiverged
 from repro.runtime.faults import (
     CrashWorkerOnMarker,
@@ -51,7 +52,7 @@ from repro.serve import (
     WorkerCrashError,
 )
 
-from .helpers import make_serve_engine
+from .helpers import make_serve_engine, smoke_classify_workload
 
 pytestmark = pytest.mark.serve
 
@@ -213,22 +214,6 @@ class TestPoolParity:
         assert any(r.degraded for r in want)  # the corruption bites
         assert_bit_exact(got, want)
 
-    def test_float16_precision_parity(self, batch, tmp_path):
-        pairs, mjd = batch
-        engine16 = make_serve_engine(seed=0)
-        engine16.save(str(tmp_path / "model"))
-        engine16 = InferenceEngine.from_directory(
-            tmp_path / "model", precision="float16"
-        )
-        want = shard_reference(engine16, 2, pairs, mjd)
-        with ScoringPool(
-            model_source=tmp_path / "model",
-            config=PoolConfig(workers=2),
-            engine_kwargs={"precision": "float16"},
-        ) as pool:
-            got = pool.classify_arrays(pairs, mjd)
-        assert_bit_exact(got, want)
-
     def test_strict_error_matches_single_process(self, engine, batch):
         pairs, mjd = batch
         corrupted = DropBand([0, 1, 2, 3, 4])(pairs[:4])  # fully masked
@@ -243,6 +228,25 @@ class TestPoolParity:
         # so the typed error is identical to the single-process one.
         assert str(pool_exc.value) == str(single_exc.value)
         assert pool_exc.value.index == single_exc.value.index
+
+        # Strict as the pool's default: ``engine_kwargs`` (as built by
+        # ``classify --workers N --strict``) reach every worker's engine,
+        # so a call without ``strict=`` refuses like an engine
+        # constructed strict.
+        strict_engine = InferenceEngine(
+            engine.pipeline, prior=engine.prior, strict=True
+        )
+        with pytest.raises(DegradedInputError) as default_exc:
+            strict_engine.classify_arrays(corrupted, mjd[:4])
+        with ScoringPool(
+            engine=engine,
+            config=PoolConfig(workers=2),
+            engine_kwargs={"strict": True},
+        ) as pool:
+            with pytest.raises(DegradedInputError) as pool_default_exc:
+                pool.classify_arrays(corrupted, mjd[:4])
+        assert pool_default_exc.value.index == default_exc.value.index
+        assert default_exc.value.index == single_exc.value.index
 
     def test_shm_ring_grows_for_oversized_shard(self, engine, batch, monkeypatch):
         pairs, mjd = batch
@@ -262,6 +266,52 @@ class TestPoolParity:
             assert_bit_exact(pool.classify_arrays(pairs, mjd), want)
             assert pool.stats()["shm_overflow"] == 1
         assert_bit_exact(got, want)
+
+
+#: Required 4-worker speedup over in-process classify, and the core
+#: count below which it is not asserted: a smaller box cannot express
+#: 4-way process parallelism (the parity tests above still run there).
+MP_SPEEDUP_GATE = 3.0
+MP_GATE_MIN_CORES = 4
+
+
+def _median_seconds(fn, repeats=2):
+    """Median wall-clock seconds of ``fn()`` over ``repeats`` runs (1 warmup)."""
+    fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return float(np.median(samples))
+
+
+class TestPoolSpeedup:
+    @pytest.mark.skipif(
+        cpu_count() < MP_GATE_MIN_CORES,
+        reason=f"speedup gate needs {MP_GATE_MIN_CORES}+ cores",
+    )
+    def test_four_workers_beat_in_process_classify(self):
+        # Each pool dispatch carries batch x workers samples, so every
+        # worker's shard is at most one in-process batch; pool startup
+        # is outside the timed region.
+        n, batch_size, workers = 32, 16, 4
+        engine, pairs, mjd = smoke_classify_workload(seed=2, n=n)
+
+        def scatter(scorer, step):
+            for start in range(0, n, step):
+                scorer.classify_arrays(
+                    pairs[start : start + step], mjd[start : start + step]
+                )
+
+        single = _median_seconds(lambda: scatter(engine, batch_size))
+        with ScoringPool(engine=engine, config=PoolConfig(workers=workers)) as pool:
+            pooled = _median_seconds(lambda: scatter(pool, batch_size * workers))
+        speedup = single / pooled
+        assert speedup >= MP_SPEEDUP_GATE, (
+            f"{workers} workers ran {speedup:.2f}x in-process classify "
+            f"(gate {MP_SPEEDUP_GATE:.1f}x)"
+        )
 
 
 class TestPoolCrash:

@@ -257,11 +257,10 @@ class TestHotReload:
             assert health["scoring_pool"]["workers"] == 2
 
     def test_healthz_reports_deploy_state(self, two_version_registry):
-        """Satellite: /healthz carries version, precision and counters."""
+        """Satellite: /healthz carries version and counters."""
         with running_registry_daemon(two_version_registry) as daemon:
             health = _healthz(daemon.port)
             assert health["model_version"] == "v1"
-            assert health["precision"] in ("float32", "float16")
             for key in ("reloads", "reload_failures", "rollbacks", "quarantined"):
                 assert health[key] == 0
             assert health["shadow"] is None
