@@ -104,6 +104,26 @@ class TestFusedChunkedParity:
             assert a.confidence == b.confidence
 
 
+class TestFloat16Inference:
+    """float16 inputs follow the one float32 inference policy."""
+
+    def test_precision_context_dtype_policy(self, cnn):
+        x64 = np.ones((2, 2), dtype=np.float64)
+        x16 = np.ones((2, 2), dtype=np.float16)
+        assert Tensor(x16).data.dtype == np.float32  # promoted
+        assert Tensor(x64).data.dtype == np.float32  # demoted
+        with nn.preserve_float64():
+            assert Tensor(x64).data.dtype == np.float64  # kept
+            assert Tensor(x16).data.dtype == np.float32  # still promoted
+        assert Tensor(x64).data.dtype == np.float32  # restored
+        # Half-precision pairs score exactly like their float32 widening:
+        # there is no reduced-precision path for them to take.
+        pairs16 = _pairs(5, np.random.default_rng(3), scale=30.0).astype(np.float16)
+        out = cnn.fused_forward(pairs16)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, cnn.fused_forward(pairs16.astype(np.float32)))
+
+
 class TestWorkspaceCache:
     def setup_method(self):
         nn.workspace_clear()

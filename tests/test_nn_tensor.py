@@ -19,8 +19,6 @@ class TestBasics:
     def test_float64_downcast_by_default(self):
         t = Tensor(np.array([1.0, 2.0], dtype=np.float64))
         assert t.dtype == np.float32
-        # float16 is promoted by the same policy: one inference dtype.
-        assert Tensor(np.ones((2, 2), dtype=np.float16)).dtype == np.float32
 
     def test_float64_preserved_under_context(self):
         with preserve_float64():

@@ -214,6 +214,24 @@ class TestPoolParity:
         assert any(r.degraded for r in want)  # the corruption bites
         assert_bit_exact(got, want)
 
+    def test_float16_precision_parity(self, engine, batch, tmp_path):
+        # Half-precision pixels through a pool loaded from disk score bit
+        # for bit like the single-process engine on the same input, and
+        # like their float32 widening: one inference precision.
+        pairs, mjd = batch
+        pairs16 = pairs.astype(np.float16)
+        engine.save(str(tmp_path / "model"))
+        loaded = InferenceEngine.from_directory(tmp_path / "model")
+        want = shard_reference(loaded, 2, pairs16, mjd)
+        assert_bit_exact(
+            shard_reference(loaded, 2, pairs16.astype(np.float32), mjd), want
+        )
+        with ScoringPool(
+            model_source=tmp_path / "model", config=PoolConfig(workers=2)
+        ) as pool:
+            got = pool.classify_arrays(pairs16, mjd)
+        assert_bit_exact(got, want)
+
     def test_strict_error_matches_single_process(self, engine, batch):
         pairs, mjd = batch
         corrupted = DropBand([0, 1, 2, 3, 4])(pairs[:4])  # fully masked
