@@ -127,19 +127,17 @@ class BandwiseCNN(nn.Module):
     def _conv_inference(self, x: Tensor) -> Tensor:
         """Conv stack with batch norm folded into the conv weights.
 
-        At inference batch norm is a fixed per-channel affine map, so it
-        folds into the convolution: ``w' = w * scale`` and
-        ``b' = b * scale + shift`` with ``scale = gamma / sqrt(var + eps)``
-        and ``shift = beta - mean * scale``.  That removes the separate
-        normalisation pass over each conv activation (the largest one is
-        the full L1 output).  Both inference entry points
-        (:meth:`predict` and :meth:`fused_forward`) route through here,
-        so their bit-identity contract is unaffected.  Training uses the
-        unfolded ``self.convs`` stack.
+        At inference batch norm is a fixed per-channel affine map
+        (:meth:`~repro.nn.layers._BatchNorm.folded`), so it folds into the
+        convolution: ``w' = w * scale`` and ``b' = b * scale + shift``.
+        That removes the separate normalisation pass over each conv
+        activation (the largest one is the full L1 output).  Both
+        inference entry points (:meth:`predict` and :meth:`fused_forward`)
+        route through here.  Training uses the unfolded ``self.convs``
+        stack.
         """
         for conv, bn, act, pool in self._conv_blocks:
-            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-            shift = bn.beta.data - bn.running_mean * scale
+            scale, shift = bn.folded()
             w = conv.weight.data * scale[:, None, None, None]
             b = conv.bias.data * scale + shift if conv.bias is not None else shift
             out = nn.conv2d(
@@ -160,8 +158,9 @@ class BandwiseCNN(nn.Module):
         """Chunked inference over a NumPy batch of pairs; returns magnitudes.
 
         The fixed-size chunking bounds the im2col workspace of each conv
-        layer; it is the float32 reference path that
-        :meth:`fused_forward` is pinned bit-identical to.
+        layer.  Each row's magnitude depends on that row alone (conv and
+        FC products run per row at inference), so the output is bit-
+        identical to :meth:`fused_forward` for any ``batch_size``.
         """
         was_training = self.training
         self.eval()
@@ -184,7 +183,8 @@ class BandwiseCNN(nn.Module):
         cache in :mod:`repro.nn.ops` is reused across the whole batch.
 
         The returned float32 magnitudes are bit-identical to
-        :meth:`predict`.
+        :meth:`predict` with any chunk size, and a row's magnitude is the
+        same whatever other rows share the batch.
         """
         pairs = np.asarray(pairs)
         if len(pairs) == 0:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..datasets import N_BANDS, SupernovaDataset
 from ..eval import auc_score
+from ..runtime.checkpoint import atomic_write_json
 from .augment import make_pair_augmenter
 from .classifier import LightCurveClassifier
 from .features import DATE_SCALE_DAYS, features_from_arrays, windowed_epoch_features
@@ -312,7 +313,6 @@ class SupernovaPipeline:
         hyper-parameters so :meth:`load` can rebuild the pipeline without
         the caller re-supplying them.
         """
-        import json
         import os
 
         from ..nn import save_module
@@ -329,10 +329,7 @@ class SupernovaPipeline:
             "epochs_used": self.epochs_used,
             "has_joint": self.joint is not None,
         }
-        tmp = os.path.join(directory, MANIFEST_NAME + ".tmp")
-        with open(tmp, "w") as handle:
-            json.dump(manifest, handle, indent=2)
-        os.replace(tmp, os.path.join(directory, MANIFEST_NAME))
+        atomic_write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
     @staticmethod
     def read_manifest(directory: str) -> dict | None:

@@ -49,34 +49,8 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        requires = is_grad_enabled() and (
-            x.requires_grad
-            or self.weight.requires_grad
-            or (self.bias is not None and self.bias.requires_grad)
-        )
-        if not requires and self.out_features == 1 and x.ndim == 2:
-            # Inference fast path for the scalar head: BLAS reroutes the
-            # degenerate (M, K) @ (K, 1) product to GEMV, whose reduction
-            # order varies with M — chunked and fused batches would then
-            # disagree in the last bit.  einsum's fixed per-row reduction
-            # is batch-size independent, which the fused/chunked parity
-            # contract relies on.
-            out = np.einsum("ij,j->i", x.data, self.weight.data.reshape(-1))
-            out = out[:, None]
-            if self.bias is not None:
-                out = out + self.bias.data
-            return Tensor(out)
-        if not requires and x.ndim == 2 and x.shape[0] == 1:
-            # Same BLAS quirk from the other side: a single-row batch
-            # reroutes (1, K) @ (K, N) to GEMV.  Duplicating the row keeps
-            # the product on the sgemm path every multi-row batch takes,
-            # so a trailing 1-row chunk stays bit-identical to the same
-            # row inside a larger batch.
-            doubled = np.concatenate([x.data, x.data], axis=0)
-            out = np.matmul(doubled, self.weight.data.T)[:1]
-            if self.bias is not None:
-                out = out + self.bias.data
-            return Tensor(out)
+        # At inference Tensor.matmul computes each row on its own, so the
+        # output of a row never depends on the batch it arrived in.
         out = x.matmul(self.weight.T)
         if self.bias is not None:
             out = out + self.bias
@@ -160,6 +134,16 @@ class _BatchNorm(Module):
     def _axes_and_shape(self, x: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise NotImplementedError
 
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel ``(scale, shift)`` of the inference-time affine map.
+
+        ``scale = gamma / sqrt(var + eps)`` and ``shift = beta - mean *
+        scale``, from the running statistics: at inference the layer is
+        ``x * scale + shift``.
+        """
+        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta.data - self.running_mean * scale
+
     def forward(self, x: Tensor) -> Tensor:
         axes, shape = self._axes_and_shape(x)
         if not self.training and not (
@@ -167,8 +151,7 @@ class _BatchNorm(Module):
         ):
             # Inference fast path: fold the whole affine normalisation
             # into one per-channel multiply-add (no graph, 1 temporary).
-            scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
-            shift = self.beta.data - self.running_mean * scale
+            scale, shift = self.folded()
             out = x.data * scale.reshape(shape)
             out += shift.reshape(shape)
             return Tensor(out)

@@ -524,7 +524,17 @@ class Tensor:
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
+        """Matrix product; without a graph, each row of a 2-D product alone.
+
+        BLAS blocks a GEMM by its shape, so a row of ``(M, K) @ (K, N)``
+        can differ in the last bit from the same row in another batch.
+        Stacked ``(1, K) @ (K, N)`` products make a row's result
+        independent of its batch-mates.  Training keeps the single GEMM.
+        """
         other_t = as_tensor(other)
+        recording = _FLAGS.grad_enabled and (self.requires_grad or other_t.requires_grad)
+        if not recording and self.data.ndim == 2 and other_t.data.ndim == 2:
+            return Tensor(np.matmul(self.data[:, None, :], other_t.data)[:, 0, :])
         out_data = self.data @ other_t.data
 
         def backward(grad: np.ndarray) -> None:

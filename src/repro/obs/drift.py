@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..runtime.checkpoint import atomic_write_json
+
 __all__ = [
     "BASELINE_FILE",
     "DriftBaseline",
@@ -149,10 +151,7 @@ class DriftBaseline:
         if self.flux_edges is not None:
             payload["flux_edges"] = self.flux_edges.tolist()
             payload["flux_probs"] = self.flux_probs.tolist()
-        path = os.path.join(os.fspath(directory), BASELINE_FILE)
-        with open(path + ".tmp", "w") as handle:
-            json.dump(payload, handle, indent=2)
-        os.replace(path + ".tmp", path)
+        atomic_write_json(os.path.join(os.fspath(directory), BASELINE_FILE), payload)
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "DriftBaseline | None":

@@ -25,12 +25,13 @@ hot-path ``observe`` is one ``searchsorted``-style scan.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import os
 import re
 import threading
 from typing import Callable
+
+from ..runtime.checkpoint import atomic_write_json
 
 __all__ = [
     "Counter",
@@ -235,12 +236,7 @@ class MetricsRegistry:
     def write(self, path: str | os.PathLike) -> dict:
         """Atomically write :meth:`snapshot` as indented JSON; returns it."""
         data = self.snapshot()
-        path = os.fspath(path)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        atomic_write_json(path, data)
         return data
 
 

@@ -17,9 +17,10 @@ Request flow
 2. **Micro-batching** — a scoring worker coalesces queued requests into
    adaptive batches: it waits at most ``batch_deadline_ms`` from the
    oldest queued request, caps batches at ``batch_max_size``, and groups
-   by (shape, strict) so one GEMM serves the lot.  Scoring goes through
-   :meth:`InferenceEngine.classify_arrays` — the same path as ``repro
-   classify`` — so daemon responses are bit-identical to the batch CLI.
+   by (shape, strict) so one engine call serves the lot.  Scoring goes
+   through :meth:`InferenceEngine.classify_arrays` — the same path as
+   ``repro classify`` — and a sample's score does not depend on its
+   micro-batch, so responses carry the batch CLI's values exactly.
 3. **Per-request deadlines** — each request carries a deadline (its own
    ``deadline_ms`` or the config default).  The handler thread waits at
    most that long and answers a typed ``timeout`` 504 itself; a late

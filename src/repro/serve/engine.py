@@ -39,6 +39,7 @@ from ..datasets import N_BANDS, SupernovaDataset
 from ..obs import trace as _trace
 from ..obs.drift import DriftBaseline, DriftMonitor
 from ..photometry import GRIZY, signed_log10
+from ..runtime.checkpoint import atomic_write_json
 from .validation import InputDiagnostics, RepairConfig, diagnose_and_repair_batch
 
 __all__ = ["FluxPrior", "PredictionResult", "DegradedInputError", "InferenceEngine"]
@@ -103,10 +104,7 @@ class FluxPrior:
             "bands": [band.name for band in GRIZY],
             "flux_feature": self.flux_feature.tolist(),
         }
-        path = os.path.join(os.fspath(directory), PRIOR_FILE)
-        with open(path + ".tmp", "w") as handle:
-            json.dump(payload, handle, indent=2)
-        os.replace(path + ".tmp", path)
+        atomic_write_json(os.path.join(os.fspath(directory), PRIOR_FILE), payload)
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "FluxPrior | None":
@@ -345,9 +343,10 @@ class InferenceEngine:
     fused:
         When True (default) the CNN stage runs the whole flattened
         ``(N·V)`` visit batch through :meth:`BandwiseCNN.fused_forward`
-        — one GEMM per conv layer — instead of the chunked
-        :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` path.  The
-        two are bit-identical.
+        in one pass instead of the chunked
+        :meth:`~repro.core.flux_cnn.BandwiseCNN.predict` path.  The two
+        are bit-identical: a sample's result depends on the sample
+        alone, whatever the batch, chunk or shard it is scored in.
     """
 
     def __init__(

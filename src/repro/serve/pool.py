@@ -20,8 +20,9 @@ scatters micro-batches onto them:
   threads and N workers never oversubscribe the machine.
 * **Deterministic gather.**  A batch of ``n`` samples is split into
   contiguous shards, one per worker, and results are reassembled in
-  request order.  The engine's scores are chunk-size invariant, so
-  pool output is bit-identical to the single-process path.
+  request order.  A sample's score depends on the sample alone, not
+  on its batch or shard, so pool output is bit-identical to the
+  full-batch single-process path for any worker count.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
   is respawned under the :data:`DEFAULT_RESPAWN_SPEC` budget and its
   shard is re-scored sample by sample through
@@ -787,9 +788,9 @@ class ScoringPool:
     ) -> list[PredictionResult]:
         """Scatter one batch across the pool; gather in request order.
 
-        Mirrors :meth:`InferenceEngine.classify_arrays` exactly: at
-        float32 the returned scores are bit-identical to the
-        single-process path, scoring exceptions (strict degradation,
+        Mirrors :meth:`InferenceEngine.classify_arrays` exactly: the
+        returned results are bit-identical to the single-process call
+        on the whole batch, scoring exceptions (strict degradation,
         malformed batches) re-raise with the same types, and a worker
         crash is healed internally (respawn + per-sample re-score) with
         only repeat offenders flagged as failed placeholders.

@@ -232,8 +232,9 @@ class TestClassify:
 
     @pytest.mark.serve
     def test_pool_workers_match_in_process(self, served, tmp_path):
-        """``--workers 2`` (the process pool) serves what ``--workers 1``
-        serves, at the wire precision of the pool parity contract."""
+        """``--workers 2`` (the process pool) writes the same bytes as
+        ``--workers 1``, and so does any ``--batch-size``: a sample's
+        score does not depend on the batch or shard it is scored in."""
         import json
         from dataclasses import replace
 
@@ -245,26 +246,20 @@ class TestClassify:
         pairs[:4] = DropBand(1)(pairs[:4])
         mixed = tmp_path / "mixed.npz"
         save_dataset(replace(dataset, pairs=pairs), mixed)
-        streams = {}
-        for workers in ("1", "2"):
-            out = tmp_path / f"workers{workers}.jsonl"
+        outputs = {}
+        for workers, batch_size in (("1", "3"), ("2", "3"), ("1", "7")):
+            out = tmp_path / f"workers{workers}-batch{batch_size}.jsonl"
             code = main([
                 "classify", "--model", str(model_dir), "--dataset", str(mixed),
-                "--out", str(out), "--batch-size", "3", "--workers", workers,
+                "--out", str(out), "--batch-size", batch_size, "--workers", workers,
             ])
             assert code == 0
-            streams[workers] = [
-                json.loads(line) for line in out.read_text().splitlines()
-            ]
-        serial, pooled = streams["1"], streams["2"]
+            outputs[workers, batch_size] = out.read_bytes()
+        serial = [json.loads(line) for line in outputs["1", "3"].splitlines()]
         assert [r["index"] for r in serial] == list(range(len(dataset)))
-        for key in ("index", "degraded", "usable_bands"):
-            assert [r[key] for r in pooled] == [r[key] for r in serial]
-        assert [r.get("error") for r in pooled] == [r.get("error") for r in serial]
         assert any(r["degraded"] for r in serial)
-        assert [r["probability"] for r in pooled] == pytest.approx(
-            [r["probability"] for r in serial], abs=1e-6
-        )
+        assert outputs["2", "3"] == outputs["1", "3"]
+        assert outputs["1", "7"] == outputs["1", "3"]
 
     def test_missing_dataset_exits_2(self, served, capsys):
         model_dir, _, _ = served

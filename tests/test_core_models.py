@@ -119,7 +119,7 @@ class TestBandwiseCNN:
         clone = BandwiseCNN(input_size=36, rng=np.random.default_rng(1))
         clone.load_state_dict(cnn.state_dict())
         pairs = RNG.normal(size=(2, 2, 36, 36)).astype(np.float32)
-        np.testing.assert_allclose(cnn.predict(pairs), clone.predict(pairs), rtol=1e-5)
+        np.testing.assert_array_equal(cnn.predict(pairs), clone.predict(pairs))
 
 
 class TestPerBandEnsemble:
@@ -139,7 +139,7 @@ class TestPerBandEnsemble:
             mixed = ensemble(Tensor(pairs), np.array([1, 0, 1, 0])).numpy()
             only0 = ensemble.members[0](Tensor(pairs)).numpy()
             only1 = ensemble.members[1](Tensor(pairs)).numpy()
-        np.testing.assert_allclose(mixed, [only1[0], only0[1], only1[2], only0[3]], rtol=1e-5)
+        np.testing.assert_array_equal(mixed, [only1[0], only0[1], only1[2], only0[3]])
 
     def test_misaligned_rejected(self):
         ensemble = PerBandCNNEnsemble(n_bands=2, input_size=36, rng=RNG)
@@ -327,7 +327,7 @@ class TestJointModel:
         joint = JointModel.from_pretrained(cnn, clf)
         # Same predictions...
         pairs = RNG.normal(size=(2, 2, 36, 36)).astype(np.float32)
-        np.testing.assert_allclose(joint.cnn.predict(pairs), cnn.predict(pairs), rtol=1e-5)
+        np.testing.assert_array_equal(joint.cnn.predict(pairs), cnn.predict(pairs))
         # ...but independent parameters.
         joint.cnn.fc[-1].bias.data += 1.0
         assert not np.allclose(joint.cnn.fc[-1].bias.data, cnn.fc[-1].bias.data)

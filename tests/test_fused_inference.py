@@ -6,6 +6,8 @@ The serving contract pinned here:
   ``predict`` reference path — for clean inputs, for any chunk size,
   and for inputs damaged by the :mod:`repro.runtime.faults` corruptors
   and repaired by the serve layer;
+* ``InferenceEngine.classify_arrays`` returns the same result, field
+  for field, for a sample whatever batch it is scored in;
 * the im2col workspace cache buckets batch sizes, so bursty mixed-size
   traffic hits cached buffers instead of thrashing allocations.
 """
@@ -20,7 +22,7 @@ from repro.nn.tensor import Tensor
 from repro.runtime import BurstSchedule, DropBand, NaNPixels, SaturateRegion, TruncateCutout
 from repro.serve import diagnose_and_repair_batch
 
-from .helpers import make_serve_engine, make_serve_sample
+from .helpers import make_serve_engine, make_serve_sample, smoke_classify_workload
 
 SIZE = 36  # smallest supported input keeps the CNN cheap
 
@@ -37,12 +39,15 @@ def _pairs(n, rng, stamp=SIZE, scale=100.0):
 
 
 class TestFusedChunkedParity:
-    def test_bit_identical_across_chunk_sizes(self, cnn):
+    # 320 rows is one 64-sample x 5-visit classify batch: large enough
+    # that BLAS would block the FC GEMMs differently from small chunks.
+    @pytest.mark.parametrize("rows", [13, 320])
+    def test_bit_identical_across_chunk_sizes(self, cnn, rows):
         rng = np.random.default_rng(0)
-        pairs = _pairs(13, rng)
+        pairs = _pairs(rows, rng)
         fused = cnn.fused_forward(pairs)
         assert fused.dtype == np.float32
-        for batch_size in (1, 2, 3, 5, 7, 13, 256):
+        for batch_size in (1, 2, 3, 5, 7, 13, 16, 100, 256):
             chunked = cnn.predict(pairs, batch_size=batch_size)
             assert np.array_equal(fused, chunked), f"chunk size {batch_size}"
 
@@ -102,6 +107,23 @@ class TestFusedChunkedParity:
         for a, b in zip(got, want):
             assert a.probability == b.probability
             assert a.confidence == b.confidence
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_engine_partitions_bit_identical(self, size):
+        # A sample's result depends on the sample alone: scoring the batch
+        # in contiguous pieces returns every field of the full-batch call.
+        engine, pairs, mjd = smoke_classify_workload(seed=4)
+        want = engine.classify_arrays(pairs, mjd)
+        got = []
+        for start in range(0, len(pairs), size):
+            got.extend(
+                engine.classify_arrays(
+                    pairs[start : start + size],
+                    mjd[start : start + size],
+                    start_index=start,
+                )
+            )
+        assert got == want
 
 
 class TestFloat16Inference:

@@ -196,10 +196,8 @@ class TestPipelineIntegration:
         )
         pipe.save(str(tmp_path))
         loaded = SupernovaPipeline.load(str(tmp_path), input_size=36, units=16)
-        np.testing.assert_allclose(
-            pipe.predict_proba(splits.test),
-            loaded.predict_proba(splits.test),
-            rtol=1e-5,
+        np.testing.assert_array_equal(
+            pipe.predict_proba(splits.test), loaded.predict_proba(splits.test)
         )
         assert loaded.joint is not None
 

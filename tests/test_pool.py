@@ -2,17 +2,11 @@
 
 The pool's promise is that scattering a batch across worker processes
 changes *nothing* observable but the wall clock.  The parity tests pin
-that at two levels:
-
-* **transport parity** — against a single-process reference scored with
-  the pool's own contiguous shard plan, every field is bit-exact: the
-  shared-memory ring and result marshaling add zero numerical change;
-* **wire parity** — against the *full-batch* single-process reference,
-  probabilities and confidences agree at the round-6 wire precision the
-  daemon serves (``TestCleanTrafficParity`` pins the same contract for
-  thread-timing-dependent micro-batch compositions: BLAS GEMM blocking
-  varies with batch shape, so raw float32 scores may move one ULP while
-  the served values must not).
+that bit for bit: every :class:`PredictionResult` field the pool returns
+equals the full-batch single-process ``engine.classify_arrays`` result.
+A sample's score does not depend on its batch-mates, so neither the
+shard plan, the shared-memory transport nor a heal's one-at-a-time
+re-score can move it.
 
 Crash tests use real ``SIGKILL`` — both external (``pool.pids()``) and
 from inside a worker via the picklable
@@ -86,26 +80,6 @@ def shared_pool(engine):
     pool.close()
 
 
-def shard_reference(engine, workers, pairs, mjd, strict=None, start_index=0):
-    """Single-process scoring with the pool's own contiguous shard plan."""
-    n = len(pairs)
-    shard_count = min(workers, n)
-    base, extra = divmod(n, shard_count)
-    results, offset = [], 0
-    for k in range(shard_count):
-        count = base + (1 if k < extra else 0)
-        results.extend(
-            engine.classify_arrays(
-                pairs[offset : offset + count],
-                mjd[offset : offset + count],
-                strict=strict,
-                start_index=start_index + offset,
-            )
-        )
-        offset += count
-    return results
-
-
 def assert_bit_exact(got, want):
     """Every observable PredictionResult field matches bit for bit."""
     assert len(got) == len(want)
@@ -119,19 +93,6 @@ def assert_bit_exact(got, want):
         assert g.degraded == w.degraded
         assert g.usable_bands == w.usable_bands
         assert g.error == w.error
-
-
-def assert_wire_parity(got, want):
-    """Round-6 score parity vs an arbitrary-composition reference."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert round(g.probability, 6) == round(w.probability, 6)
-        assert round(g.confidence, 6) == round(w.confidence, 6)
-        assert g.degraded == w.degraded
-        assert g.usable_bands == w.usable_bands
-        assert (np.isnan(g.flux_feature) and np.isnan(w.flux_feature)) or (
-            abs(g.flux_feature - w.flux_feature) <= 2e-6
-        )
 
 
 class TestPoolLifecycle:
@@ -188,18 +149,12 @@ class TestPoolParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_transport_bit_exact_clean(self, engine, batch, workers):
         pairs, mjd = batch
-        want = shard_reference(engine, workers, pairs, mjd)
+        want = engine.classify_arrays(pairs, mjd)
         with ScoringPool(
             engine=engine, config=PoolConfig(workers=workers)
         ) as pool:
             got = pool.classify_arrays(pairs, mjd)
         assert_bit_exact(got, want)
-
-    def test_wire_parity_vs_full_batch(self, shared_pool, engine, batch):
-        pairs, mjd = batch
-        want = engine.classify_arrays(pairs, mjd)
-        got = shared_pool.classify_arrays(pairs, mjd)
-        assert_wire_parity(got, want)
 
     @pytest.mark.parametrize(
         "corruptor",
@@ -209,7 +164,7 @@ class TestPoolParity:
     def test_parity_under_corruptors(self, shared_pool, engine, batch, corruptor):
         pairs, mjd = batch
         corrupted = corruptor(pairs)
-        want = shard_reference(engine, 2, corrupted, mjd)
+        want = engine.classify_arrays(corrupted, mjd)
         got = shared_pool.classify_arrays(corrupted, mjd)
         assert any(r.degraded for r in want)  # the corruption bites
         assert_bit_exact(got, want)
@@ -222,9 +177,9 @@ class TestPoolParity:
         pairs16 = pairs.astype(np.float16)
         engine.save(str(tmp_path / "model"))
         loaded = InferenceEngine.from_directory(tmp_path / "model")
-        want = shard_reference(loaded, 2, pairs16, mjd)
+        want = loaded.classify_arrays(pairs16, mjd)
         assert_bit_exact(
-            shard_reference(loaded, 2, pairs16.astype(np.float32), mjd), want
+            loaded.classify_arrays(pairs16.astype(np.float32), mjd), want
         )
         with ScoringPool(
             model_source=tmp_path / "model", config=PoolConfig(workers=2)
@@ -268,12 +223,12 @@ class TestPoolParity:
 
     def test_shm_ring_grows_for_oversized_shard(self, engine, batch, monkeypatch):
         pairs, mjd = batch
-        want = shard_reference(engine, 2, pairs, mjd)
+        want = engine.classify_arrays(pairs, mjd)
         # One-sample shards fit a slot; the six-sample shards below do not.
         monkeypatch.setattr(pool_module, "SLOT_BYTES", 1 << 17)
         with ScoringPool(engine=engine, config=PoolConfig(workers=2)) as pool:
             small = pool.classify_arrays(pairs[:2], mjd[:2])
-            assert_bit_exact(small, shard_reference(engine, 2, pairs[:2], mjd[:2]))
+            assert_bit_exact(small, engine.classify_arrays(pairs[:2], mjd[:2]))
             assert pool.stats()["shm_overflow"] == 0
             # Workers attached to the first ring re-attach to the grown one.
             got = pool.classify_arrays(pairs, mjd)
@@ -335,7 +290,7 @@ class TestPoolSpeedup:
 class TestPoolCrash:
     def test_external_sigkill_heals_and_respawns(self, engine, batch):
         pairs, mjd = batch
-        want = shard_reference(engine, 2, pairs, mjd)
+        want = engine.classify_arrays(pairs, mjd)
         with ScoringPool(
             engine=engine, config=PoolConfig(workers=2)
         ) as pool:
@@ -347,9 +302,9 @@ class TestPoolCrash:
             assert stats["respawns"] >= 1
             assert victim not in pool.pids()
             assert len(pool.pids()) == 2
-            # The healed batch re-scored crashed samples one at a time —
-            # wire parity holds; the *next* batch is bit-exact again.
-            assert_wire_parity(healed, want)
+            # The healed batch re-scored crashed samples one at a time,
+            # and a sample scores the same alone as in its shard.
+            assert_bit_exact(healed, want)
             assert_bit_exact(pool.classify_arrays(pairs, mjd), want)
 
     def test_marked_group_crash_is_healed_per_sample(self, engine, batch):
@@ -357,7 +312,7 @@ class TestPoolCrash:
         pairs, mjd = batch
         marked = pairs.copy()
         marked[5, 0, 0, 0, 0] = MARKER
-        want = shard_reference(engine, 2, marked, mjd)
+        want = engine.classify_arrays(marked, mjd)
         with ScoringPool(
             engine=engine,
             config=PoolConfig(workers=2),
@@ -372,7 +327,7 @@ class TestPoolCrash:
         assert stats["crashed_shards"] >= 1
         assert stats["poison_samples"] == 0
         assert [r.error for r in got] == [None] * len(got)
-        assert_wire_parity(got, want)
+        assert_bit_exact(got, want)
 
     def test_repeat_offender_becomes_failed_placeholder(self, engine, batch):
         """A sample that kills every worker that touches it is isolated."""
@@ -434,7 +389,7 @@ class TestPoolReload:
         other = make_serve_engine(seed=77)
         with tempfile.TemporaryDirectory() as td:
             other.save(td)
-            want = shard_reference(other, 2, pairs, mjd)
+            want = other.classify_arrays(pairs, mjd)
             with ScoringPool(
                 engine=engine, config=PoolConfig(workers=2)
             ) as pool:
@@ -444,14 +399,11 @@ class TestPoolReload:
                 after = pool.classify_arrays(pairs, mjd)
         assert_bit_exact(after, want)
         # The models genuinely disagree, so the swap demonstrably landed.
-        assert any(
-            round(a.probability, 6) != round(b.probability, 6)
-            for a, b in zip(before, after)
-        )
+        assert any(a.probability != b.probability for a, b in zip(before, after))
 
     def test_failed_reload_rolls_back_every_worker(self, engine, batch, tmp_path):
         pairs, mjd = batch
-        want = shard_reference(engine, 2, pairs, mjd)
+        want = engine.classify_arrays(pairs, mjd)
         bad = tmp_path / "not-a-model"
         bad.mkdir()
         with ScoringPool(
@@ -477,7 +429,7 @@ class TestPoolStream:
     def test_stream_orders_and_matches_classify(self, shared_pool, engine, batch):
         pairs, mjd = batch
         dataset = _ArrayDataset(pairs, mjd)
-        want = shard_reference(engine, 2, pairs, mjd)
+        want = engine.classify_arrays(pairs, mjd)
         got = list(shared_pool.stream(dataset, batch_size=6))
         assert [r.index for r in got] == list(range(len(pairs)))
         assert_bit_exact(got, want)
@@ -530,7 +482,7 @@ class TestPoolWedge:
         pairs, mjd = batch
         marked = pairs.copy()
         marked[5, 0, 0, 0, 0] = MARKER
-        want = shard_reference(engine, 2, marked, mjd)
+        want = engine.classify_arrays(marked, mjd)
         config = PoolConfig(workers=2, task_timeout_s=1.0)
         with ScoringPool(
             engine=engine,
@@ -547,7 +499,7 @@ class TestPoolWedge:
         assert stats["crashes"] >= 1
         assert stats["respawns"] >= 1
         assert [r.error for r in got] == [None] * len(got)
-        assert_wire_parity(got, want)
+        assert_bit_exact(got, want)
 
     def test_repeat_wedge_offender_is_flagged(self, engine, batch):
         """A sample that wedges every worker becomes a failed placeholder."""

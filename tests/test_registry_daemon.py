@@ -423,7 +423,7 @@ class TestShadowScoring:
             assert registry.candidate() == "v2"
             stats = _healthz(daemon.port)["shadow"]
             assert stats["version"] == "v2"
-            assert stats["divergence_mean"] == pytest.approx(0.0, abs=1e-6)
+            assert stats["divergence_mean"] == 0.0
 
 
 class TestAutomaticRollback:

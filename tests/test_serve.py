@@ -9,6 +9,7 @@ import pytest
 from repro.core import SupernovaPipeline
 from repro.core.features import features_from_arrays, masked_features_from_arrays
 from repro.datasets import BuildConfig, DatasetBuilder, N_BANDS
+from repro.obs import DriftBaseline, MetricsRegistry
 from repro.runtime import (
     CorruptArtifactError,
     DropBand,
@@ -193,6 +194,49 @@ class TestFluxPrior:
             FluxPrior(np.full(N_BANDS, np.nan))
 
 
+def _save_prior(directory):
+    FluxPrior(np.ones(N_BANDS)).save(directory)
+
+
+def _save_baseline(directory):
+    DriftBaseline.from_samples(np.linspace(0.0, 1.0, 50)).save(directory)
+
+
+def _write_metrics(directory):
+    MetricsRegistry().write(directory / "metrics.json")
+
+
+def _save_manifest(directory):
+    SupernovaPipeline(input_size=36, units=8, epochs_used=1, seed=0).save(str(directory))
+
+
+@pytest.mark.parametrize(
+    "save, name",
+    [
+        (_save_prior, "flux_prior.json"),
+        (_save_baseline, "drift_baseline.json"),
+        (_write_metrics, "metrics.json"),
+        (_save_manifest, "manifest.json"),
+    ],
+    ids=["flux-prior", "drift-baseline", "metrics", "manifest"],
+)
+def test_failed_json_save_keeps_old_file(save, name, tmp_path, monkeypatch):
+    """A save that dies mid-write leaves the previous document and no
+    temp file behind: every JSON artifact goes through one atomic writer."""
+    save(tmp_path)
+    before = (tmp_path / name).read_bytes()
+    files = sorted(p.name for p in tmp_path.iterdir())
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full (injected)")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="injected"):
+        save(tmp_path)
+    assert (tmp_path / name).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
 class TestMaskedFeatures:
     def test_matches_unmasked_when_all_usable(self, dataset):
         flux = dataset.true_flux[:, :N_BANDS]
@@ -299,11 +343,7 @@ class TestInferenceEngine:
         streamed = list(engine.stream(dataset, batch_size=3))
         batched = engine.classify(dataset)
         assert [r.index for r in streamed] == [r.index for r in batched]
-        np.testing.assert_allclose(
-            [r.probability for r in streamed],
-            [r.probability for r in batched],
-            rtol=1e-6,
-        )
+        assert [r.probability for r in streamed] == [r.probability for r in batched]
 
     def test_batch_shape_errors(self, engine, dataset):
         with pytest.raises(ValueError, match="stamp pairs"):
@@ -329,11 +369,9 @@ class TestInferenceEngine:
         np.testing.assert_allclose(
             loaded.prior.flux_feature, engine.prior.flux_feature
         )
-        np.testing.assert_allclose(
-            [r.probability for r in loaded.classify(dataset)],
-            [r.probability for r in engine.classify(dataset)],
-            rtol=1e-5,
-        )
+        assert [r.probability for r in loaded.classify(dataset)] == [
+            r.probability for r in engine.classify(dataset)
+        ]
 
     def test_classifier_rejects_nonfinite_features(self):
         from repro.core.classifier import LightCurveClassifier
