@@ -156,6 +156,15 @@ class TestPoolParity:
             got = pool.classify_arrays(pairs, mjd)
         assert_bit_exact(got, want)
 
+    def test_wire_parity_vs_full_batch(self, shared_pool, engine, batch):
+        """A warm pool serves the full-batch reference's wire lines exactly."""
+        pairs, mjd = batch
+        want = engine.classify_arrays(pairs, mjd)
+        for _ in range(2):  # the second call reuses the warm workers and ring
+            got = shared_pool.classify_arrays(pairs, mjd)
+            assert_bit_exact(got, want)
+            assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
     @pytest.mark.parametrize(
         "corruptor",
         [DropBand([1, 3]), NaNPixels(fraction=0.2, seed=9)],
