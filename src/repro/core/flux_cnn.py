@@ -135,22 +135,40 @@ class BandwiseCNN(nn.Module):
         inference entry points (:meth:`predict` and :meth:`fused_forward`)
         route through here.  Training uses the unfolded ``self.convs``
         stack.
+
+        A max-pooled block whose PReLU slopes all lie in ``[0, 1]`` pools
+        first: the bias add and ``max(x, alpha * x)`` are then monotone
+        non-decreasing in float arithmetic, so
+        ``prelu(pool(conv) + b') == pool(prelu(conv + b'))`` bit for bit,
+        and both passes run on a quarter of the elements.  Any other
+        slope (negative, above 1 or NaN) and average pooling keep the
+        ``pool(act(conv + b'))`` order.
         """
         for conv, bn, act, pool in self._conv_blocks:
             scale, shift = bn.folded()
             w = conv.weight.data * scale[:, None, None, None]
             b = conv.bias.data * scale + shift if conv.bias is not None else shift
+            b = b.astype(np.float32, copy=False)
+            alpha = act.alpha.data
+            pool_first = isinstance(pool, nn.MaxPool2d) and bool(
+                np.all((alpha >= 0) & (alpha <= 1))
+            )
             out = nn.conv2d(
                 x,
                 Tensor(w.astype(np.float32, copy=False)),
-                Tensor(b.astype(np.float32, copy=False)),
+                None if pool_first else Tensor(b),
                 stride=conv.stride,
                 padding=conv.padding,
-                # The conv output only lives until the activation below
-                # reads it, so it can borrow a cached workspace buffer.
+                # The conv output only lives until the pool or activation
+                # below reads it, so it can borrow a cached workspace buffer.
                 scratch_out=True,
             )
-            x = pool(act(out))
+            if pool_first:
+                pooled = pool(out)
+                pooled.data += b[:, None, None]
+                x = act(pooled)
+            else:
+                x = pool(act(out))
         return x
 
     # ------------------------------------------------------------------
@@ -177,10 +195,12 @@ class BandwiseCNN(nn.Module):
         """Single-pass inference over the whole ``(M, 2, S, S)`` batch.
 
         The serving engine flattens its ``(N, V)`` sample/visit axes into
-        one row axis, so every conv layer sees the entire request batch
-        as one GEMM instead of :meth:`predict`'s fixed 256-row chunks —
-        no per-chunk Tensor/workspace churn, and the bucketed workspace
-        cache in :mod:`repro.nn.ops` is reused across the whole batch.
+        one row axis, so every layer runs once over the entire request
+        batch instead of :meth:`predict`'s fixed 256-row chunks — one
+        im2col copy and one batched ``np.matmul`` (a GEMM per row) per
+        conv layer, no per-chunk Tensor/workspace churn, and the bucketed
+        workspace cache in :mod:`repro.nn.ops` is reused across the
+        whole batch.
 
         The returned float32 magnitudes are bit-identical to
         :meth:`predict` with any chunk size, and a row's magnitude is the

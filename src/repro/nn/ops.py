@@ -361,20 +361,28 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"pooling window {kernel_size} too large for input {x.shape}")
 
-    cols = _im2col(x.data, kernel_size, kernel_size, stride)
     if not (is_grad_enabled() and x.requires_grad):
-        # Inference fast path: accumulate the window max with one
-        # in-place ``maximum`` per tap — each ``cols[:, :, i, j]`` is a
-        # strided view of the input, so nothing is materialised and the
-        # reduction runs as k*k sequential passes instead of one
-        # cache-hostile 6-D reduction.
-        out = cols[:, :, 0, 0].copy()
-        for i in range(kernel_size):
-            for j in range(kernel_size):
-                if i or j:
-                    np.maximum(out, cols[:, :, i, j], out=out)
+        # Inference fast path: the window max is separable, so take it
+        # over the window's rows first (k strided row views, each read
+        # along whole contiguous rows), then over the columns of that
+        # (N, C, oh, W) result.  ``max`` is exact in any order, so this
+        # equals the argmax path below bit for bit; NaN propagates
+        # through ``np.maximum`` as it wins the argmax.  The first
+        # ``maximum`` of each pass pairs the first and last tap into a
+        # new array (a copy when k = 1); the middle taps follow in place.
+        row_span = stride * (out_h - 1) + 1
+        col_span = stride * (out_w - 1) + 1
+        taps = [x.data[:, :, i : i + row_span : stride] for i in range(kernel_size)]
+        rows = np.maximum(taps[0], taps[-1])
+        for tap in taps[1:-1]:
+            np.maximum(rows, tap, out=rows)
+        taps = [rows[..., j : j + col_span : stride] for j in range(kernel_size)]
+        out = np.maximum(taps[0], taps[-1])
+        for tap in taps[1:-1]:
+            np.maximum(out, tap, out=out)
         return Tensor(out)
 
+    cols = _im2col(x.data, kernel_size, kernel_size, stride)
     # (N, C, K, K, oh, ow) -> (N, C, oh, ow, K*K)
     windows = cols.transpose(0, 1, 4, 5, 2, 3).reshape(
         batch, channels, out_h, out_w, kernel_size * kernel_size

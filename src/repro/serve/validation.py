@@ -247,7 +247,8 @@ def diagnose_and_repair_batch(
     :class:`InputDiagnostics` per pair, and the boolean keep mask.
 
     The result matches the per-visit loop bit for bit: diagnosis masks
-    and sigma-clipping are computed with whole-batch array ops (the
+    (for the visits a per-visit ``max``/``min`` cannot clear) and
+    sigma-clipping are computed with whole-batch array ops (the
     median filter runs with a size-1 footprint on the batch axis, so no
     statistic crosses visits), while the rare flagged visits are
     inpainted through the same :func:`inpaint_bad_pixels` the scalar
@@ -266,37 +267,58 @@ def diagnose_and_repair_batch(
     n_pixels = int(pairs[0, 0].size)
     pair_size = 2 * n_pixels
 
-    finite = np.isfinite(pairs)
-    saturated = finite & (pairs >= config.saturation_level)
-    bad = ~finite | saturated
-    n_nonfinite = (~finite).sum(axis=(1, 2, 3))
-    n_saturated = saturated.sum(axis=(1, 2, 3))
-    bad_count = bad.sum(axis=(1, 2, 3))
+    # Gate the masks on two reductions per visit: NaN propagates through
+    # both, only ``min`` sees -inf, and +inf or a saturated pixel pushes
+    # ``max`` to the level.  A visit passing both has no bad pixel, so
+    # its counts are zero and it is kept; the six full-size masks below
+    # are built for the other visits only.
+    clean = (pairs.max(axis=(1, 2, 3)) < config.saturation_level) & (
+        pairs.min(axis=(1, 2, 3)) > -np.inf
+    )
+    dirty_idx = np.flatnonzero(~clean)
+    n_nonfinite = np.zeros(m, dtype=np.int64)
+    n_saturated = np.zeros(m, dtype=np.int64)
+    bad_count = np.zeros(m, dtype=np.int64)
+    channel_dead = np.zeros((m, 2), dtype=bool)
+    bad = None
+    if dirty_idx.size:
+        dirty = pairs[dirty_idx]
+        finite = np.isfinite(dirty)
+        saturated = finite & (dirty >= config.saturation_level)
+        bad = ~finite | saturated
+        n_nonfinite[dirty_idx] = (~finite).sum(axis=(1, 2, 3))
+        n_saturated[dirty_idx] = saturated.sum(axis=(1, 2, 3))
+        bad_count[dirty_idx] = bad.sum(axis=(1, 2, 3))
+        channel_dead[dirty_idx] = bad.all(axis=(2, 3))
     bad_fraction = bad_count / pair_size
-    channel_dead = bad.all(axis=(2, 3))  # (M, 2)
     missing = channel_dead.any(axis=1)
     over_budget = ~missing & (bad_fraction > config.max_repair_fraction)
     kept = ~missing & ~over_budget
 
     repaired = pairs.copy()
     inpainted = kept & (bad_count > 0)
-    for i in np.flatnonzero(inpainted):
+    # ``bad`` rows follow dirty_idx; every inpainted visit is dirty.
+    for j in np.flatnonzero(inpainted[dirty_idx]):
+        i = dirty_idx[j]
         for channel in range(2):
             repaired[i, channel] = inpaint_bad_pixels(
-                pairs[i, channel], bad[i, channel], window=config.inpaint_window
+                pairs[i, channel], bad[j, channel], window=config.inpaint_window
             )
 
     # Batched sigma-clip of every kept visit (see clip_difference_outliers).
     n_clipped = np.zeros(m, dtype=np.int64)
     kept_idx = np.flatnonzero(kept)
     if kept_idx.size:
-        reference = repaired[kept_idx, 0]
-        observation = repaired[kept_idx, 1]
+        # With every visit kept, views of ``repaired`` replace the copies.
+        rows = slice(None) if kept_idx.size == m else kept_idx
+        reference = repaired[rows, 0]
+        observation = repaired[rows, 1]
         diff = observation - reference
         med = np.median(diff, axis=(1, 2))
-        mad = np.median(np.abs(diff - med[:, None, None]), axis=(1, 2))
-        sigma = 1.4826 * mad.astype(np.float64)
         excess = diff - med[:, None, None]
+        # |excess| is a temporary, so its median may partition it in place.
+        mad = np.median(np.abs(excess), axis=(1, 2), overwrite_input=True)
+        sigma = 1.4826 * mad.astype(np.float64)
         # Threshold rounded to float32 exactly as the scalar comparison does.
         threshold = (config.clip_sigma * sigma).astype(np.float32)
         candidates = excess > threshold[:, None, None]

@@ -6,6 +6,10 @@ The serving contract pinned here:
   ``predict`` reference path — for clean inputs, for any chunk size,
   and for inputs damaged by the :mod:`repro.runtime.faults` corruptors
   and repaired by the serve layer;
+* the folded conv stack (pool first wherever that is exact) is
+  bit-identical to an explicit ``pool(act(conv2d(x, w', b')))`` loop,
+  and agrees with the unfolded training-graph forward to a measured
+  tolerance;
 * ``InferenceEngine.classify_arrays`` returns the same result, field
   for field, for a sample whatever batch it is scored in;
 * the im2col workspace cache buckets batch sizes, so bursty mixed-size
@@ -17,7 +21,8 @@ import pytest
 
 from repro import nn
 from repro.core.features import _as_float, features_from_arrays
-from repro.core.flux_cnn import BandwiseCNN, PerBandCNNEnsemble
+from repro.core.flux_cnn import MAG_CENTER, MAG_SCALE, BandwiseCNN, PerBandCNNEnsemble
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.runtime import BurstSchedule, DropBand, NaNPixels, SaturateRegion, TruncateCutout
 from repro.serve import diagnose_and_repair_batch
@@ -124,6 +129,82 @@ class TestFusedChunkedParity:
                 )
             )
         assert got == want
+
+
+#: Largest |fused_forward - unfolded forward| allowed, in magnitudes.  The
+#: unfolded path normalises after the conv and runs each FC layer as one
+#: batch GEMM, so the last bits move; the worst gap measured over 8 model
+#: seeds x {max, avg} pooling x the slope settings below (40 rows each,
+#: randomised batch-norm statistics) was 5.1e-5 mag, about 27 float32 ULPs
+#: at 24.5 mag.
+UNFOLDED_TOL = 2e-4
+
+#: PReLU slope settings: inside [0, 1] the max-pooled blocks pool first,
+#: the last two put one channel of every block outside it.
+SLOPES = ["zero", "one", "uniform", "one-negative", "one-above-1"]
+
+
+def _randomised_cnn(pool, slopes, seed=0):
+    """A model with non-trivial batch-norm statistics and the given slopes."""
+    model = BandwiseCNN(input_size=SIZE, pool=pool, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(100 + seed)
+    for _, bn, act, _ in model._conv_blocks:
+        bn.running_mean[:] = rng.normal(0.0, 0.5, bn.running_mean.shape)
+        bn.running_var[:] = rng.uniform(0.3, 3.0, bn.running_var.shape)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, bn.gamma.data.shape)
+        bn.beta.data[:] = rng.normal(0.0, 0.2, bn.beta.data.shape)
+        alpha = act.alpha.data
+        if slopes in ("zero", "one"):
+            alpha[:] = 0.0 if slopes == "zero" else 1.0
+        else:
+            alpha[:] = rng.uniform(0.0, 1.0, alpha.shape)
+        if slopes == "one-negative":
+            alpha[0] = -0.3
+        elif slopes == "one-above-1":
+            alpha[0] = 1.7
+    model.eval()
+    return model
+
+
+def _explicit_forward(model, pairs):
+    """Inference in the stack's written order: ``pool(act(conv2d(x, w', b')))``.
+
+    Batch norm is folded here from its parameters and running statistics,
+    not through ``_BatchNorm.folded``, so neither a wrong fold nor a wrong
+    reorder in ``_conv_inference`` can cancel out against this reference.
+    """
+    with nn.no_grad():
+        x = model._crop(Tensor(pairs))
+        x = F.signed_log10(x[:, 1:2] - x[:, 0:1])
+        for conv, bn, act, pool in model._conv_blocks:
+            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+            shift = bn.beta.data - bn.running_mean * scale
+            w = Tensor(conv.weight.data * scale[:, None, None, None])
+            b = Tensor(conv.bias.data * scale + shift)
+            x = pool(act(nn.conv2d(x, w, b, stride=conv.stride, padding=conv.padding)))
+        out = model.fc(x.flatten(start_dim=1))
+        return (out.reshape(-1) * MAG_SCALE + MAG_CENTER).numpy()
+
+
+class TestPoolFirstReorder:
+    """The pool-first order of ``_conv_inference`` against references outside it."""
+
+    CASES = [("max", slopes) for slopes in SLOPES] + [("avg", "uniform")]
+
+    @pytest.mark.parametrize("pool, slopes", CASES)
+    def test_bit_identical_to_explicit_loop(self, pool, slopes):
+        model = _randomised_cnn(pool, slopes)
+        pairs = _pairs(40, np.random.default_rng(21), stamp=SIZE + 2)
+        assert np.array_equal(model.fused_forward(pairs), _explicit_forward(model, pairs))
+
+    @pytest.mark.parametrize("pool, slopes", CASES)
+    def test_close_to_unfolded_forward(self, pool, slopes):
+        model = _randomised_cnn(pool, slopes, seed=1)
+        pairs = _pairs(40, np.random.default_rng(22), stamp=SIZE + 2)
+        assert nn.is_grad_enabled()  # eval mode + grad: the unfolded self.convs stack
+        unfolded = model(Tensor(pairs)).numpy()
+        gap = np.abs(model.fused_forward(pairs) - unfolded).max()
+        assert gap <= UNFOLDED_TOL, gap
 
 
 class TestFloat16Inference:

@@ -105,6 +105,18 @@ class TestMaxPool:
         x = RNG.permutation(np.arange(36.0)).reshape(1, 1, 6, 6)
         check_gradient(lambda t: max_pool2d(t, 3, stride=1), x)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_inference_path_matches_argmax_path(self, kernel, stride):
+        # Few distinct values make ties; odd, unequal sides crop at the
+        # bottom/right; the NaN must win its windows on both paths.
+        x = RNG.integers(-3, 4, size=(2, 3, 11, 9)).astype(np.float32)
+        x[1, 2, 4, 4] = np.nan  # inside a window for every kernel and stride
+        fast = max_pool2d(Tensor(x), kernel, stride=stride).numpy()
+        argmax = max_pool2d(Tensor(x, requires_grad=True), kernel, stride=stride).numpy()
+        assert np.isnan(fast).any()
+        np.testing.assert_array_equal(fast, argmax)
+
 
 class TestAvgPool:
     def test_forward_values(self):

@@ -85,6 +85,19 @@ class TestBatchRepairParity:
         )
         _assert_batch_matches_loop(corrupted, config)
 
+    @pytest.mark.parametrize(
+        "value",
+        [np.inf, -np.inf, 30000.0, np.nextafter(np.float32(30000.0), np.float32(0.0))],
+        ids=["plus-inf", "minus-inf", "at-saturation", "below-saturation"],
+    )
+    def test_single_pixel_at_the_clean_gate(self, dataset, value):
+        # One pixel on either side of the clean-visit gate: only ``min``
+        # sees -inf, and a pixel exactly at the level is saturated.
+        config = RepairConfig(saturation_level=30000.0)
+        corrupted = dataset.pairs[:2].copy()
+        corrupted[1, 2, 0, 17, 23] = value
+        _assert_batch_matches_loop(corrupted, config)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(M, 2, S, S\)"):
             diagnose_and_repair_batch(np.zeros((3, 9, 9)), np.zeros(3))
