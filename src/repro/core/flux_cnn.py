@@ -136,13 +136,13 @@ class BandwiseCNN(nn.Module):
         route through here.  Training uses the unfolded ``self.convs``
         stack.
 
-        A max-pooled block whose PReLU slopes all lie in ``[0, 1]`` pools
-        first: the bias add and ``max(x, alpha * x)`` are then monotone
-        non-decreasing in float arithmetic, so
+        A max-pooled block whose PReLU slopes are all ``>= 0`` pools
+        first: the bias add and ``where(x > 0, x, alpha * x)`` are then
+        monotone non-decreasing in float arithmetic, so
         ``prelu(pool(conv) + b') == pool(prelu(conv + b'))`` bit for bit,
-        and both passes run on a quarter of the elements.  Any other
-        slope (negative, above 1 or NaN) and average pooling keep the
-        ``pool(act(conv + b'))`` order.
+        and both passes run on a quarter of the elements.  A negative or
+        NaN slope and average pooling keep the ``pool(act(conv + b'))``
+        order.
         """
         for conv, bn, act, pool in self._conv_blocks:
             scale, shift = bn.folded()
@@ -150,9 +150,7 @@ class BandwiseCNN(nn.Module):
             b = conv.bias.data * scale + shift if conv.bias is not None else shift
             b = b.astype(np.float32, copy=False)
             alpha = act.alpha.data
-            pool_first = isinstance(pool, nn.MaxPool2d) and bool(
-                np.all((alpha >= 0) & (alpha <= 1))
-            )
+            pool_first = isinstance(pool, nn.MaxPool2d) and bool(np.all(alpha >= 0))
             out = nn.conv2d(
                 x,
                 Tensor(w.astype(np.float32, copy=False)),

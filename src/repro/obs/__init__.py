@@ -60,10 +60,10 @@ from .session import TelemetrySession, active, new_id, start, stop
 from .trace import (
     SLOW_EVENT,
     SPAN_EVENT,
-    SegmentTracer,
     Span,
     TraceConfig,
     Tracer,
+    WorkerTracer,
     derive_trace_id,
     load_spans,
     record,
@@ -106,7 +106,7 @@ __all__ = [
     "Span",
     "TraceConfig",
     "Tracer",
-    "SegmentTracer",
+    "WorkerTracer",
     "derive_trace_id",
     "load_spans",
     "validate_spans",

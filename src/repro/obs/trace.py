@@ -27,19 +27,18 @@ processes and across re-runs.  Design mirrors :mod:`repro.obs.log`:
   capture).  A session started without a trace policy samples nothing:
   its spans feed the histograms only.
 
-Cross-process: pool workers have no telemetry session.  They install a
-:class:`SegmentTracer` that appends span records to a per-worker JSONL
-segment (``trace-worker<id>.jsonl``); the parent merges new segment
-lines into the main event log at gather time, so worker spans end up in
-the same file, correctly parented via the wire context ``(trace_id,
-parent_span_id, request_id)`` that rides the task message across the
-pipe.
+Cross-process: pool workers have no telemetry session.  Each installs
+a :class:`WorkerTracer` that keeps finished span records in memory; a
+task's records ride back in its reply over the pipe, and the parent
+folds them into the main event log with :meth:`Tracer.merge`, correctly
+parented via the wire context ``(trace_id, parent_span_id,
+request_id)`` that rode the task message.  The event log is the only
+span store.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
@@ -50,11 +49,10 @@ __all__ = [
     "MODES",
     "SPAN_EVENT",
     "SLOW_EVENT",
-    "WORKER_SEGMENT_PREFIX",
     "TraceConfig",
     "Span",
     "Tracer",
-    "SegmentTracer",
+    "WorkerTracer",
     "derive_trace_id",
     "derive_span_id",
     "install",
@@ -75,7 +73,6 @@ __all__ = [
 
 SPAN_EVENT = "trace.span"
 SLOW_EVENT = "trace.slow_request"
-WORKER_SEGMENT_PREFIX = "trace-worker"
 MODES = ("always", "rate", "slow")
 
 # Fields every span record must carry (validated by ``validate_spans``
@@ -348,8 +345,6 @@ class _TimedSpan(_NullSpan):
 class _BaseTracer:
     """Shared span-construction machinery; subclasses define the sink."""
 
-    directory: Optional[str] = None
-
     def unsampled(self, name: str):
         """The span for a stage with no sampled parent."""
         return NULL_SPAN
@@ -420,7 +415,6 @@ class Tracer(_BaseTracer):
     def __init__(self, session, config: Optional[TraceConfig] = None) -> None:
         self._session = session
         self.config = config
-        self.directory = getattr(session, "directory", None)
         self._live: Dict[str, _TraceState] = {}
         self._lock = threading.Lock()
         self._counter = 0
@@ -479,7 +473,7 @@ class Tracer(_BaseTracer):
         )
 
     def merge(self, record_dict: dict) -> None:
-        """Fold a worker-segment span record into this tracer's sink.
+        """Fold a span record from a pool worker's reply into this sink.
 
         Observed into its stage histogram here (the worker has no
         session), then routed into the live trace's buffer when the
@@ -551,43 +545,34 @@ class Tracer(_BaseTracer):
         self._session.emit(SPAN_EVENT, **record_dict)
 
 
-class SegmentTracer(_BaseTracer):
-    """Worker-process tracer: appends span records to a JSONL segment.
+class WorkerTracer(_BaseTracer):
+    """Pool-worker tracer: keeps finished span records in memory.
 
-    Workers have no telemetry session; the parent merges segment lines
-    into the main event log at gather time (``Tracer.merge``).  Every
-    record is stamped with the worker id and pid.
+    Workers have no telemetry session; the pool ships each task's
+    records (:meth:`take`) back in the task's reply, and the parent
+    folds them in with :meth:`Tracer.merge`.  Every record is stamped
+    with the worker id and pid.
     """
 
-    def __init__(self, path: str, worker: Optional[int] = None) -> None:
-        self.path = path
+    def __init__(self, worker: int) -> None:
         self.worker = worker
-        self._fh = None
-        self._lock = threading.Lock()
+        self._records: List[dict] = []
         self._counter = 0
 
     def _next_seed(self) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"w{self.worker}.{os.getpid()}.{self._counter}"
+        self._counter += 1
+        return f"w{self.worker}.{os.getpid()}.{self._counter}"
 
     def _finish(self, span_obj: Span) -> None:
         record_dict = span_obj.to_record()
-        if self.worker is not None:
-            record_dict.setdefault("worker", self.worker)
+        record_dict.setdefault("worker", self.worker)
         record_dict.setdefault("pid", os.getpid())
-        line = json.dumps(record_dict, separators=(",", ":"), default=str)
-        with self._lock:
-            if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        self._records.append(record_dict)
 
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+    def take(self) -> List[dict]:
+        """The records finished since the last call, and forget them."""
+        records, self._records = self._records, []
+        return records
 
 
 # ----------------------------------------------------------------------
@@ -652,51 +637,20 @@ def wire_context(parent: Optional[Span] = None) -> Optional[Tuple[str, str, Opti
     return (parent.trace_id, parent.span_id, parent.request_id)
 
 
-def worker_segment_path(directory: str, worker_id: int) -> str:
-    return os.path.join(directory, f"{WORKER_SEGMENT_PREFIX}{worker_id}.jsonl")
-
-
 # ----------------------------------------------------------------------
 # Analysis: loading, validation, per-stage stats, waterfall, critical path
 # (backs the ``repro trace DIR`` CLI and the report)
 # ----------------------------------------------------------------------
 def load_spans(directory: str) -> List[dict]:
-    """All span records under a telemetry directory.
-
-    Reads ``trace.span`` events from the event log plus any un-merged
-    tails of worker segments (a killed daemon may not have drained
-    them), de-duplicated on ``(trace_id, span_id)``.
-    """
+    """The ``trace.span`` events of a telemetry directory's event log."""
     from .log import EVENTS_FILE, read_events
 
-    spans: List[dict] = []
-    seen = set()
-
-    def _add(record_dict: dict) -> None:
-        key = (record_dict.get("trace_id"), record_dict.get("span_id"))
-        if key in seen:
-            return
-        seen.add(key)
-        spans.append(record_dict)
-
     events_path = os.path.join(directory, EVENTS_FILE)
-    if os.path.exists(events_path):
-        for event in read_events(events_path):
-            if event.get("event") == SPAN_EVENT:
-                _add(event)
-    for entry in sorted(os.listdir(directory)):
-        if not (entry.startswith(WORKER_SEGMENT_PREFIX) and entry.endswith(".jsonl")):
-            continue
-        with open(os.path.join(directory, entry), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    _add(json.loads(line))
-                except ValueError:
-                    continue  # torn tail line from a killed worker
-    return spans
+    if not os.path.exists(events_path):
+        return []
+    return [
+        event for event in read_events(events_path) if event.get("event") == SPAN_EVENT
+    ]
 
 
 def validate_spans(spans: Iterable[dict]) -> List[str]:

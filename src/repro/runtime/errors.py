@@ -30,6 +30,12 @@ class CorruptArtifactError(RuntimeError):
         self.reason = reason
         super().__init__(f"corrupt artifact {self.path}: {reason}")
 
+    def __reduce__(self):
+        # ``args`` holds the formatted message, which ``__init__`` does
+        # not accept: rebuild from the fields so the error pickles (a
+        # pool worker sends it to the parent this way).
+        return (type(self), (self.path, self.reason))
+
 
 class TrainingDiverged(RuntimeError):
     """Training hit non-finite losses/gradients and exhausted its retries.

@@ -256,8 +256,9 @@ class RaiseWorkerOnMarker:
     ``factory`` is a picklable zero-argument callable (a module-level
     function) returning the exception instance to raise; it is invoked
     inside the worker, so the raised exception exercises the pool's
-    exception transport end to end — descriptor fields for the repo's
-    typed errors, pickle round-trip for everything else.
+    exception transport end to end: the exception's pickle round trip
+    rides the task's reply, and one that does not round-trip arrives as
+    a ``PoolError`` naming its type and message.
     """
 
     def __init__(self, marker: float, factory) -> None:

@@ -6,14 +6,18 @@ the GEMMs.  :class:`ScoringPool` runs N warm worker *processes*, each
 holding its own :class:`~repro.serve.engine.InferenceEngine`, and
 scatters micro-batches onto them:
 
-* **Zero pickle of pixel data.**  Request tensors and result arrays
-  move through a :class:`multiprocessing.shared_memory.SharedMemory`
-  ring of ``2 * workers`` fixed-size slots (:data:`SLOT_BYTES` each);
-  only ``(task_id, ring, slot, shape)`` tuples and per-sample
-  diagnostics cross the pipe.  A shard too large for a slot grows the
-  ring instead: a new segment with power-of-two slots replaces the old
-  one, and workers re-attach when a task names the new ring (counted
-  as ``shm_overflow`` in :meth:`ScoringPool.stats`).
+* **Pixels in shared memory, everything else on the pipe.**  Each
+  shard's float32 stamp pairs and MJDs move through a
+  :class:`multiprocessing.shared_memory.SharedMemory` ring of one
+  :data:`SLOT_BYTES` slot per worker (a worker owns at most one shard
+  at a time, so its id is its slot); the task message carries only
+  ``(task_id, ring, slot, shape)`` and the scoring options.  The worker
+  answers with one reply message: its :class:`PredictionResult` list
+  or a typed exception, the spans the task finished, and its busy
+  time.  A shard too large for a slot grows the ring instead: a new
+  segment with power-of-two slots replaces the old one, and workers
+  re-attach when a task names the new ring (counted as
+  ``shm_overflow`` in :meth:`ScoringPool.stats`).
 * **BLAS thread pinning.**  Workers are spawned (never forked — the
   daemon owns threads) under :func:`repro.nn.pinned_blas_env`, so each
   child's numpy import sizes its BLAS pool to ``cores // workers``
@@ -50,13 +54,11 @@ scatters micro-batches onto them:
 from __future__ import annotations
 
 import os
-import json
 import math
 import pickle
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -67,11 +69,8 @@ import numpy as np
 
 from ..nn.threads import blas_env_settings, blas_thread_plan, pinned_blas_env
 from ..obs import trace as obs_trace
-from ..photometry import GRIZY
-from ..runtime.errors import CorruptArtifactError
 from ..runtime.retry import RetrySpec
 from .engine import (
-    DegradedInputError,
     InferenceEngine,
     PredictionResult,
     check_batch_shape,
@@ -132,8 +131,8 @@ class PoolConfig:
     """Tunables of :class:`ScoringPool`.
 
     Each of the ``workers`` processes gets ``max(1, cores // workers)``
-    BLAS threads, and the shm ring holds ``2 * workers`` slots of
-    :data:`SLOT_BYTES` (at most ``workers`` shards are ever in flight).
+    BLAS threads, and the shm ring holds one slot of :data:`SLOT_BYTES`
+    per worker.
     The respawn budget is :data:`DEFAULT_RESPAWN_SPEC`.
     """
 
@@ -157,156 +156,36 @@ class PoolConfig:
 # ----------------------------------------------------------------------
 _ALIGN = 8
 
-#: Result record: probability/confidence/flux_feature float64 + the
-#: degraded flag and usable-band bitmask as single bytes per sample.
-_RESULT_BYTES_PER_SAMPLE = 8 * 3 + 2
-
 
 def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _slot_layout(n: int, v: int, s: int) -> tuple[int, int, int]:
-    """``(mjd_offset, result_offset, total_bytes)`` for one task.
+def _slot_layout(n: int, v: int, s: int) -> tuple[int, int]:
+    """``(mjd_offset, total_bytes)`` of one task's float32 pixels + MJDs.
 
     Both sides derive the layout from the ``(n, v, s)`` shape tuple in
-    the task message — nothing but indices and shapes crosses the pipe.
+    the task message.
     """
-    pairs_bytes = n * v * 2 * s * s * 4
-    mjd_off = _align(pairs_bytes)
-    res_off = _align(mjd_off + n * v * 4)
-    return mjd_off, res_off, res_off + n * _RESULT_BYTES_PER_SAMPLE
+    mjd_off = _align(n * v * 2 * s * s * 4)
+    return mjd_off, mjd_off + n * v * 4
 
 
-def _result_views(
-    buf, res_off: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    prob = np.ndarray((n,), dtype=np.float64, buffer=buf, offset=res_off)
-    conf = np.ndarray((n,), dtype=np.float64, buffer=buf, offset=res_off + 8 * n)
-    flux = np.ndarray((n,), dtype=np.float64, buffer=buf, offset=res_off + 16 * n)
-    degraded = np.ndarray((n,), dtype=np.uint8, buffer=buf, offset=res_off + 24 * n)
-    bands = np.ndarray((n,), dtype=np.uint8, buffer=buf, offset=res_off + 25 * n)
-    return prob, conf, flux, degraded, bands
+def _portable(exc: BaseException) -> BaseException:
+    """What a worker sends for ``exc``: its pickle round trip when that
+    gives back the same type and message, else a :class:`PoolError`
+    naming both.
 
-
-_BAND_BIT = {band.name: 1 << band.index for band in GRIZY}
-
-
-def _store_results(buf, res_off: int, results: list[PredictionResult]) -> dict:
-    """Worker side: pack results into the slot; return pipe extras.
-
-    Everything numeric goes through shared memory at full float64
-    precision (bit-exact round trip); only the per-visit diagnostics of
-    non-clean samples — absent entirely on the clean hot path — are
-    returned for pipe transport.
+    The round-tripped copy carries no traceback, so no frame of the
+    failed task (and no view of the shm ring) outlives the reply.
     """
-    n = len(results)
-    prob, conf, flux, degraded, bands = _result_views(buf, res_off, n)
-    diags: dict[int, list] = {}
-    for i, result in enumerate(results):
-        prob[i] = result.probability
-        conf[i] = result.confidence
-        flux[i] = result.flux_feature
-        degraded[i] = 1 if result.degraded else 0
-        mask = 0
-        for name in result.usable_bands:
-            mask |= _BAND_BIT[name]
-        bands[i] = mask
-        if result.diagnostics:
-            diags[i] = result.diagnostics
-    return diags
-
-
-def _load_results(
-    buf, res_off: int, n: int, start_index: int, diags: dict
-) -> list[PredictionResult]:
-    """Parent side: rebuild :class:`PredictionResult` objects from a slot."""
-    prob, conf, flux, degraded, bands = _result_views(buf, res_off, n)
-    results = []
-    for i in range(n):
-        mask = int(bands[i])
-        results.append(
-            PredictionResult(
-                index=start_index + i,
-                probability=float(prob[i]),
-                degraded=bool(degraded[i]),
-                usable_bands=[
-                    band.name for band in GRIZY if mask & (1 << band.index)
-                ],
-                confidence=float(conf[i]),
-                diagnostics=diags.get(i, []),
-                flux_feature=float(flux[i]),
-            )
-        )
-    return results
-
-
-# ----------------------------------------------------------------------
-# Exception transport: descriptors over the pipe, rebuilt parent-side
-# ----------------------------------------------------------------------
-_ERROR_TYPES: dict[str, type[Exception]] = {
-    "ValueError": ValueError,
-    "TypeError": TypeError,
-    "KeyError": KeyError,
-    "IndexError": IndexError,
-    "RuntimeError": RuntimeError,
-    "OverflowError": OverflowError,
-    "ZeroDivisionError": ZeroDivisionError,
-    "FloatingPointError": FloatingPointError,
-    "OSError": OSError,
-    "NotImplementedError": NotImplementedError,
-}
-
-
-def _describe_error(exc: BaseException) -> dict:
-    """A picklable descriptor — custom ``__init__`` signatures (e.g.
-    :class:`DegradedInputError`) make default exception pickling lossy.
-
-    The repo's own typed errors travel by explicit field so pool callers
-    can catch the exact types the in-process path raises; anything else
-    outside the builtin allowlist is attached as a pickle blob when it
-    provably round-trips (same type, same message), with the descriptor
-    as the fallback wire format.
-    """
-    desc = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, DegradedInputError):
-        desc["index"] = exc.index
-        desc["request_id"] = exc.request_id
-    elif isinstance(exc, CorruptArtifactError):
-        desc["path"] = exc.path
-        desc["reason"] = exc.reason
-    elif type(exc).__name__ not in _ERROR_TYPES:
-        try:
-            blob = pickle.dumps(exc)
-            rebuilt = pickle.loads(blob)
-            if type(rebuilt) is type(exc) and str(rebuilt) == str(exc):
-                desc["pickle"] = blob
-        except Exception:  # noqa: BLE001 - descriptor fallback is always valid
-            pass
-    return desc
-
-
-def _rebuild_error(desc: dict) -> Exception:
-    if desc["type"] == "DegradedInputError":
-        return DegradedInputError(
-            desc["message"],
-            index=desc.get("index"),
-            request_id=desc.get("request_id"),
-        )
-    if desc["type"] == "CorruptArtifactError":
-        return CorruptArtifactError(desc["path"], desc["reason"])
-    blob = desc.get("pickle")
-    if blob is not None:
-        try:
-            exc = pickle.loads(blob)
-            if type(exc).__name__ == desc["type"]:
-                return exc
-        except Exception:  # noqa: BLE001 - fall back to the descriptor
-            pass
-    cls = _ERROR_TYPES.get(desc["type"])
-    if cls is not None:
-        return cls(desc["message"])
-    return PoolError(f"{desc['type']}: {desc['message']}")
+    try:
+        rebuilt = pickle.loads(pickle.dumps(exc))
+        if type(rebuilt) is type(exc) and str(rebuilt) == str(exc):
+            return rebuilt
+    except Exception:  # noqa: BLE001 - the PoolError fallback always pickles
+        pass
+    return PoolError(f"{type(exc).__name__}: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -326,35 +205,35 @@ def _load_worker_engine(
     return engine
 
 
-def _task_span(wire, task_id: int, n_samples: int):
-    """The worker-side ``worker.compute`` span, resumed from the wire
-    context that rode the task message; ``NULL_SPAN`` when the task's
-    request is unsampled or the worker has no segment tracer."""
-    tracer = obs_trace.tracer()
-    if wire is None or tracer is None:
-        return obs_trace.NULL_SPAN
-    return tracer.resume(wire, "worker.compute", f"t{task_id}", n_samples=n_samples)
+def _run_task(
+    engine: InferenceEngine, tracer: obs_trace.WorkerTracer, buf, msg: tuple
+) -> tuple:
+    """Score one shm task into its reply; views over ``buf`` die at exit.
 
-
-def _run_task(engine: InferenceEngine, buf, msg: tuple) -> tuple:
-    """Score one shm task; views over ``buf`` die at function exit."""
+    The ``worker.compute`` span exists only when the task carries a wire
+    context (its request is sampled); the reply takes every span the
+    task finished.
+    """
     _, task_id, _, slot_bytes, slot, shape, strict, start_index, wire = msg
     n, v, s = shape
     base = slot * slot_bytes
-    mjd_off, res_off, _ = _slot_layout(n, v, s)
+    mjd_off, _ = _slot_layout(n, v, s)
     pairs = np.ndarray((n, v, 2, s, s), dtype=np.float32, buffer=buf, offset=base)
     mjd = np.ndarray((n, v), dtype=np.float32, buffer=buf, offset=base + mjd_off)
+    task_span = (
+        obs_trace.NULL_SPAN if wire is None
+        else tracer.resume(wire, "worker.compute", f"t{task_id}", n_samples=n)
+    )
     started = time.perf_counter()
     try:
-        with _task_span(wire, task_id, n):
+        with task_span:
             results = engine.classify_arrays(
                 pairs, mjd, strict=strict, start_index=start_index
             )
-        diags = _store_results(buf, base + res_off, results)
     except Exception as exc:  # noqa: BLE001 - shipped to the parent, typed
-        return ("task_error", task_id, _describe_error(exc),
+        return ("task_error", task_id, _portable(exc), tracer.take(),
                 time.perf_counter() - started)
-    return ("task_done", task_id, len(results), diags,
+    return ("task_done", task_id, results, tracer.take(),
             time.perf_counter() - started)
 
 
@@ -364,37 +243,31 @@ def _worker_main(
     model_source: str,
     engine_kwargs: dict,
     worker_init: Callable | None,
-    trace_dir: str | None = None,
 ) -> None:
     """Entry point of one spawned scoring worker.
 
     Spawned (not forked) so the pinned BLAS environment is read by a
     fresh numpy import and no daemon thread state leaks in.  The worker
-    owns one warm engine, answers ``task`` messages against the shm ring
-    each one names (re-attaching when the parent has grown it) and swaps
-    its engine on ``reload`` broadcasts, acking each version epoch so
-    the parent can prove an exactly-once swap.
+    owns one warm engine, answers each ``task`` message (pixels in the
+    shm ring it names, re-attached when the parent has grown it) with
+    one reply over its pipe — results or a typed error, plus the spans
+    the task finished and its busy time — and swaps its engine on
+    ``reload`` broadcasts, acking each version epoch so the parent can
+    prove an exactly-once swap.
 
-    With ``trace_dir`` set (the parent's telemetry directory when
-    tracing is on) a :class:`~repro.obs.trace.SegmentTracer` is
-    installed: ``worker.compute`` spans — resumed from the wire context
-    in each task message — append to ``trace-worker<id>.jsonl`` and the
-    parent merges them into the main event log at gather time.
+    A :class:`~repro.obs.trace.WorkerTracer` keeps finished spans in
+    memory: ``worker.compute`` is resumed from the wire context of a
+    sampled task, and the engine's stages nest under it.
     """
-    if trace_dir is not None:
-        obs_trace.install(
-            obs_trace.SegmentTracer(
-                obs_trace.worker_segment_path(trace_dir, worker_id),
-                worker=worker_id,
-            )
-        )
+    tracer = obs_trace.WorkerTracer(worker_id)
+    obs_trace.install(tracer)
     try:
         engine = _load_worker_engine(
             model_source, engine_kwargs, worker_init, worker_id
         )
     except Exception as exc:  # noqa: BLE001 - boot failures go to the parent
         try:
-            conn.send(("boot_error", worker_id, _describe_error(exc)))
+            conn.send(("boot_error", worker_id, _portable(exc)))
         except OSError:
             pass
         return
@@ -416,7 +289,7 @@ def _worker_main(
                 )
                 conn.send(("reload_ack", worker_id, epoch, None))
             except Exception as exc:  # noqa: BLE001
-                conn.send(("reload_ack", worker_id, epoch, _describe_error(exc)))
+                conn.send(("reload_ack", worker_id, epoch, _portable(exc)))
             continue
         if kind == "task":
             if shm is None or shm.name != msg[2]:
@@ -427,11 +300,10 @@ def _worker_main(
                 # set-add no-op.  Do NOT unregister: that would strip the
                 # parent's registration and its unlink bookkeeping.
                 shm = shared_memory.SharedMemory(name=msg[2])
-            reply = _run_task(engine, shm.buf, msg)
+            reply = _run_task(engine, tracer, shm.buf, msg)
         else:  # pragma: no cover - protocol bug
-            reply = ("task_error", None,
-                     {"type": "PoolError", "message": f"unknown message {kind}"},
-                     0.0)
+            reply = ("task_error", None, PoolError(f"unknown message {kind}"),
+                     [], 0.0)
         try:
             conn.send((reply[0], worker_id) + reply[1:])
         except (BrokenPipeError, OSError):
@@ -441,9 +313,6 @@ def _worker_main(
             shm.close()
     except BufferError:  # pragma: no cover - a leaked view; exiting anyway
         pass
-    segment = obs_trace.tracer()
-    if isinstance(segment, obs_trace.SegmentTracer):
-        segment.close()
     conn.close()
 
 
@@ -473,16 +342,13 @@ class _Worker:
 class _Shard:
     """One in-flight scatter unit: a contiguous sample range on a worker."""
 
-    __slots__ = ("task_id", "worker", "slot", "res_off", "offset", "count",
-                 "start_index", "outcome")
+    __slots__ = ("task_id", "worker", "offset", "count", "start_index",
+                 "outcome")
 
-    def __init__(self, task_id: int, worker: _Worker, slot: int,
-                 res_off: int, offset: int, count: int,
-                 start_index: int) -> None:
+    def __init__(self, task_id: int, worker: _Worker, offset: int,
+                 count: int, start_index: int) -> None:
         self.task_id = task_id
         self.worker = worker
-        self.slot = slot
-        self.res_off = res_off
         self.offset = offset
         self.count = count
         self.start_index = start_index
@@ -532,9 +398,7 @@ class ScoringPool:
         #: terminal without first winning the dispatch lock.
         self._close_lock = threading.Lock()
         self._workers: list[_Worker] = []
-        self._free_slots: deque[int] = deque()
         self._shm: shared_memory.SharedMemory | None = None
-        self._n_slots = 2 * self.config.workers
         self._slot_bytes = SLOT_BYTES
         self._blas_threads = blas_thread_plan(self.config.workers)
         self._respawn_delays = DEFAULT_RESPAWN_SPEC.delays()
@@ -556,10 +420,6 @@ class ScoringPool:
         self._samples = 0
         self._scatter_s = 0.0
         self._gather_s = 0.0
-        # Tracing: telemetry dir for worker span segments (set at start
-        # when the session samples requests) and per-worker merge offsets.
-        self._trace_dir: str | None = None
-        self._segment_offsets: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -576,12 +436,8 @@ class ScoringPool:
                 self._engine.save(self._tmpdir.name)
                 self._model_source = self._tmpdir.name
             self._shm = shared_memory.SharedMemory(
-                create=True, size=self._n_slots * self._slot_bytes
+                create=True, size=self.config.workers * self._slot_bytes
             )
-            self._free_slots = deque(range(self._n_slots))
-            tracer = obs_trace.tracer()
-            if isinstance(tracer, obs_trace.Tracer) and tracer.config is not None:
-                self._trace_dir = tracer.directory
             try:
                 for worker_id in range(self.config.workers):
                     self._workers.append(self._spawn(worker_id))
@@ -693,7 +549,6 @@ class ScoringPool:
                 self._model_source,
                 self._engine_kwargs,
                 self._worker_init,
-                self._trace_dir,
             ),
             name=f"repro-pool-{worker_id}",
             daemon=True,
@@ -724,7 +579,7 @@ class ScoringPool:
                 if msg[0] == "boot_error":
                     # Typed, so a missing or corrupt model fails the
                     # caller exactly as an in-process load would.
-                    raise _rebuild_error(msg[2])
+                    raise msg[2]
             elif not worker.process.is_alive():
                 raise PoolError(
                     f"worker {worker.id} died during boot "
@@ -818,7 +673,7 @@ class ScoringPool:
                 plan = self._plan_shards(n)
                 # The first shard is the largest (_plan_shards).
                 self._fit_ring(
-                    _slot_layout(plan[0][1], pairs32.shape[1], pairs32.shape[3])[2]
+                    _slot_layout(plan[0][1], pairs32.shape[1], pairs32.shape[3])[1]
                 )
                 shards: list[_Shard] = []
                 for offset, count in plan:
@@ -833,7 +688,6 @@ class ScoringPool:
                 self._gather(shards)
                 results = self._settle(shards, pairs32, mjd32, strict,
                                        start_index)
-            self._drain_trace_segments()
         self._tasks += 1
         self._samples += n
         return results
@@ -872,21 +726,20 @@ class ScoringPool:
         shard_pairs = pairs32[offset : offset + count]
         shard_mjd = mjd32[offset : offset + count]
         n, v, s = count, pairs32.shape[1], pairs32.shape[3]
-        mjd_off, res_off, _ = _slot_layout(n, v, s)
+        mjd_off, _ = _slot_layout(n, v, s)
         task_id = self._task_counter
         self._task_counter += 1
         started = time.perf_counter()
-        slot = self._free_slots.popleft()
-        self._write_slot(slot * self._slot_bytes, mjd_off, shard_pairs, shard_mjd)
-        message = ("task", task_id, self._shm.name, self._slot_bytes, slot,
+        # A worker owns at most one shard at a time, so its id is its slot.
+        self._write_slot(worker.id * self._slot_bytes, mjd_off, shard_pairs,
+                         shard_mjd)
+        message = ("task", task_id, self._shm.name, self._slot_bytes, worker.id,
                    (n, v, s), strict, start_index + offset, wire)
-        shard = _Shard(task_id, worker, slot, res_off, offset, count,
-                       start_index + offset)
+        shard = _Shard(task_id, worker, offset, count, start_index + offset)
         try:
             worker.conn.send(message)
         except (BrokenPipeError, OSError):
             shard.outcome = ("crash", None)
-            self._free_slot(shard)
         self._scatter_s += time.perf_counter() - started
         return shard
 
@@ -902,7 +755,7 @@ class ScoringPool:
         slot_bytes = 1 << (needed - 1).bit_length()
         old = self._shm
         self._shm = shared_memory.SharedMemory(
-            create=True, size=self._n_slots * slot_bytes
+            create=True, size=self.config.workers * slot_bytes
         )
         self._slot_bytes = slot_bytes
         self._overflow += 1
@@ -920,9 +773,6 @@ class ScoringPool:
             shard_mjd.shape, dtype=np.float32, buffer=buf, offset=base + mjd_off
         )
         dst_mjd[...] = shard_mjd
-
-    def _free_slot(self, shard: _Shard) -> None:
-        self._free_slots.append(shard.slot)
 
     def _gather(self, shards: list[_Shard]) -> None:
         """Wait for every shard's outcome; crashes become outcomes too.
@@ -965,7 +815,6 @@ class ScoringPool:
                 for shard in list(pending.values()):
                     if shard.worker is worker:
                         shard.outcome = ("crash", None)
-                        self._free_slot(shard)
                         del pending[shard.task_id]
                         progressed = True
             if progressed:
@@ -989,7 +838,6 @@ class ScoringPool:
                     worker.process.kill()
                     worker.process.join(1.0)
             shard.outcome = ("crash", None)
-            self._free_slot(shard)
             del pending[shard.task_id]
 
     def _drain_conn(self, worker: _Worker, pending: dict[int, _Shard]) -> bool:
@@ -1013,17 +861,12 @@ class ScoringPool:
         )
         if shard is None:  # pragma: no cover
             return False
-        if kind == "task_done":
-            _, _, _, count, diags, elapsed = msg
-            results = _load_results(
-                self._shm.buf, shard.slot * self._slot_bytes + shard.res_off,
-                count, shard.start_index, diags
-            )
-            shard.outcome = ("ok", results)
-        else:
-            _, _, _, desc, elapsed = msg
-            shard.outcome = ("error", _rebuild_error(desc))
-        self._free_slot(shard)
+        _, _, _, payload, spans, elapsed = msg
+        shard.outcome = ("ok" if kind == "task_done" else "error", payload)
+        tracer = obs_trace.tracer()
+        if spans and isinstance(tracer, obs_trace.Tracer):
+            for record in spans:
+                tracer.merge(record)
         worker.tasks += 1
         worker.samples += shard.count
         worker.busy_s += elapsed
@@ -1112,46 +955,6 @@ class ScoringPool:
             healed.append(outcome)
         return healed
 
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def _drain_trace_segments(self) -> None:
-        """Merge new worker-segment span lines into the parent tracer.
-
-        Each worker appends completed ``worker.compute`` (and nested
-        engine-stage) spans to its own JSONL segment; the parent tails
-        every segment from its last offset and routes each record
-        through :meth:`Tracer.merge`, which lands it in the main event
-        log (or the live trace's slow-mode buffer).  Torn tail lines —
-        a worker mid-write or freshly killed — are left for next time.
-        """
-        tracer = obs_trace.tracer()
-        if self._trace_dir is None or not isinstance(tracer, obs_trace.Tracer):
-            return
-        for worker in self._workers:
-            path = obs_trace.worker_segment_path(self._trace_dir, worker.id)
-            offset = self._segment_offsets.get(worker.id, 0)
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    data = fh.read()
-            except OSError:
-                continue
-            end = data.rfind(b"\n")
-            if end < 0:
-                continue
-            self._segment_offsets[worker.id] = offset + end + 1
-            for line in data[:end].split(b"\n"):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    tracer.merge(record)
-
     def stream(
         self,
         dataset,
@@ -1239,8 +1042,8 @@ class ScoringPool:
                         pending.pop(worker.id, None)
                         if msg[3] is not None:
                             failures.append(
-                                f"worker {worker.id}: {msg[3]['type']}: "
-                                f"{msg[3]['message']}"
+                                f"worker {worker.id}: "
+                                f"{type(msg[3]).__name__}: {msg[3]}"
                             )
                 except (EOFError, OSError):
                     pass
@@ -1264,7 +1067,7 @@ class ScoringPool:
         return self._epoch
 
     def stats(self) -> dict:
-        """Pool-level and per-worker utilization/queue/occupancy stats."""
+        """Pool-level and per-worker utilization and healing stats."""
         uptime = (
             time.monotonic() - self._started_at
             if self._started_at is not None
@@ -1289,8 +1092,7 @@ class ScoringPool:
         return {
             "workers": len(self._workers),
             "blas_threads": self._blas_threads,
-            "slots": self._n_slots,
-            "slots_free": len(self._free_slots),
+            "slots": self.config.workers,
             "slot_bytes": self._slot_bytes,
             "batches": self._tasks,
             "samples": self._samples,

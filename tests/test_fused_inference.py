@@ -139,8 +139,8 @@ class TestFusedChunkedParity:
 #: at 24.5 mag.
 UNFOLDED_TOL = 2e-4
 
-#: PReLU slope settings: inside [0, 1] the max-pooled blocks pool first,
-#: the last two put one channel of every block outside it.
+#: PReLU slope settings: with every slope >= 0 the max-pooled blocks pool
+#: first; "one-negative" keeps the written order, "one-above-1" pools first.
 SLOPES = ["zero", "one", "uniform", "one-negative", "one-above-1"]
 
 

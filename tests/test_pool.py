@@ -80,6 +80,13 @@ def shared_pool(engine):
     pool.close()
 
 
+def assert_reaped(pids):
+    """No process with any of ``pids`` exists any more."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def assert_bit_exact(got, want):
     """Every observable PredictionResult field matches bit for bit."""
     assert len(got) == len(want)
@@ -123,12 +130,22 @@ class TestPoolLifecycle:
         with pytest.raises(PoolBrokenError):
             pool.classify_arrays(pairs, mjd)
 
+    def test_close_reaps_every_worker(self, engine, batch):
+        pairs, mjd = batch
+        pool = ScoringPool(engine=engine, config=PoolConfig(workers=2))
+        pool.start()
+        pool.classify_arrays(pairs, mjd)
+        pids = pool.pids()
+        assert len(pids) == 2
+        pool.close()
+        assert_reaped(pids)
+
     def test_stats_shape(self, shared_pool, engine, batch):
         pairs, mjd = batch
         shared_pool.classify_arrays(pairs, mjd)
         stats = shared_pool.stats()
         assert stats["workers"] == 2
-        assert stats["slots_free"] == stats["slots"]  # all returned
+        assert stats["slots"] == stats["workers"]  # one slot per worker
         assert stats["samples"] >= len(pairs)
         assert stats["blas_threads"] >= 1
         assert len(stats["per_worker"]) == 2
@@ -544,6 +561,7 @@ class TestPoolWedge:
             worker_init=WedgeWorkerOnMarker(MARKER, min_batch=1),
         )
         pool.start()
+        pids = pool.pids()
         outcome = []
 
         def dispatch():
@@ -562,6 +580,7 @@ class TestPoolWedge:
         thread.join(timeout=15.0)
         assert not thread.is_alive()
         assert outcome and isinstance(outcome[0], PoolBrokenError)
+        assert_reaped(pids)  # the forced close leaves no worker process
 
     def test_respawn_budget_replenishes_after_healthy_period(
         self, engine, batch, monkeypatch
@@ -595,6 +614,18 @@ def _diverged_error():
     return TrainingDiverged("loss went non-finite (injected)")
 
 
+class _LockedError(RuntimeError):
+    """An error that cannot pickle: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _unpicklable_error():
+    return _LockedError("holds a lock (injected)")
+
+
 class TestErrorTransport:
     """Worker exceptions re-raise with the same types as the in-process path."""
 
@@ -613,7 +644,7 @@ class TestErrorTransport:
         assert excinfo.value.reason == "checksum mismatch (injected)"
 
     def test_pickled_custom_error_round_trips(self, engine, batch):
-        """Typed errors outside the allowlist survive via pickle transport."""
+        """Typed errors with their own fields survive the pickle transport."""
         pairs, mjd = batch
         marked = pairs.copy()
         marked[3, 0, 0, 0, 0] = MARKER
@@ -624,3 +655,18 @@ class TestErrorTransport:
         ) as pool:
             with pytest.raises(TrainingDiverged, match="non-finite"):
                 pool.classify_arrays(marked, mjd)
+
+    def test_unpicklable_error_falls_back_to_pool_error(self, engine, batch):
+        """An error that does not pickle arrives as ``PoolError("Type: message")``."""
+        pairs, mjd = batch
+        marked = pairs.copy()
+        marked[3, 0, 0, 0, 0] = MARKER
+        with ScoringPool(
+            engine=engine,
+            config=PoolConfig(workers=2),
+            worker_init=RaiseWorkerOnMarker(MARKER, _unpicklable_error),
+        ) as pool:
+            with pytest.raises(pool_module.PoolError) as excinfo:
+                pool.classify_arrays(marked, mjd)
+        assert type(excinfo.value) is pool_module.PoolError
+        assert str(excinfo.value) == "_LockedError: holds a lock (injected)"

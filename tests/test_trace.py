@@ -526,9 +526,10 @@ class TestTraceCli:
         assert "no span records" in capsys.readouterr().err
 
     def test_trace_command_validate_catches_damage(self, traced_dir, capsys):
-        segment = os.path.join(traced_dir, "trace-worker9.jsonl")
-        with open(segment, "w") as handle:
-            handle.write(json.dumps({"trace_id": "x", "name": 3}) + "\n")
+        events = os.path.join(traced_dir, EVENTS_FILE)
+        with open(events, "a") as handle:
+            record = {"event": SPAN_EVENT, "trace_id": "x", "name": 3}
+            handle.write(json.dumps(record) + "\n")
         assert cli_main(["trace", traced_dir, "--validate"]) == 2
 
     def test_serve_trace_requires_telemetry(self, capsys):
