@@ -42,7 +42,6 @@ from .ops import (
     conv2d,
     max_pool2d,
     workspace_clear,
-    workspace_metrics_source,
     workspace_stats,
     workspace_total_stats,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "avg_pool2d",
     "workspace_stats",
     "workspace_total_stats",
-    "workspace_metrics_source",
     "workspace_clear",
     "BLAS_ENV_VARS",
     "blas_backend_info",

@@ -39,7 +39,6 @@ __all__ = [
     "pad2d",
     "workspace_stats",
     "workspace_total_stats",
-    "workspace_metrics_source",
     "workspace_clear",
 ]
 
@@ -169,18 +168,6 @@ def workspace_total_stats() -> dict:
     lookups = totals["hits"] + totals["misses"]
     totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
     return totals
-
-
-def workspace_metrics_source() -> dict:
-    """:func:`workspace_total_stats` under the metrics-source contract.
-
-    A telemetry session registers this with its
-    :class:`~repro.obs.metrics.MetricsRegistry` so ``repro metrics``
-    reports the conv workspace-cache behaviour next to the obs
-    counters; the daemon mirrors the same numbers as ``nn.workspace_*``
-    gauges on `/metrics`.
-    """
-    return workspace_total_stats()
 
 
 def workspace_clear() -> None:

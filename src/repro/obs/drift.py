@@ -37,6 +37,8 @@ from ..runtime.checkpoint import atomic_write_json
 
 __all__ = [
     "BASELINE_FILE",
+    "PSI_THRESHOLD",
+    "KS_THRESHOLD",
     "DriftBaseline",
     "DriftMonitor",
     "DriftReport",
@@ -46,6 +48,12 @@ __all__ = [
 
 #: File name of the committed baseline inside a model directory.
 BASELINE_FILE = "drift_baseline.json"
+
+#: Trip level of the population stability index, scores and flux alike.
+PSI_THRESHOLD = 0.25
+
+#: Trip level of the Kolmogorov–Smirnov statistic, scores and flux alike.
+KS_THRESHOLD = 0.30
 
 _EPS = 1e-4
 
@@ -220,8 +228,9 @@ class DriftMonitor:
     min_samples:
         Evaluations with fewer window samples never flag — PSI on a
         handful of scores is noise, not signal.
-    psi_threshold / ks_threshold:
-        Trip levels per statistic (applied to scores and flux alike).
+
+    A window flags when any statistic, of scores or flux, exceeds its
+    trip level: :data:`PSI_THRESHOLD` or :data:`KS_THRESHOLD`.
     """
 
     def __init__(
@@ -229,15 +238,11 @@ class DriftMonitor:
         baseline: DriftBaseline,
         window: int = 500,
         min_samples: int = 50,
-        psi_threshold: float = 0.25,
-        ks_threshold: float = 0.30,
     ) -> None:
         if window < 1 or min_samples < 1:
             raise ValueError("window and min_samples must be >= 1")
         self.baseline = baseline
         self.min_samples = int(min_samples)
-        self.psi_threshold = float(psi_threshold)
-        self.ks_threshold = float(ks_threshold)
         self._scores: deque[float] = deque(maxlen=int(window))
         self._flux: deque[float] = deque(maxlen=int(window))
         self._lock = threading.Lock()
@@ -275,25 +280,25 @@ class DriftMonitor:
             observed = _histogram_probs(np.clip(scores, 0.0, 1.0), base.score_edges)
             report.score_psi = psi_statistic(base.score_probs, observed)
             report.score_ks = ks_statistic(base.score_probs, observed)
-            if report.score_psi > self.psi_threshold:
+            if report.score_psi > PSI_THRESHOLD:
                 report.reasons.append(
-                    f"score PSI {report.score_psi:.3f} > {self.psi_threshold}"
+                    f"score PSI {report.score_psi:.3f} > {PSI_THRESHOLD}"
                 )
-            if report.score_ks > self.ks_threshold:
+            if report.score_ks > KS_THRESHOLD:
                 report.reasons.append(
-                    f"score KS {report.score_ks:.3f} > {self.ks_threshold}"
+                    f"score KS {report.score_ks:.3f} > {KS_THRESHOLD}"
                 )
         if base.flux_edges is not None and flux.size >= self.min_samples:
             observed = _histogram_probs(flux, base.flux_edges)
             report.flux_psi = psi_statistic(base.flux_probs, observed)
             report.flux_ks = ks_statistic(base.flux_probs, observed)
-            if report.flux_psi > self.psi_threshold:
+            if report.flux_psi > PSI_THRESHOLD:
                 report.reasons.append(
-                    f"flux PSI {report.flux_psi:.3f} > {self.psi_threshold}"
+                    f"flux PSI {report.flux_psi:.3f} > {PSI_THRESHOLD}"
                 )
-            if report.flux_ks > self.ks_threshold:
+            if report.flux_ks > KS_THRESHOLD:
                 report.reasons.append(
-                    f"flux KS {report.flux_ks:.3f} > {self.ks_threshold}"
+                    f"flux KS {report.flux_ks:.3f} > {KS_THRESHOLD}"
                 )
         report.flagged = bool(report.reasons)
         self.flagged = report.flagged

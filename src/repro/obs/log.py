@@ -59,8 +59,6 @@ LEVELS = ("debug", "info", "warning", "error")
 #: File name of the event stream inside a telemetry directory.
 EVENTS_FILE = "events.jsonl"
 
-_LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
-
 # Context stack: one process-wide list shared by all threads plus a
 # thread-local overlay.  Both hold plain dicts of stamped fields.
 _PROCESS_STACK: list[dict[str, Any]] = []
@@ -151,14 +149,9 @@ class EventLog:
     path:
         Target ``.jsonl`` file; parent directory must exist.  Pass a
         file-like object instead to capture events in memory (tests).
-    min_level:
-        Events below this severity are dropped without being written.
     """
 
-    def __init__(self, path: str | os.PathLike | io.TextIOBase, min_level: str = "debug") -> None:
-        if min_level not in _LEVEL_RANK:
-            raise ValueError(f"unknown level {min_level!r}; choose from {LEVELS}")
-        self.min_level = min_level
+    def __init__(self, path: str | os.PathLike | io.TextIOBase) -> None:
         self._lock = threading.Lock()
         self._seq = 0
         if isinstance(path, (str, os.PathLike)):
@@ -173,7 +166,7 @@ class EventLog:
 
     def emit(self, event: str, level: str = "info", message: str | None = None,
              **fields: Any) -> dict:
-        """Write one structured record; returns it (or ``{}`` if filtered).
+        """Write one structured record; returns it (``{}`` once closed).
 
         The record carries the schema version, a wall-clock timestamp, a
         per-log sequence number, the merged context stack, and the
@@ -182,10 +175,8 @@ class EventLog:
         """
         if not event:
             raise ValueError("event name must be non-empty")
-        if level not in _LEVEL_RANK:
+        if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
-        if _LEVEL_RANK[level] < _LEVEL_RANK[self.min_level]:
-            return {}
         record: dict[str, Any] = dict(current_context())
         record.update({str(k): _jsonable(v) for k, v in fields.items()})
         if message is not None:

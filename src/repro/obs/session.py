@@ -157,9 +157,11 @@ def start(
                 f"telemetry already active in {_SESSION.directory}; stop() it first"
             )
         session = TelemetrySession(directory, run_id=run_id)
-        from ..nn import workspace_metrics_source
+        from ..nn import workspace_total_stats
 
-        session.metrics.register_source("nn.workspace", workspace_metrics_source)
+        # The conv workspace-cache counters, next to the obs counters in
+        # ``repro metrics``; the daemon mirrors them on `/metrics`.
+        session.metrics.register_source("nn.workspace", workspace_total_stats)
         session.tracer = trace_mod.Tracer(session, config)
         trace_mod.install(session.tracer)
         session._open(**start_fields)

@@ -19,8 +19,9 @@ a tree per request; trace ids derive deterministically from the request
 id (``<run_id>/r<index>``) so a request can be correlated across
 processes and across re-runs.  Design mirrors :mod:`repro.obs.log`:
 
-- a process-wide plus thread-local *span-context stack* supplies the
-  ambient parent for nested spans, exactly like the event-context stack;
+- a *span-context stack* supplies the ambient parent for nested spans;
+  unlike the event-context stack it is thread-local only, so a span
+  open on one thread never parents a span started on another;
 - sampling is decided once per trace: ``always``, deterministic
   ``rate:F`` (hash of the request id), or ``slow:MS`` (buffer the span
   tree, emit only if the root exceeds the threshold — the slow-request
@@ -140,11 +141,8 @@ class TraceConfig:
 
 
 # ----------------------------------------------------------------------
-# Ambient span-context stack (process-wide + thread-local, mirroring the
-# event-context stack in repro.obs.log)
+# Ambient span-context stack (thread-local)
 # ----------------------------------------------------------------------
-_PROCESS_STACK: List["Span"] = []
-_PROCESS_LOCK = threading.Lock()
 _THREAD = threading.local()
 
 
@@ -156,13 +154,9 @@ def _thread_stack() -> List["Span"]:
 
 
 def current_span() -> Optional["Span"]:
-    """The innermost ambient span: thread-local first, then process-wide."""
+    """The innermost ambient span of the calling thread."""
     stack = getattr(_THREAD, "stack", None)
-    if stack:
-        return stack[-1]
-    if _PROCESS_STACK:
-        return _PROCESS_STACK[-1]
-    return None
+    return stack[-1] if stack else None
 
 
 class _TraceState:
@@ -184,9 +178,9 @@ class _TraceState:
 
 
 class Span:
-    """One timed stage.  Context-manager entry pushes it on the ambient
-    stack (``scope="thread"`` by default, ``"process"`` for run-level
-    roots); exit pops and ends it.  ``end()`` is idempotent."""
+    """One timed stage.  Context-manager entry pushes it on the calling
+    thread's ambient stack; exit pops and ends it.  ``end()`` is
+    idempotent."""
 
     __slots__ = (
         "name",
@@ -200,7 +194,6 @@ class Span:
         "_t0",
         "_tracer",
         "_state",
-        "_scope",
         "_ended",
     )
 
@@ -214,11 +207,8 @@ class Span:
         parent_id: Optional[str],
         request_id: Optional[str],
         attrs: Optional[dict] = None,
-        scope: str = "thread",
         t_offset_s: float = 0.0,
     ) -> None:
-        if scope not in ("thread", "process"):
-            raise ValueError(f"span scope must be 'thread' or 'process', got {scope!r}")
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
@@ -230,15 +220,11 @@ class Span:
         self._t0 = time.perf_counter() - t_offset_s
         self._tracer = tracer
         self._state = state
-        self._scope = scope
         self._ended = False
 
     @property
     def is_root(self) -> bool:
         return self.parent_id is None
-
-    def annotate(self, **fields: Any) -> None:
-        self.attrs.update(fields)
 
     def end(self, **fields: Any) -> None:
         if self._ended:
@@ -265,22 +251,13 @@ class Span:
         return record
 
     def __enter__(self) -> "Span":
-        if self._scope == "process":
-            with _PROCESS_LOCK:
-                _PROCESS_STACK.append(self)
-        else:
-            _thread_stack().append(self)
+        _thread_stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._scope == "process":
-            with _PROCESS_LOCK:
-                if self in _PROCESS_STACK:
-                    _PROCESS_STACK.remove(self)
-        else:
-            stack = _thread_stack()
-            if self in stack:
-                stack.remove(self)
+        stack = _thread_stack()
+        if self in stack:
+            stack.remove(self)
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         self.end()
@@ -300,9 +277,6 @@ class _NullSpan:
     request_id = None
     duration_s = None
     is_root = False
-
-    def annotate(self, **fields: Any) -> None:
-        pass
 
     def end(self, **fields: Any) -> None:
         pass
@@ -447,12 +421,10 @@ class Tracer(_BaseTracer):
     def start_trace(
         self,
         request_id: str,
-        name: str = "request",
-        scope: str = "thread",
         t_offset_s: float = 0.0,
         **attrs: Any,
     ) -> Optional[Span]:
-        """Root span for one request, or ``None`` if not sampled."""
+        """Root ``request`` span for one request, or ``None`` if not sampled."""
         if not self.sample(request_id):
             return None
         trace_id = derive_trace_id(request_id)
@@ -462,13 +434,12 @@ class Tracer(_BaseTracer):
         return Span(
             self,
             state,
-            name,
+            "request",
             trace_id,
             derive_span_id(trace_id, "root"),
             None,
             request_id,
             attrs,
-            scope=scope,
             t_offset_s=t_offset_s,
         )
 

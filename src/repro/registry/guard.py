@@ -24,26 +24,28 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["GuardConfig", "RollbackGuard"]
+__all__ = ["GuardConfig", "RollbackGuard", "DIVERGENCE_WINDOW"]
+
+#: Most recent shadow samples whose mean |Δp| is held to the budget.
+DIVERGENCE_WINDOW = 200
 
 
 @dataclass(frozen=True)
 class GuardConfig:
     """Budgets for drift-triggered rollback and shadow quarantine.
 
-    ``drift_window`` / ``drift_min_samples`` and the PSI/KS thresholds
-    parameterise the daemon-owned :class:`~repro.obs.drift.DriftMonitor`
-    (they intentionally default tighter than the offline monitor: a
-    serving rollback should fire within seconds, not after 500 samples).
+    ``drift_window`` / ``drift_min_samples`` parameterise the
+    daemon-owned :class:`~repro.obs.drift.DriftMonitor` (they
+    intentionally default tighter than the offline monitor: a serving
+    rollback should fire within seconds, not after 500 samples); its
+    PSI/KS trip levels are the monitor's own constants.  The divergence
+    window is :data:`DIVERGENCE_WINDOW` samples.
     """
 
     drift_window: int = 200
     drift_min_samples: int = 50
-    psi_threshold: float = 0.25
-    ks_threshold: float = 0.30
     sustained_checks: int = 3
     divergence_budget: float = 0.15
-    divergence_window: int = 200
     divergence_min_samples: int = 20
 
     def __post_init__(self) -> None:
@@ -53,11 +55,10 @@ class GuardConfig:
             raise ValueError("sustained_checks must be >= 1")
         if not 0.0 < self.divergence_budget <= 1.0:
             raise ValueError("divergence_budget must be in (0, 1]")
-        if (
-            self.divergence_window < self.divergence_min_samples
-            or self.divergence_min_samples < 1
-        ):
-            raise ValueError("need divergence_window >= divergence_min_samples >= 1")
+        if not 1 <= self.divergence_min_samples <= DIVERGENCE_WINDOW:
+            raise ValueError(
+                f"need {DIVERGENCE_WINDOW} >= divergence_min_samples >= 1"
+            )
 
 
 class RollbackGuard:
@@ -66,7 +67,7 @@ class RollbackGuard:
     def __init__(self, config: GuardConfig | None = None) -> None:
         self.config = config or GuardConfig()
         self._consecutive_flags = 0
-        self._divergences: deque[float] = deque(maxlen=self.config.divergence_window)
+        self._divergences: deque[float] = deque(maxlen=DIVERGENCE_WINDOW)
 
     # -- production drift ------------------------------------------------
 

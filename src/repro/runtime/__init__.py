@@ -10,9 +10,6 @@ builds, flux-CNN training and classifier training — survivable:
   gradients with a bounded learning-rate-backoff :class:`RetryPolicy`;
 * :mod:`repro.runtime.report` — per-sample quarantine records and the
   :class:`BuildReport` emitted by the dataset builder;
-* :mod:`repro.runtime.retry` — generic bounded retry (attempt budget,
-  exponential backoff, deterministic jitter, overall deadline) behind
-  both the training LR backoff and the serving daemon's worker restarts;
 * :mod:`repro.runtime.faults` — deterministic fault injection used by
   the test-suite (and handy for chaos-testing deployments), including
   the serving-daemon chaos kit (poison batches, wedged workers, slow
@@ -56,7 +53,6 @@ from .faults import (
 )
 from .guards import RetryPolicy, grads_are_finite, loss_is_finite
 from .report import BuildReport, QuarantineRecord
-from .retry import RetryBudgetExceeded, RetrySpec, geometric_value, retry_call
 
 __all__ = [
     "CHECKSUM_KEY",
@@ -95,8 +91,4 @@ __all__ = [
     "BurstSchedule",
     "malformed_bodies",
     "send_slow_request",
-    "RetrySpec",
-    "RetryBudgetExceeded",
-    "retry_call",
-    "geometric_value",
 ]

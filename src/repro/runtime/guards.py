@@ -14,8 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .retry import geometric_value
-
 __all__ = ["RetryPolicy", "loss_is_finite", "grads_are_finite"]
 
 
@@ -39,14 +37,8 @@ class RetryPolicy:
             raise ValueError("lr_backoff must be in (0, 1]")
 
     def next_lr(self, lr: float) -> float:
-        """Learning rate to use after one more divergence recovery.
-
-        One step of the shared geometric-backoff primitive in
-        :mod:`repro.runtime.retry` — the time-domain counterpart
-        (:class:`~repro.runtime.retry.RetrySpec`) drives the serving
-        daemon's worker restarts.
-        """
-        return geometric_value(lr, self.lr_backoff, 1, floor=self.min_lr)
+        """Learning rate to use after one more divergence recovery."""
+        return max(lr * self.lr_backoff, self.min_lr)
 
 
 def loss_is_finite(value: float) -> bool:

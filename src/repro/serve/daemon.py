@@ -36,8 +36,9 @@ Request flow
    owned by whoever runs it.  A scoring pool heals its own wedged
    workers at that deadline.  The watchdog guards the in-process
    scoring thread: a batch older than it is answered 504, the thread
-   abandoned and replaced under :data:`DEFAULT_RESTART_SPEC` without
-   dropping the accept loop.  An exhausted budget drains with exit 4.
+   abandoned and replaced after the next delay of :data:`RESTART_DELAYS_S`
+   without dropping the accept loop.  An exhausted budget drains with
+   exit 4.
 6. **Graceful drain** — SIGTERM/SIGINT (or :meth:`ServingDaemon.drain`)
    stops admission, flushes every in-flight batch, emits a terminal
    ``serve.drained`` audit event and exits 0.
@@ -95,17 +96,15 @@ from ..obs import trace as obs_trace
 from ..obs.drift import DriftMonitor
 from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
-from ..runtime.retry import RetrySpec
 from .engine import DegradedInputError, InferenceEngine, PredictionResult, isolate
 from .pool import PoolBrokenError, PoolConfig, ScoringPool
 
-__all__ = ["DaemonConfig", "ServingDaemon", "DEFAULT_RESTART_SPEC"]
+__all__ = ["DaemonConfig", "ServingDaemon", "RESTART_DELAYS_S"]
 
-#: Restart budget for wedged in-process scoring threads: two
-#: replacements, then the daemon drains with exit code 4.
-DEFAULT_RESTART_SPEC = RetrySpec(
-    max_attempts=3, base_delay_s=0.05, factor=2.0, jitter=0.0
-)
+#: Restart budget for wedged in-process scoring threads, the wait (s)
+#: before each replacement: two replacements, then the daemon drains
+#: with exit code 4.
+RESTART_DELAYS_S = (0.05, 0.1)
 
 #: Batch-size histogram buckets (requests per scored micro-batch).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -787,7 +786,7 @@ class ServingDaemon:
         self._drain_rate: float | None = None
         self._drain_rate_lock = threading.Lock()
         self._restart_lock = threading.RLock()  # re-entered on a spent budget
-        self._restart_delays = DEFAULT_RESTART_SPEC.delays()
+        self._restart_delays = iter(RESTART_DELAYS_S)
         self._budget_spent = False
         self._worker_generation = 0
         self._draining = False
@@ -1251,8 +1250,6 @@ class ServingDaemon:
             engine.drift_baseline,
             window=cfg.drift_window,
             min_samples=cfg.drift_min_samples,
-            psi_threshold=cfg.psi_threshold,
-            ks_threshold=cfg.ks_threshold,
         )
 
     def _sync_with_registry(self) -> None:
@@ -1494,7 +1491,8 @@ class ServingDaemon:
         """Score one batch on the candidate; track divergence vs production."""
         pairs, mjd, primary = item
         try:
-            results = engine.classify_arrays(pairs, mjd, strict=False)
+            # Unaudited: candidate scores are not production traffic.
+            results = engine.score_arrays(pairs, mjd, strict=False, start_index=0)
         except Exception as exc:  # noqa: BLE001 - a crashing candidate is poison
             self.metrics.counter("daemon.shadow_errors").inc()
             self._quarantine_candidate(

@@ -40,7 +40,7 @@ from ..obs import trace as _trace
 from ..obs.drift import DriftBaseline, DriftMonitor
 from ..photometry import GRIZY, signed_log10
 from ..runtime.checkpoint import atomic_write_json
-from .validation import InputDiagnostics, RepairConfig, diagnose_and_repair_batch
+from .validation import InputDiagnostics, diagnose_and_repair_batch
 
 __all__ = ["FluxPrior", "PredictionResult", "DegradedInputError", "InferenceEngine"]
 
@@ -319,6 +319,71 @@ def stream_isolated(
             yield outcome
 
 
+#: Confidence histogram buckets: tenths of the [0, 1] range.
+_CONFIDENCE_BUCKETS = tuple(round(0.1 * k, 1) for k in range(1, 11))
+
+
+def audit_results(
+    session: "obs.TelemetrySession",
+    results: list[PredictionResult],
+    elapsed_s: float,
+) -> None:
+    """Write one ``serve.request`` event per scored sample plus the
+    ``serve.*`` batch metrics; ``elapsed_s`` is the batch's scoring time.
+
+    The one per-sample audit (DESIGN §9): :meth:`InferenceEngine.classify_arrays`
+    calls it in-process and :meth:`~repro.serve.pool.ScoringPool.classify_arrays`
+    in the pool's parent.  Failed placeholders (``error`` set) carry no
+    score and are skipped.  Safe from concurrent threads: the event log
+    and the metrics instruments serialise internally.
+    """
+    served = [result for result in results if result.error is None]
+    n = len(served)
+    if n == 0:
+        return
+    metrics = session.metrics
+    latency_hist = metrics.histogram("serve.latency_s")
+    confidence_hist = metrics.histogram(
+        "serve.confidence", buckets=_CONFIDENCE_BUCKETS
+    )
+    per_sample_s = elapsed_s / n
+    for result in served:
+        latency_hist.observe(per_sample_s)
+        confidence_hist.observe(result.confidence)
+        masked = [
+            band.name for band in GRIZY if band.name not in result.usable_bands
+        ]
+        session.emit(
+            "serve.request",
+            level="warning" if result.degraded else "info",
+            request_id=session.new_request_id(result.index),
+            index=result.index,
+            probability=round(result.probability, 6),
+            degraded=result.degraded,
+            confidence=round(result.confidence, 4),
+            usable_bands=result.usable_bands,
+            masked_bands=masked,
+            n_repaired_visits=sum(1 for d in result.diagnostics if d.repaired),
+            n_rejected_visits=sum(1 for d in result.diagnostics if d.rejected),
+            diagnostics=[d.to_dict() for d in result.diagnostics],
+            flux_feature=(
+                round(result.flux_feature, 6)
+                if np.isfinite(result.flux_feature)
+                else None
+            ),
+            latency_s=round(per_sample_s, 9),
+            latency_bucket=latency_hist.bucket_label(per_sample_s),
+        )
+    metrics.counter("serve.requests").inc(n)
+    metrics.counter("serve.degraded").inc(sum(r.degraded for r in served))
+    metrics.counter("serve.repaired_visits").inc(
+        sum(1 for r in served for d in r.diagnostics if d.repaired)
+    )
+    metrics.counter("serve.rejected_visits").inc(
+        sum(1 for r in served for d in r.diagnostics if d.rejected)
+    )
+
+
 class InferenceEngine:
     """Degradation-tolerant classification over a fitted pipeline.
 
@@ -329,8 +394,6 @@ class InferenceEngine:
     prior:
         Per-band flux prior for imputing masked feature slots; defaults
         to the neutral (no-detection) prior.
-    repair:
-        Validation/repair thresholds (:class:`RepairConfig`).
     strict:
         When True, any degradation raises :class:`DegradedInputError`
         instead of serving a flagged result.  Per-call ``strict``
@@ -353,14 +416,12 @@ class InferenceEngine:
         self,
         pipeline: SupernovaPipeline,
         prior: FluxPrior | None = None,
-        repair: RepairConfig | None = None,
         strict: bool = False,
         drift_baseline: DriftBaseline | None = None,
         fused: bool = True,
     ) -> None:
         self.pipeline = pipeline
         self.prior = prior or FluxPrior.neutral()
-        self.repair = repair or RepairConfig()
         self.strict = strict
         self.fused = bool(fused) and hasattr(pipeline.cnn, "fused_forward")
         self.drift_baseline = drift_baseline
@@ -381,7 +442,6 @@ class InferenceEngine:
     def from_directory(
         cls,
         directory: str,
-        repair: RepairConfig | None = None,
         strict: bool = False,
         fused: bool = True,
     ) -> "InferenceEngine":
@@ -407,7 +467,7 @@ class InferenceEngine:
                     ),
                     model_dir=os.fspath(directory),
                 )
-        return cls(pipeline, prior=prior, repair=repair, strict=strict,
+        return cls(pipeline, prior=prior, strict=strict,
                    drift_baseline=baseline, fused=fused)
 
     def save(self, directory: str) -> None:
@@ -488,10 +548,33 @@ class InferenceEngine:
         Returns one :class:`PredictionResult` per sample; degraded
         samples are flagged, not raised — except in strict mode, where
         the first degradation aborts with :class:`DegradedInputError`.
+        Under a telemetry session every sample is audited
+        (:func:`audit_results`) and fed to the drift monitor.
+        """
+        session = obs.active()
+        if session is None:
+            return self.score_arrays(pairs, mjd, strict, start_index)
+        t_start = time.perf_counter()
+        results = self.score_arrays(pairs, mjd, strict, start_index)
+        audit_results(session, results, time.perf_counter() - t_start)
+        if self.drift_monitor is not None:
+            self._feed_drift(session, results)
+        return results
+
+    def score_arrays(
+        self,
+        pairs: np.ndarray,
+        mjd: np.ndarray,
+        strict: bool | None,
+        start_index: int,
+    ) -> list[PredictionResult]:
+        """:meth:`classify_arrays` without the audit: the same results,
+        but no ``serve.request`` events, ``serve.*`` metrics or drift
+        feed.  A strict rejection still emits ``serve.rejected``.  The
+        daemon scores shadow candidates through this, so their scores
+        never pass for production traffic.
         """
         strict = self.strict if strict is None else strict
-        session = obs.active()
-        t_start = time.perf_counter() if session is not None else 0.0
         pairs, mjd = self._validate_batch(pairs, mjd)
         n, used = pairs.shape[0], self._n_used_visits
         stamp = pairs.shape[-1]
@@ -502,7 +585,7 @@ class InferenceEngine:
             flat_pairs = np.ascontiguousarray(pairs.reshape(n * used, 2, stamp, stamp))
             visit_ids = np.tile(np.arange(used), n)
             repaired_flat, flat_diags, kept = diagnose_and_repair_batch(
-                flat_pairs, visit_ids, self.repair
+                flat_pairs, visit_ids
             )
         mjd_ok = np.isfinite(mjd)
         usable = kept.reshape(n, used) & mjd_ok
@@ -520,6 +603,7 @@ class InferenceEngine:
                 worst = diags[0]
                 index = start_index + i
                 request_id = None
+                session = obs.active()
                 if session is not None:
                     request_id = session.new_request_id(index)
                     session.emit(
@@ -597,73 +681,7 @@ class InferenceEngine:
                     flux_feature=float(flux_feature[i]),
                 )
             )
-        if session is not None:
-            self._audit(session, results, time.perf_counter() - t_start)
         return results
-
-    #: Confidence histogram buckets: tenths of the [0, 1] range.
-    _CONFIDENCE_BUCKETS = tuple(round(0.1 * k, 1) for k in range(1, 11))
-
-    def _audit(
-        self,
-        session: "obs.TelemetrySession",
-        results: list[PredictionResult],
-        elapsed_s: float,
-    ) -> None:
-        """Write one audit event per served sample plus batch metrics.
-
-        Called only with a live telemetry session; safe when the
-        daemon's scoring and shadow threads score concurrently — the
-        event log and the metrics instruments serialise internally, and
-        the drift monitor transition check runs under the engine's own
-        lock.
-        """
-        n = len(results)
-        if n == 0:
-            return
-        metrics = session.metrics
-        latency_hist = metrics.histogram("serve.latency_s")
-        confidence_hist = metrics.histogram(
-            "serve.confidence", buckets=self._CONFIDENCE_BUCKETS
-        )
-        per_sample_s = elapsed_s / n
-        for result in results:
-            latency_hist.observe(per_sample_s)
-            confidence_hist.observe(result.confidence)
-            masked = [
-                band.name for band in GRIZY if band.name not in result.usable_bands
-            ]
-            session.emit(
-                "serve.request",
-                level="warning" if result.degraded else "info",
-                request_id=session.new_request_id(result.index),
-                index=result.index,
-                probability=round(result.probability, 6),
-                degraded=result.degraded,
-                confidence=round(result.confidence, 4),
-                usable_bands=result.usable_bands,
-                masked_bands=masked,
-                n_repaired_visits=sum(1 for d in result.diagnostics if d.repaired),
-                n_rejected_visits=sum(1 for d in result.diagnostics if d.rejected),
-                diagnostics=[d.to_dict() for d in result.diagnostics],
-                flux_feature=(
-                    round(result.flux_feature, 6)
-                    if np.isfinite(result.flux_feature)
-                    else None
-                ),
-                latency_s=round(per_sample_s, 9),
-                latency_bucket=latency_hist.bucket_label(per_sample_s),
-            )
-        metrics.counter("serve.requests").inc(n)
-        metrics.counter("serve.degraded").inc(sum(r.degraded for r in results))
-        metrics.counter("serve.repaired_visits").inc(
-            sum(1 for r in results for d in r.diagnostics if d.repaired)
-        )
-        metrics.counter("serve.rejected_visits").inc(
-            sum(1 for r in results for d in r.diagnostics if d.rejected)
-        )
-        if self.drift_monitor is not None:
-            self._feed_drift(session, results)
 
     def _feed_drift(
         self, session: "obs.TelemetrySession", results: list[PredictionResult]

@@ -28,7 +28,7 @@ scatters micro-batches onto them:
   on its batch or shard, so pool output is bit-identical to the
   full-batch single-process path for any worker count.
 * **Crash isolation.**  A worker dying mid-shard (OOM-killed, SIGKILL)
-  is respawned under the :data:`DEFAULT_RESPAWN_SPEC` budget and its
+  is respawned after the next delay of :data:`RESPAWN_DELAYS_S` and its
   shard is re-scored sample by sample through
   :func:`~repro.serve.engine.isolate`; a sample that kills the
   replacement too comes back as a flagged
@@ -67,12 +67,13 @@ from multiprocessing import connection, shared_memory
 
 import numpy as np
 
+from .. import obs
 from ..nn.threads import blas_env_settings, blas_thread_plan, pinned_blas_env
 from ..obs import trace as obs_trace
-from ..runtime.retry import RetrySpec
 from .engine import (
     InferenceEngine,
     PredictionResult,
+    audit_results,
     check_batch_shape,
     isolate,
     stream_isolated,
@@ -84,17 +85,16 @@ __all__ = [
     "PoolBrokenError",
     "WorkerCrashError",
     "ScoringPool",
-    "DEFAULT_RESPAWN_SPEC",
+    "RESPAWN_DELAYS_S",
     "RESPAWN_RESET_S",
     "SLOT_BYTES",
 ]
 
-#: Worker-respawn budget: generous enough to heal a poison batch (one
-#: group crash plus the culprit's single-sample crash) a few times over,
-#: bounded so a worker that dies on every batch cannot flap forever.
-DEFAULT_RESPAWN_SPEC = RetrySpec(
-    max_attempts=8, base_delay_s=0.05, factor=1.5, max_delay_s=1.0, jitter=0.0
-)
+#: Worker-respawn budget, the wait (s) before each respawn: seven
+#: respawns, generous enough to heal a poison batch (one group crash
+#: plus the culprit's single-sample crash) a few times over, bounded so
+#: a worker that dies on every batch cannot flap forever.
+RESPAWN_DELAYS_S = tuple(0.05 * 1.5**k for k in range(7))
 
 #: A crash-free period this long replenishes the respawn budget, so the
 #: budget bounds flapping rather than total lifetime crashes.
@@ -133,7 +133,7 @@ class PoolConfig:
     Each of the ``workers`` processes gets ``max(1, cores // workers)``
     BLAS threads, and the shm ring holds one slot of :data:`SLOT_BYTES`
     per worker.
-    The respawn budget is :data:`DEFAULT_RESPAWN_SPEC`.
+    The respawn budget is :data:`RESPAWN_DELAYS_S`.
     """
 
     workers: int = 2
@@ -401,7 +401,7 @@ class ScoringPool:
         self._shm: shared_memory.SharedMemory | None = None
         self._slot_bytes = SLOT_BYTES
         self._blas_threads = blas_thread_plan(self.config.workers)
-        self._respawn_delays = DEFAULT_RESPAWN_SPEC.delays()
+        self._respawn_delays = iter(RESPAWN_DELAYS_S)
         self._last_crash_at: float | None = None
         self._started_at: float | None = None
         self._started = False
@@ -606,13 +606,13 @@ class ScoringPool:
         ):
             # A sustained healthy period replenishes the budget: it
             # bounds flapping, not total crashes over a long uptime.
-            self._respawn_delays = DEFAULT_RESPAWN_SPEC.delays()
+            self._respawn_delays = iter(RESPAWN_DELAYS_S)
         self._last_crash_at = now
         delay = next(self._respawn_delays, None)
         if delay is None:
             self._broken = (
                 f"worker {worker.id} died and the respawn budget "
-                f"({DEFAULT_RESPAWN_SPEC.max_attempts - 1} respawns) is exhausted"
+                f"({len(RESPAWN_DELAYS_S)} respawns) is exhausted"
             )
             raise PoolBrokenError(self._broken)
         time.sleep(delay)
@@ -648,8 +648,12 @@ class ScoringPool:
         on the whole batch, scoring exceptions (strict degradation,
         malformed batches) re-raise with the same types, and a worker
         crash is healed internally (respawn + per-sample re-score) with
-        only repeat offenders flagged as failed placeholders.
+        only repeat offenders flagged as failed placeholders.  Workers
+        run no telemetry session, so under one the parent audits the
+        scored samples (:func:`~repro.serve.engine.audit_results`).
         """
+        session = obs.active()
+        t_start = time.perf_counter() if session is not None else 0.0
         # The engine's batch-level checks the shm layout depends on,
         # before any bytes move.
         pairs_arr, mjd_arr = check_batch_shape(pairs, mjd)
@@ -690,6 +694,8 @@ class ScoringPool:
                                        start_index)
         self._tasks += 1
         self._samples += n
+        if session is not None:
+            audit_results(session, results, time.perf_counter() - t_start)
         return results
 
     def _plan_shards(self, n: int) -> list[tuple[int, int]]:
@@ -826,7 +832,7 @@ class ScoringPool:
 
         The shards settle as crashes, so :meth:`_settle` heals them
         through the exact path a SIGKILLed worker takes: respawn under
-        the retry budget, per-sample re-score, repeat offenders flagged.
+        the respawn budget, per-sample re-score, repeat offenders flagged.
         """
         for shard in list(pending.values()):
             worker = shard.worker

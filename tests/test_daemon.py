@@ -465,7 +465,7 @@ class TestWatchdog:
                 wedge.release()
 
     def test_restart_budget_exhaustion_drains_with_exit_4(self, engine, sample):
-        """Three wedges spend DEFAULT_RESTART_SPEC: two restarts, then exit 4."""
+        """Three wedges spend RESTART_DELAYS_S: two restarts, then exit 4."""
         pairs, mjd = sample
         wedge = WedgeBatch({0, 1, 2})
         config = DaemonConfig(batch_deadline_ms=2.0, wedge_timeout_s=0.3)

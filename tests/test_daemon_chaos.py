@@ -223,7 +223,7 @@ class TestPoolWorkerKill:
 
         The multi-process analogue of the poison-batch tests: a scoring
         worker dies with requests in flight, the pool detects the dead
-        sentinel, respawns the worker under its RetrySpec budget and
+        sentinel, respawns the worker under its respawn budget and
         re-scores the culprit group per sample — so conservation
         (``sent == 200 + 429 + 504 + 5xx``) must hold exactly as it
         does for a single-process daemon, and the daemon must still

@@ -19,7 +19,7 @@ The serving contract pinned here:
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, obs
 from repro.core.features import _as_float, features_from_arrays
 from repro.core.flux_cnn import MAG_CENTER, MAG_SCALE, BandwiseCNN, PerBandCNNEnsemble
 from repro.nn import functional as F
@@ -297,9 +297,15 @@ class TestWorkspaceCache:
         assert total["bytes"] >= local["bytes"] > 0
         assert 0.0 <= total["hit_rate"] <= 1.0
 
-    def test_metrics_source_matches_total_stats_contract(self, cnn):
+    def test_metrics_source_matches_total_stats_contract(self, cnn, tmp_path):
+        """A telemetry session exports nn.workspace_total_stats as its
+        ``nn.workspace`` metrics source."""
         cnn.fused_forward(_pairs(4, np.random.default_rng(13)))
-        sourced = nn.workspace_metrics_source()
+        session = obs.start(tmp_path)
+        try:
+            sourced = session.metrics.snapshot()["sources"]["nn.workspace"]
+        finally:
+            obs.stop()
         assert set(sourced) == {
             "hits", "misses", "evictions", "entries",
             "bytes", "threads", "hit_rate",

@@ -95,15 +95,6 @@ class TestEventLog:
         assert record["seq"] == 1  # header beats caller
         assert validate_event(record) == []
 
-    def test_min_level_filters_without_writing(self):
-        sink = io.StringIO()
-        log = EventLog(sink, min_level="warning")
-        assert log.emit("noise.debug", level="debug", run_id="r") == {}
-        assert log.emit("noise.info", level="info", run_id="r") == {}
-        record = log.emit("alarm", level="error", run_id="r")
-        assert record["seq"] == 1  # filtered events consume no sequence numbers
-        assert sink.getvalue().count("\n") == 1
-
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / EVENTS_FILE
         path.write_text('{"schema": 1, "seq": 1}\n{oops\n')

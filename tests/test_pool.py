@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs.log import EVENTS_FILE
 from repro.nn import cpu_count
 from repro.runtime.errors import CorruptArtifactError, TrainingDiverged
 from repro.runtime.faults import (
@@ -34,7 +35,6 @@ from repro.runtime.faults import (
     RaiseWorkerOnMarker,
     WedgeWorkerOnMarker,
 )
-from repro.runtime.retry import RetrySpec
 from repro.serve import pool as pool_module
 from repro.serve import (
     DegradedInputError,
@@ -393,10 +393,7 @@ class TestPoolCrash:
         pairs, mjd = batch
         marked = pairs.copy()
         marked[:, 0, 0, 0, 0] = MARKER  # every sample is poison
-        monkeypatch.setattr(
-            pool_module, "DEFAULT_RESPAWN_SPEC",
-            RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
-        )
+        monkeypatch.setattr(pool_module, "RESPAWN_DELAYS_S", (0.01,))
         with ScoringPool(
             engine=engine,
             config=PoolConfig(workers=2),
@@ -460,20 +457,58 @@ class TestPoolStream:
         assert [r.index for r in got] == list(range(len(pairs)))
         assert_bit_exact(got, want)
 
-    def test_stream_contains_chunk_failures(self, engine, batch):
+    @pytest.mark.obs
+    def test_stream_audits_every_sample_like_the_engine(
+        self, shared_pool, engine, batch, tmp_path
+    ):
+        """Workers run no telemetry session: the pool's parent writes one
+        ``serve.request`` per sample, the same audit as ``engine.stream``."""
+        pairs, mjd = batch
+        dataset = _ArrayDataset(pairs, mjd)
+
+        def audit(directory, scorer):
+            obs.start(directory, run_id="run-audit")
+            try:
+                list(scorer.stream(dataset, batch_size=6))
+            finally:
+                counters = obs.stop()["counters"]
+            assert counters["serve.requests"] == len(pairs)
+            return [
+                (r["index"], r["request_id"], r["probability"])
+                for r in obs.read_events(directory / EVENTS_FILE)
+                if r["event"] == "serve.request"
+            ]
+
+        want = audit(tmp_path / "engine", engine)
+        got = audit(tmp_path / "pool", shared_pool)
+        assert len(got) == len(pairs)
+        assert sorted(got) == sorted(want)
+        assert len({request_id for _, request_id, _ in got}) == len(pairs)
+
+    def test_stream_contains_chunk_failures(self, engine, batch, tmp_path):
         pairs, mjd = batch
         marked = pairs.copy()
         marked[3, 0, 0, 0, 0] = MARKER
         dataset = _ArrayDataset(marked, mjd)
-        with ScoringPool(
-            engine=engine,
-            config=PoolConfig(workers=2),
-            worker_init=CrashWorkerOnMarker(MARKER, min_batch=1),
-        ) as pool:
-            got = list(pool.stream(dataset, batch_size=3))
+        obs.start(tmp_path)
+        try:
+            with ScoringPool(
+                engine=engine,
+                config=PoolConfig(workers=2),
+                worker_init=CrashWorkerOnMarker(MARKER, min_batch=1),
+            ) as pool:
+                got = list(pool.stream(dataset, batch_size=3))
+        finally:
+            obs.stop()
         assert len(got) == len(pairs)
         assert got[3].error is not None
         assert all(r.error is None for i, r in enumerate(got) if i != 3)
+        # The failed placeholder carries no score, so it is not audited.
+        audited = [
+            r["index"] for r in obs.read_events(tmp_path / EVENTS_FILE)
+            if r["event"] == "serve.request"
+        ]
+        assert sorted(audited) == [i for i in range(len(pairs)) if i != 3]
 
     def test_stream_counts_a_raising_chunk_like_the_engine(
         self, engine, batch, tmp_path
@@ -495,6 +530,7 @@ class TestPoolStream:
         finally:
             counters = obs.stop()["counters"]
         assert counters["serve.batch_failures"] == 1
+        assert counters["serve.requests"] == len(pairs) - 1
         # Chunks are batch_size x workers = 6 samples; the first one
         # failed and was re-scored per sample.
         assert [r.error is not None for r in got] == [i == 3 for i in range(len(got))]
@@ -587,10 +623,7 @@ class TestPoolWedge:
     ):
         """The budget bounds flapping, not lifetime crashes over weeks."""
         pairs, mjd = batch
-        monkeypatch.setattr(
-            pool_module, "DEFAULT_RESPAWN_SPEC",
-            RetrySpec(max_attempts=2, base_delay_s=0.01, jitter=0.0),
-        )
+        monkeypatch.setattr(pool_module, "RESPAWN_DELAYS_S", (0.01,))
         monkeypatch.setattr(pool_module, "RESPAWN_RESET_S", 0.2)
         with ScoringPool(engine=engine, config=PoolConfig(workers=2)) as pool:
             # Three isolated crashes, each fully healed, each separated

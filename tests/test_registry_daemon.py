@@ -426,6 +426,41 @@ class TestShadowScoring:
             assert stats["divergence_mean"] == 0.0
 
 
+    def test_shadow_scores_are_not_audited_as_production(
+        self, two_version_registry, tmp_path
+    ):
+        """N production requests under an active shadow leave exactly N
+        ``serve.request`` events with N distinct ids: the candidate's
+        scores are not production traffic."""
+        registry = two_version_registry
+        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
+        telemetry = tmp_path / "telemetry"
+        n_requests = 3
+        obs.start(telemetry, run_id="run-shadow-audit")
+        try:
+            with running_registry_daemon(registry, config) as daemon:
+                pairs, mjd = make_serve_sample(daemon.engine, seed=5)
+                body = classify_body(pairs, mjd)
+                registry.shadow("v2")
+                _wait_for(lambda: daemon._shadow_version == "v2")
+                for _ in range(n_requests):
+                    assert post_classify(daemon.port, body)[0] == 200
+                _wait_for(
+                    lambda: int(daemon.metrics.counter("shadow.scored").value)
+                    == n_requests
+                )
+        finally:
+            counters = obs.stop()["counters"]
+        audited = [
+            record["request_id"]
+            for record in read_events(telemetry / EVENTS_FILE)
+            if record["event"] == "serve.request"
+        ]
+        assert len(audited) == n_requests
+        assert len(set(audited)) == n_requests
+        assert counters["serve.requests"] == n_requests
+
+
 class TestAutomaticRollback:
     def test_poisoned_promote_rolls_back_under_load(self, tmp_path):
         """The acceptance-criteria chaos drill, end to end.

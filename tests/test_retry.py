@@ -1,144 +1,98 @@
-"""runtime.retry: bounded attempts, backoff shape, determinism, deadline."""
+"""Bounded retry budgets: the training LR backoff and the two delay tuples."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.runtime import RetryBudgetExceeded, RetrySpec, geometric_value, retry_call
+from repro import nn
+from repro.core import LightCurveClassifier
+from repro.core.training import TrainConfig, fit
+from repro.nn.tensor import Tensor
+from repro.runtime import NanBatchFault, TrainingDiverged
 from repro.runtime.guards import RetryPolicy
+from repro.serve.daemon import RESTART_DELAYS_S
+from repro.serve.pool import RESPAWN_DELAYS_S
 
 
 class TestGeometricValue:
+    """Geometric backoff: RetryPolicy's LR decay and the delays' growth."""
+
     def test_growth_and_decay(self):
-        assert geometric_value(0.05, 2.0, 0) == 0.05
-        assert geometric_value(0.05, 2.0, 3) == 0.4
-        assert geometric_value(0.1, 0.5, 2) == pytest.approx(0.025)
+        # Decay: each recovery multiplies the learning rate by lr_backoff.
+        policy = RetryPolicy(lr_backoff=0.5, min_lr=1e-9)
+        assert policy.next_lr(1e-3) == 5e-4
+        assert policy.next_lr(policy.next_lr(0.1)) == pytest.approx(0.025)
+        # Growth: the daemon's restart waits double, the pool's respawn
+        # waits grow by 1.5 per respawn.
+        assert RESTART_DELAYS_S[1] == 2 * RESTART_DELAYS_S[0]
+        for earlier, later in zip(RESPAWN_DELAYS_S, RESPAWN_DELAYS_S[1:]):
+            assert later == pytest.approx(1.5 * earlier)
 
     def test_floor_clamps(self):
-        assert geometric_value(1e-3, 0.1, 5, floor=1e-6) == 1e-6
+        policy = RetryPolicy(lr_backoff=0.1, min_lr=1e-6)
+        assert policy.next_lr(1e-3) == pytest.approx(1e-4)
+        assert policy.next_lr(5e-6) == 1e-6
+        assert policy.next_lr(1e-6) == 1e-6
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
-            geometric_value(1.0, 2.0, -1)
+            RetryPolicy(max_retries=-1)
 
     def test_backs_the_training_lr_backoff(self):
-        """guards.RetryPolicy.next_lr is one step of the same formula."""
+        """RetryPolicy.next_lr is one backoff step, floored at min_lr."""
         policy = RetryPolicy(max_retries=3, lr_backoff=0.5, min_lr=1e-5)
-        assert policy.next_lr(1e-3) == geometric_value(1e-3, 0.5, 1, floor=1e-5)
+        assert policy.next_lr(1e-3) == max(1e-3 * 0.5, 1e-5)
         assert policy.next_lr(1.5e-5) == 1e-5  # floored
 
 
 class TestRetrySpec:
+    """The budgets themselves: RetryPolicy's bounds and the two tuples."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_attempts": 0},
-            {"base_delay_s": -0.1},
-            {"factor": 0.5},
-            {"jitter": 1.0},
-            {"jitter": -0.1},
-            {"deadline_s": 0.0},
+            {"max_retries": -2},
+            {"lr_backoff": 0.0},
+            {"lr_backoff": -0.5},
+            {"lr_backoff": 1.5},
+            {"lr_backoff": math.inf},
+            {"lr_backoff": math.nan},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            RetrySpec(**kwargs)
+            RetryPolicy(**kwargs)
 
     def test_delays_shape_without_jitter(self):
-        spec = RetrySpec(max_attempts=4, base_delay_s=0.05, factor=2.0, jitter=0.0)
-        assert list(spec.delays()) == [0.05, 0.1, 0.2]
+        assert RESTART_DELAYS_S == (0.05, 0.1)
+        assert RESPAWN_DELAYS_S == tuple(0.05 * 1.5**k for k in range(7))
+        assert len(RESPAWN_DELAYS_S) == 7
 
     def test_max_delay_caps_growth(self):
-        spec = RetrySpec(
-            max_attempts=6, base_delay_s=1.0, factor=10.0, max_delay_s=5.0, jitter=0.0
-        )
-        assert list(spec.delays()) == [1.0, 5.0, 5.0, 5.0, 5.0]
+        # The pool's respawn waits stay under a second, so a full budget
+        # of respawns costs under two seconds of sleeping.
+        assert max(RESPAWN_DELAYS_S) < 1.0
+        assert sum(RESPAWN_DELAYS_S) < 2.0
+        assert max(RESTART_DELAYS_S) < 1.0
 
     def test_single_attempt_means_no_retries(self):
-        assert list(RetrySpec(max_attempts=1).delays()) == []
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        spec = RetrySpec(max_attempts=5, base_delay_s=0.1, jitter=0.25, seed=7)
-        first = list(spec.delays())
-        again = list(RetrySpec(max_attempts=5, base_delay_s=0.1, jitter=0.25, seed=7).delays())
-        assert first == again  # pure function of the spec
-        for delay, nominal in zip(first, [0.1, 0.2, 0.4, 0.8]):
-            assert nominal * 0.75 <= delay <= nominal * 1.25
-        different_seed = list(
-            RetrySpec(max_attempts=5, base_delay_s=0.1, jitter=0.25, seed=8).delays()
+        """max_retries=0: the first divergence is fatal, nothing is retried."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(32, 10)).astype(np.float32)
+        y = (rng.random(32) > 0.5).astype(np.float32)
+        model = LightCurveClassifier(
+            input_dim=10, units=8, rng=np.random.default_rng(7)
         )
-        assert first != different_seed
+        bce = nn.BCEWithLogitsLoss()
 
+        def loss_fn(module, inputs, target):
+            return bce(module(Tensor(inputs[0])), target)
 
-class TestRetryCall:
-    def test_first_try_success_sleeps_never(self):
-        sleeps = []
-        assert retry_call(lambda: 42, RetrySpec(), sleep=sleeps.append) == 42
-        assert sleeps == []
-
-    def test_retries_then_succeeds(self):
-        sleeps, retries = [], []
-        attempts = iter([RuntimeError("a"), RuntimeError("b"), "ok"])
-
-        def flaky():
-            outcome = next(attempts)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        result = retry_call(
-            flaky,
-            RetrySpec(max_attempts=3, base_delay_s=0.05, factor=2.0, jitter=0.0),
-            on_retry=lambda attempt, exc, delay: retries.append((attempt, str(exc), delay)),
-            sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert sleeps == [0.05, 0.1]
-        assert retries == [(1, "a", 0.05), (2, "b", 0.1)]
-
-    def test_budget_exhaustion_chains_last_failure(self):
-        def always_fails():
-            raise KeyError("nope")
-
-        with pytest.raises(RetryBudgetExceeded) as excinfo:
-            retry_call(
-                always_fails,
-                RetrySpec(max_attempts=3, jitter=0.0),
-                sleep=lambda _: None,
+        with pytest.raises(TrainingDiverged) as excinfo:
+            fit(
+                model, [x], y, NanBatchFault(loss_fn, "all"),
+                TrainConfig(epochs=2, batch_size=16, seed=0),
+                retry_policy=RetryPolicy(max_retries=0),
             )
-        assert excinfo.value.attempts == 3
-        assert isinstance(excinfo.value.__cause__, KeyError)
-
-    def test_non_matching_exception_propagates_immediately(self):
-        calls = []
-
-        def wrong_kind():
-            calls.append(1)
-            raise TypeError("not retryable")
-
-        with pytest.raises(TypeError):
-            retry_call(
-                wrong_kind,
-                RetrySpec(max_attempts=5),
-                retry_on=(ValueError,),
-                sleep=lambda _: None,
-            )
-        assert len(calls) == 1
-
-    def test_deadline_bounds_the_loop(self):
-        clock = iter([0.0, 0.9, 1.9, 2.9]).__next__
-
-        def always_fails():
-            raise ValueError("still broken")
-
-        with pytest.raises(RetryBudgetExceeded) as excinfo:
-            retry_call(
-                always_fails,
-                RetrySpec(
-                    max_attempts=10, base_delay_s=1.0, factor=1.0,
-                    jitter=0.0, deadline_s=2.5,
-                ),
-                sleep=lambda _: None,
-                clock=clock,
-            )
-        # Attempt 3 would need to wait until t=2.9 > 2.5: budget refused.
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert excinfo.value.attempts == 0

@@ -5,6 +5,7 @@ configurable latency buckets, pool stats)."""
 
 import json
 import os
+import threading
 import time
 from collections import Counter
 
@@ -123,6 +124,51 @@ class TestSpans:
         with obs.span("nested", n_samples=3) as s:
             assert s is NULL_SPAN
         assert obs.active() is None and trace_mod.tracer() is None
+
+    def test_ambient_span_is_thread_local(self, tmp_path):
+        """A span open on one thread never parents a span on another:
+        the daemon's handler and scoring threads each trace their own
+        requests."""
+        session = obs.start(tmp_path, run_id="t", trace="always")
+        tracer = session.tracer
+        seen = {}
+
+        def other_thread(key, opened, release):
+            seen[key] = trace_mod.current_span()
+            with trace_mod.span("stage.other") as other:
+                seen[key + ".span"] = other
+            if opened is not None:
+                # Hold a sampled root open while the main thread looks.
+                with tracer.start_trace("t/r1"):
+                    opened.set()
+                    release.wait(10.0)
+
+        try:
+            with tracer.start_trace("t/r0") as root:
+                assert trace_mod.current_span() is root
+                worker = threading.Thread(target=other_thread, args=("a", None, None))
+                worker.start()
+                worker.join()
+            opened, release = threading.Event(), threading.Event()
+            worker = threading.Thread(
+                target=other_thread, args=("b", opened, release)
+            )
+            worker.start()
+            assert opened.wait(10.0)
+            try:
+                assert trace_mod.current_span() is None
+                with trace_mod.span("stage.main") as main_span:
+                    assert not main_span  # unsampled: no ambient parent
+            finally:
+                release.set()
+                worker.join()
+        finally:
+            obs.stop()
+        assert seen["a"] is None and seen["b"] is None
+        assert not seen["a.span"] and not seen["b.span"]
+        # Only the two roots were emitted; no stage joined either trace.
+        names = sorted(event["name"] for event in _span_events(tmp_path))
+        assert names == ["request", "request"]
 
     def test_ambient_nesting_and_emission(self, tmp_path):
         session = obs.start(tmp_path, run_id="t", trace="always")
