@@ -597,7 +597,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 ScoringPool(
                     model_source=args.model,
                     config=PoolConfig(workers=args.workers),
-                    engine_kwargs={"strict": args.strict},
                 )
             )
         # Opened only once the scorer is up: a model that fails to load

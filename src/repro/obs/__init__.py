@@ -3,9 +3,9 @@
 Every layer of the system reports through this package when (and only
 when) a telemetry session is active:
 
-* :mod:`repro.obs.log` — schema-versioned JSONL event records with a
-  process-wide + thread-local context stack stamping ``run_id`` /
-  ``request_id`` onto every line;
+* :mod:`repro.obs.log` — schema-versioned JSONL event records, each
+  stamped with the session's ``run_id`` and, for served samples, a
+  ``request_id``;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with JSON snapshots and Prometheus text exposition, plus
   pluggable sources (the conv workspace cache registers as one);
@@ -41,8 +41,6 @@ from .log import (
     LEVELS,
     SCHEMA_VERSION,
     EventLog,
-    context,
-    current_context,
     read_events,
 )
 from .metrics import (
@@ -78,8 +76,6 @@ __all__ = [
     "METRICS_FILE",
     "BASELINE_FILE",
     "EventLog",
-    "context",
-    "current_context",
     "read_events",
     "validate_event",
     "validate_file",

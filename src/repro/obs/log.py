@@ -1,19 +1,11 @@
-"""Structured JSONL event logging with a process-wide context stack.
+"""Structured JSONL event logging.
 
 Every subsystem reports through one funnel: an :class:`EventLog` writes
 schema-versioned JSON records (one per line) to ``events.jsonl`` inside
-a telemetry directory, and a *context stack* stamps each record with
-whatever identifies the work in flight — a ``run_id`` for builds and
-training runs, a ``request_id`` for served samples.
-
-The stack has two layers:
-
-* a **process-wide** layer (:func:`push_context` with ``scope="process"``)
-  holding identifiers every thread should inherit — the CLI pushes the
-  session ``run_id`` here so serving worker threads stamp it too;
-* a **thread-local** layer (the default) for nested, short-lived scopes
-  — a batch index, an epoch number — which unwinds with the ``with``
-  block that pushed it.
+a telemetry directory.  Identifiers are ordinary fields: the telemetry
+session stamps its ``run_id`` on every record it emits
+(:meth:`repro.obs.session.TelemetrySession.emit`), and serving code
+passes a ``request_id`` for each served sample.
 
 Records look like::
 
@@ -24,7 +16,7 @@ Records look like::
 ``schema`` is :data:`SCHEMA_VERSION` and bumps on any breaking change to
 the required fields; :mod:`repro.obs.schema` validates records against
 it.  Writing is serialised under a lock, so one log is safe to share
-across the serving thread pool; ``seq`` is a per-log monotonic counter
+across the daemon's threads; ``seq`` is a per-log monotonic counter
 that makes the interleaved stream totally ordered even when two events
 land in the same clock tick.
 """
@@ -43,8 +35,6 @@ __all__ = [
     "LEVELS",
     "EVENTS_FILE",
     "EventLog",
-    "context",
-    "current_context",
     "read_events",
 ]
 
@@ -58,68 +48,6 @@ LEVELS = ("debug", "info", "warning", "error")
 
 #: File name of the event stream inside a telemetry directory.
 EVENTS_FILE = "events.jsonl"
-
-# Context stack: one process-wide list shared by all threads plus a
-# thread-local overlay.  Both hold plain dicts of stamped fields.
-_PROCESS_STACK: list[dict[str, Any]] = []
-_PROCESS_LOCK = threading.Lock()
-_THREAD = threading.local()
-
-
-def _thread_stack() -> list[dict[str, Any]]:
-    stack = getattr(_THREAD, "stack", None)
-    if stack is None:
-        stack = _THREAD.stack = []
-    return stack
-
-
-def current_context() -> dict[str, Any]:
-    """Merged view of the context stack (process layer first, thread on top)."""
-    merged: dict[str, Any] = {}
-    with _PROCESS_LOCK:
-        for frame in _PROCESS_STACK:
-            merged.update(frame)
-    for frame in _thread_stack():
-        merged.update(frame)
-    return merged
-
-
-class context:
-    """Context manager pushing fields onto the context stack.
-
-    ``scope="thread"`` (default) pushes onto the calling thread's stack;
-    ``scope="process"`` pushes onto the process-wide layer every thread
-    inherits.  Frames unwind in LIFO order on exit, so nesting works::
-
-        with obs.context(run_id=run_id, scope="process"):
-            with obs.context(epoch=3):
-                log.emit("train.epoch", ...)   # carries run_id AND epoch
-    """
-
-    def __init__(self, scope: str = "thread", **fields: Any) -> None:
-        if scope not in ("thread", "process"):
-            raise ValueError(f"scope must be 'thread' or 'process', got {scope!r}")
-        self.scope = scope
-        self.fields = dict(fields)
-
-    def __enter__(self) -> "context":
-        if self.scope == "process":
-            with _PROCESS_LOCK:
-                _PROCESS_STACK.append(self.fields)
-        else:
-            _thread_stack().append(self.fields)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.scope == "process":
-            with _PROCESS_LOCK:
-                if self.fields in _PROCESS_STACK:
-                    _PROCESS_STACK.remove(self.fields)
-        else:
-            stack = _thread_stack()
-            if self.fields in stack:
-                stack.remove(self.fields)
-
 
 def _jsonable(value: Any) -> Any:
     """Coerce numpy scalars / arrays / paths into JSON-native values."""
@@ -169,16 +97,14 @@ class EventLog:
         """Write one structured record; returns it (``{}`` once closed).
 
         The record carries the schema version, a wall-clock timestamp, a
-        per-log sequence number, the merged context stack, and the
-        caller's fields.  Caller fields win over context fields of the
-        same name; the reserved header fields always win over both.
+        per-log sequence number and the caller's fields; the reserved
+        header fields win over caller fields of the same name.
         """
         if not event:
             raise ValueError("event name must be non-empty")
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
-        record: dict[str, Any] = dict(current_context())
-        record.update({str(k): _jsonable(v) for k, v in fields.items()})
+        record: dict[str, Any] = {str(k): _jsonable(v) for k, v in fields.items()}
         if message is not None:
             record["message"] = str(message)
         with self._lock:

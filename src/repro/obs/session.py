@@ -18,8 +18,8 @@ inside :func:`repro.obs.span`.  Instrumented code does::
 * ``events.jsonl`` — the structured event stream (:mod:`repro.obs.log`);
 * ``metrics.json`` — the registry snapshot, written on :func:`stop`;
 
-pushes the session's ``run_id`` onto the *process-wide* context layer so
-every thread stamps it, and installs the session's
+stamps the session's ``run_id`` on every event it emits, from any
+thread, and installs the session's
 :class:`~repro.obs.trace.Tracer`, so every span feeds a
 ``trace.<name>_s`` histogram and one ``repro metrics`` report covers
 events, counters, gauges and stage timings.
@@ -37,7 +37,7 @@ import threading
 import time
 
 from . import trace as trace_mod
-from .log import EVENTS_FILE, EventLog, context
+from .log import EVENTS_FILE, EventLog
 from .metrics import METRICS_FILE, MetricsRegistry
 
 __all__ = ["TelemetrySession", "start", "stop", "active", "new_id"]
@@ -70,7 +70,6 @@ class TelemetrySession:
         self.log = EventLog(os.path.join(self.directory, EVENTS_FILE))
         self.metrics = MetricsRegistry()
         self.tracer = None  # installed by start()
-        self._context = context(scope="process", run_id=self.run_id)
         self._request_counter = 0
         self._counter_lock = threading.Lock()
         self._started = time.time()
@@ -81,8 +80,12 @@ class TelemetrySession:
     # ------------------------------------------------------------------
     def emit(self, event: str, level: str = "info", message: str | None = None,
              **fields: object) -> dict:
-        """Emit one structured event through the session log."""
-        return self.log.emit(event, level=level, message=message, **fields)
+        """Emit one structured event through the session log, stamped
+        with this session's ``run_id`` (a caller's ``run_id`` wins)."""
+        return self.log.emit(
+            event, level=level, message=message,
+            **{"run_id": self.run_id, **fields},
+        )
 
     def new_request_id(self, index: int | None = None) -> str:
         """Mint a request identifier scoped under this session's run.
@@ -102,7 +105,6 @@ class TelemetrySession:
     # Lifecycle
     # ------------------------------------------------------------------
     def _open(self, **start_fields: object) -> None:
-        self._context.__enter__()
         self.emit("session.start", directory=self.directory, **start_fields)
 
     def close(self, status: str = "ok", **end_fields: object) -> dict:
@@ -123,7 +125,6 @@ class TelemetrySession:
         )
         snapshot = self.metrics.write(os.path.join(self.directory, METRICS_FILE))
         self.log.close()
-        self._context.__exit__(None, None, None)
         return snapshot
 
 

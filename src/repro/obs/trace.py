@@ -17,11 +17,11 @@ two modes:
 Sampled spans carry ``trace_id`` / ``span_id`` / ``parent_id`` and form
 a tree per request; trace ids derive deterministically from the request
 id (``<run_id>/r<index>``) so a request can be correlated across
-processes and across re-runs.  Design mirrors :mod:`repro.obs.log`:
+processes and across re-runs.  In outline:
 
 - a *span-context stack* supplies the ambient parent for nested spans;
-  unlike the event-context stack it is thread-local only, so a span
-  open on one thread never parents a span started on another;
+  it is thread-local, so a span open on one thread never parents a
+  span started on another;
 - sampling is decided once per trace: ``always``, deterministic
   ``rate:F`` (hash of the request id), or ``slow:MS`` (buffer the span
   tree, emit only if the root exceeds the threshold — the slow-request

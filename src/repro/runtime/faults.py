@@ -197,7 +197,7 @@ class CrashWorkerOnMarker:
         inner = engine.classify_arrays
         marker, min_batch = self.marker, self.min_batch
 
-        def classify_arrays(pairs, mjd, strict=None, start_index=0):
+        def classify_arrays(pairs, mjd, strict=False, start_index=0):
             arr = np.asarray(pairs)
             if (
                 arr.ndim == 5
@@ -236,7 +236,7 @@ class WedgeWorkerOnMarker:
         inner = engine.classify_arrays
         marker, min_batch, hang_s = self.marker, self.min_batch, self.hang_s
 
-        def classify_arrays(pairs, mjd, strict=None, start_index=0):
+        def classify_arrays(pairs, mjd, strict=False, start_index=0):
             arr = np.asarray(pairs)
             if (
                 arr.ndim == 5
@@ -270,7 +270,7 @@ class RaiseWorkerOnMarker:
         inner = engine.classify_arrays
         marker, factory = self.marker, self.factory
 
-        def classify_arrays(pairs, mjd, strict=None, start_index=0):
+        def classify_arrays(pairs, mjd, strict=False, start_index=0):
             arr = np.asarray(pairs)
             if arr.ndim == 5 and np.any(arr[:, 0, 0, 0, 0] == marker):
                 raise factory()

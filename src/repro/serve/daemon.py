@@ -17,7 +17,8 @@ Request flow
 2. **Micro-batching** — a scoring worker coalesces queued requests into
    adaptive batches: it waits at most ``batch_deadline_ms`` from the
    oldest queued request, caps batches at ``batch_max_size``, and groups
-   by (shape, strict) so one engine call serves the lot.  Scoring goes
+   runs of consecutive requests with the same (shape, strict) so one
+   engine call serves each run.  Scoring goes
    through :meth:`InferenceEngine.classify_arrays` — the same path as
    ``repro classify`` — and a sample's score does not depend on its
    micro-batch, so responses carry the batch CLI's values exactly.
@@ -96,7 +97,13 @@ from ..obs import trace as obs_trace
 from ..obs.drift import DriftMonitor
 from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
-from .engine import DegradedInputError, InferenceEngine, PredictionResult, isolate
+from .engine import (
+    DegradedInputError,
+    InferenceEngine,
+    PredictionResult,
+    audit_rejection,
+    isolate,
+)
 from .pool import PoolBrokenError, PoolConfig, ScoringPool
 
 __all__ = ["DaemonConfig", "ServingDaemon", "RESTART_DELAYS_S"]
@@ -384,10 +391,20 @@ class _ScoringWorker(threading.Thread):
                 "batch.form", now - batch[0].enqueued, parent=lead,
                 batch_size=len(live), queue_depth=owner._batcher.waiting(),
             )
-        groups: dict[tuple, list[_Pending]] = {}
+        # Runs of consecutive admission indices that share a group key:
+        # a scorer numbers its results from the group's first index, so
+        # a group must hold exactly the indices it answers.
+        groups: list[list[_Pending]] = []
         for pending in live:
-            groups.setdefault(pending.group_key, []).append(pending)
-        for group in groups.values():
+            if (
+                groups
+                and groups[-1][-1].group_key == pending.group_key
+                and groups[-1][-1].index + 1 == pending.index
+            ):
+                groups[-1].append(pending)
+            else:
+                groups.append([pending])
+        for group in groups:
             self._score(group)
 
     def _score(self, group: list[_Pending]) -> None:
@@ -406,11 +423,11 @@ class _ScoringWorker(threading.Thread):
             )
 
         try:
-            outcomes = isolate(
+            outcomes = list(isolate(
                 lambda a, b: owner._score_group(group[a:b]),
                 len(group),
                 on_split=note_poison,
-            )
+            ))
         except PoolBrokenError as exc:
             # Not a poison batch: the pool is gone for every member alike,
             # and the daemon is already draining with exit code 4.
@@ -1205,8 +1222,13 @@ class ServingDaemon:
     def _failure_response(
         self, pending: _Pending, exc: Exception
     ) -> tuple[int, dict]:
-        """Map a single-sample scoring failure to its typed response."""
+        """Map a single-sample scoring failure to its typed response.
+
+        A strict refusal is recorded here, once, as the 422 it becomes
+        (:func:`~repro.serve.engine.audit_rejection`).
+        """
         if isinstance(exc, DegradedInputError):
+            audit_rejection(exc)
             return 422, _error_payload(pending.request_id, "degraded", str(exc))
         if isinstance(exc, (ValueError, KeyError, TypeError)):
             return 400, _error_payload(pending.request_id, "bad_request", str(exc))

@@ -50,17 +50,22 @@ PRIOR_FILE = "flux_prior.json"
 class DegradedInputError(ValueError):
     """Raised in strict mode when a sample could not be served clean.
 
-    Carries the failing sample's position (``index``) and, when a
-    telemetry session was active, the ``request_id`` stamped on the
-    terminal ``serve.rejected`` event — so the CLI's exit-code-2 path
-    can point at the exact request that died.
+    Carries the failing sample's position (``index``) and its first
+    non-clean visit (``visit``, ``band``, ``reason``).  ``request_id``
+    is stamped by :func:`audit_rejection` when the refusal is answered
+    under a telemetry session — so the CLI's exit-code-2 path can point
+    at the exact request that died.
     """
 
     def __init__(self, message: str, index: int | None = None,
-                 request_id: str | None = None) -> None:
+                 visit: int | None = None, band: str | None = None,
+                 reason: str | None = None) -> None:
         super().__init__(message)
         self.index = index
-        self.request_id = request_id
+        self.visit = visit
+        self.band = band
+        self.reason = reason
+        self.request_id: str | None = None
 
 
 @dataclass
@@ -233,45 +238,49 @@ def isolate(
     n: int,
     on_split: Callable[[Exception], None],
     failure: Exception | None = None,
-) -> list:
+) -> Iterator:
     """Score ``[0, n)`` with ``score(start, stop)``; if that raises and
     ``n > 1``, call ``on_split(exc)`` once and score every index alone.
 
-    The one isolation path (DESIGN §10 "Isolation contract").  Returns
-    one entry per index: its result, or the exception its lone attempt
-    raised — the caller maps that to its own answer.  ``failure`` (the
-    range already failed elsewhere) skips straight to the singles.
+    The one isolation path (DESIGN §10 "Isolation contract").  Yields
+    one entry per index, lazily: its result, or the exception its lone
+    attempt raised — the caller maps that to its own answer, and a
+    caller that stops at a failure scores nothing after it.  ``failure``
+    (the range already failed elsewhere) skips straight to the singles.
     :class:`~repro.serve.pool.PoolBrokenError` re-raises unsplit.
     """
     from .pool import PoolBrokenError  # pool imports this module
 
     if failure is None:
         try:
-            return list(score(0, n))
+            results = score(0, n)
         except PoolBrokenError:
             raise
         except Exception as exc:  # noqa: BLE001 - isolation contract
             if n == 1:
-                return [exc]
+                yield exc
+                return
             failure = exc
+        else:
+            yield from results
+            return
     on_split(failure)
-    outcomes: list = []
     for i in range(n):
         try:
-            outcomes.extend(score(i, i + 1))
+            single = score(i, i + 1)
         except PoolBrokenError:
             raise
         except Exception as exc:  # noqa: BLE001 - isolation contract
-            outcomes.append(exc)
-    return outcomes
+            yield exc
+        else:
+            yield from single
 
 
 def stream_isolated(
     classify: Callable[..., list[PredictionResult]],
     dataset,
     step: int,
-    strict: bool | None,
-    default_strict: bool,
+    strict: bool,
 ) -> Iterator[PredictionResult]:
     """Score ``dataset`` in ``step``-sample chunks and yield results in
     request order: the one streaming loop behind
@@ -280,13 +289,14 @@ def stream_isolated(
 
     ``classify(pairs, mjd, strict=, start_index=)`` scores a chunk.
     Every chunk goes through :func:`isolate`: a split is logged as
-    ``serve.batch_failed`` and counted in ``serve.batch_failures``, and
-    a lone failure raises when strict (``strict``, or ``default_strict``
-    when it is None), else becomes a :meth:`PredictionResult.failed`.
+    ``serve.batch_failed`` and counted in ``serve.batch_failures``.  A
+    lone failure becomes a :meth:`PredictionResult.failed`, or under
+    ``strict`` ends the stream there: a strict refusal is recorded
+    (:func:`audit_rejection`) and raised, and no sample after the
+    culprit is scored.
     """
     if step < 1:
         raise ValueError("batch_size must be >= 1")
-    effective_strict = default_strict if strict is None else bool(strict)
     for start in range(0, len(dataset), step):
         pairs = dataset.pairs[start : start + step]
         mjd = dataset.visit_mjd[start : start + step]
@@ -313,7 +323,9 @@ def stream_isolated(
         outcomes = isolate(score, len(pairs), on_split=note_failure)
         for i, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
-                if effective_strict:
+                if strict:
+                    if isinstance(outcome, DegradedInputError):
+                        audit_rejection(outcome)
                     raise outcome
                 outcome = PredictionResult.failed(start + i, outcome)
             yield outcome
@@ -384,6 +396,33 @@ def audit_results(
     )
 
 
+def audit_rejection(exc: DegradedInputError) -> None:
+    """Under a telemetry session, record one strict refusal: stamp
+    ``exc.request_id`` and write the single ``serve.rejected`` event and
+    counter.
+
+    Called only where the refusal becomes an answer (DESIGN §9):
+    :func:`stream_isolated` when it raises it, and the daemon before
+    its 422.  Scoring itself (:meth:`InferenceEngine.score_arrays`)
+    raises without recording, so a batch attempt that the isolation
+    path re-scores sample by sample leaves no second record.
+    """
+    session = obs.active()
+    if session is None:
+        return
+    exc.request_id = session.new_request_id(exc.index)
+    session.emit(
+        "serve.rejected",
+        level="error",
+        request_id=exc.request_id,
+        index=exc.index,
+        visit=exc.visit,
+        band=exc.band,
+        reason=exc.reason,
+    )
+    session.metrics.counter("serve.rejected").inc()
+
+
 class InferenceEngine:
     """Degradation-tolerant classification over a fitted pipeline.
 
@@ -394,10 +433,6 @@ class InferenceEngine:
     prior:
         Per-band flux prior for imputing masked feature slots; defaults
         to the neutral (no-detection) prior.
-    strict:
-        When True, any degradation raises :class:`DegradedInputError`
-        instead of serving a flagged result.  Per-call ``strict``
-        arguments override this default.
     drift_baseline:
         Optional committed training-set :class:`~repro.obs.drift.DriftBaseline`;
         when present *and* a telemetry session is active, served scores
@@ -416,13 +451,11 @@ class InferenceEngine:
         self,
         pipeline: SupernovaPipeline,
         prior: FluxPrior | None = None,
-        strict: bool = False,
         drift_baseline: DriftBaseline | None = None,
         fused: bool = True,
     ) -> None:
         self.pipeline = pipeline
         self.prior = prior or FluxPrior.neutral()
-        self.strict = strict
         self.fused = bool(fused) and hasattr(pipeline.cnn, "fused_forward")
         self.drift_baseline = drift_baseline
         self.drift_monitor = (
@@ -442,7 +475,6 @@ class InferenceEngine:
     def from_directory(
         cls,
         directory: str,
-        strict: bool = False,
         fused: bool = True,
     ) -> "InferenceEngine":
         """Build an engine from a :meth:`SupernovaPipeline.save` directory.
@@ -467,8 +499,7 @@ class InferenceEngine:
                     ),
                     model_dir=os.fspath(directory),
                 )
-        return cls(pipeline, prior=prior, strict=strict,
-                   drift_baseline=baseline, fused=fused)
+        return cls(pipeline, prior=prior, drift_baseline=baseline, fused=fused)
 
     def save(self, directory: str) -> None:
         """Persist the pipeline, flux prior and (if set) drift baseline."""
@@ -486,7 +517,7 @@ class InferenceEngine:
         will see at serve time.  Sets :attr:`drift_baseline` (persisted
         by :meth:`save`) and arms :attr:`drift_monitor`.
         """
-        results = self.classify(dataset, strict=False)
+        results = self.classify(dataset)
         scores = np.array([r.probability for r in results], dtype=float)
         flux = np.array([r.flux_feature for r in results], dtype=float)
         flux = flux[np.isfinite(flux)]
@@ -539,7 +570,7 @@ class InferenceEngine:
         self,
         pairs: np.ndarray,
         mjd: np.ndarray,
-        strict: bool | None = None,
+        strict: bool = False,
         start_index: int = 0,
     ) -> list[PredictionResult]:
         """Serve a batch of raw ``(N, V, 2, S, S)`` pairs and ``(N, V)`` dates.
@@ -565,16 +596,16 @@ class InferenceEngine:
         self,
         pairs: np.ndarray,
         mjd: np.ndarray,
-        strict: bool | None,
+        strict: bool,
         start_index: int,
     ) -> list[PredictionResult]:
         """:meth:`classify_arrays` without the audit: the same results,
         but no ``serve.request`` events, ``serve.*`` metrics or drift
-        feed.  A strict rejection still emits ``serve.rejected``.  The
-        daemon scores shadow candidates through this, so their scores
-        never pass for production traffic.
+        feed.  The daemon scores shadow candidates through this, so
+        their scores never pass for production traffic.  A strict
+        refusal raises before the CNN and records nothing: the caller
+        that answers it does (:func:`audit_rejection`).
         """
-        strict = self.strict if strict is None else strict
         pairs, mjd = self._validate_batch(pairs, mjd)
         n, used = pairs.shape[0], self._n_used_visits
         stamp = pairs.shape[-1]
@@ -602,26 +633,15 @@ class InferenceEngine:
             if strict and diags:
                 worst = diags[0]
                 index = start_index + i
-                request_id = None
-                session = obs.active()
-                if session is not None:
-                    request_id = session.new_request_id(index)
-                    session.emit(
-                        "serve.rejected",
-                        level="error",
-                        request_id=request_id,
-                        index=index,
-                        visit=worst.visit,
-                        band=worst.band,
-                        reason=worst.reason or "repaired input",
-                    )
-                    session.metrics.counter("serve.rejected").inc()
+                reason = worst.reason or "repaired input"
                 raise DegradedInputError(
                     f"sample {index} is degraded (visit {worst.visit}, "
-                    f"band {worst.band}: {worst.reason or 'repaired input'}); "
+                    f"band {worst.band}: {reason}); "
                     "re-run without --strict to serve it with masking",
                     index=index,
-                    request_id=request_id,
+                    visit=worst.visit,
+                    band=worst.band,
+                    reason=reason,
                 )
             all_diags.append(diags)
 
@@ -716,7 +736,7 @@ class InferenceEngine:
             )
 
     def classify(
-        self, dataset: SupernovaDataset, strict: bool | None = None
+        self, dataset: SupernovaDataset, strict: bool = False
     ) -> list[PredictionResult]:
         """Serve every sample of a dataset (see :meth:`classify_arrays`)."""
         return self.classify_arrays(dataset.pairs, dataset.visit_mjd, strict=strict)
@@ -725,7 +745,7 @@ class InferenceEngine:
         self,
         dataset: SupernovaDataset,
         batch_size: int = 64,
-        strict: bool | None = None,
+        strict: bool = False,
     ) -> Iterator[PredictionResult]:
         """Yield :class:`PredictionResult` objects batch by batch.
 
@@ -733,10 +753,9 @@ class InferenceEngine:
         soon as each batch clears the CNN, rather than after the whole
         dataset.  Every batch goes through :func:`stream_isolated`, so
         only a culprit sample fails: as a :meth:`PredictionResult.failed`
-        placeholder, or in strict mode by re-raising.  To score on
+        placeholder, or in strict mode by ending the stream with the
+        recorded refusal.  To score on
         several cores, stream through a
         :class:`~repro.serve.pool.ScoringPool` instead.
         """
-        return stream_isolated(
-            self.classify_arrays, dataset, batch_size, strict, self.strict
-        )
+        return stream_isolated(self.classify_arrays, dataset, batch_size, strict)

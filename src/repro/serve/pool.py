@@ -192,12 +192,9 @@ def _portable(exc: BaseException) -> BaseException:
 # Worker process
 # ----------------------------------------------------------------------
 def _load_worker_engine(
-    model_source: str,
-    engine_kwargs: dict,
-    worker_init: Callable | None,
-    worker_id: int,
+    model_source: str, worker_init: Callable | None, worker_id: int
 ) -> InferenceEngine:
-    engine = InferenceEngine.from_directory(model_source, **engine_kwargs)
+    engine = InferenceEngine.from_directory(model_source)
     engine.pipeline.cnn.eval()
     engine.pipeline.classifier.eval()
     if worker_init is not None:
@@ -241,7 +238,6 @@ def _worker_main(
     conn,
     worker_id: int,
     model_source: str,
-    engine_kwargs: dict,
     worker_init: Callable | None,
 ) -> None:
     """Entry point of one spawned scoring worker.
@@ -262,9 +258,7 @@ def _worker_main(
     tracer = obs_trace.WorkerTracer(worker_id)
     obs_trace.install(tracer)
     try:
-        engine = _load_worker_engine(
-            model_source, engine_kwargs, worker_init, worker_id
-        )
+        engine = _load_worker_engine(model_source, worker_init, worker_id)
     except Exception as exc:  # noqa: BLE001 - boot failures go to the parent
         try:
             conn.send(("boot_error", worker_id, _portable(exc)))
@@ -284,9 +278,7 @@ def _worker_main(
         if kind == "reload":
             _, epoch, source = msg
             try:
-                engine = _load_worker_engine(
-                    source, engine_kwargs, worker_init, worker_id
-                )
+                engine = _load_worker_engine(source, worker_init, worker_id)
                 conn.send(("reload_ack", worker_id, epoch, None))
             except Exception as exc:  # noqa: BLE001
                 conn.send(("reload_ack", worker_id, epoch, _portable(exc)))
@@ -362,10 +354,8 @@ class ScoringPool:
     Construct with either ``model_source`` (a saved model directory —
     what ``repro serve --registry`` and ``repro classify --model``
     already have) or a live ``engine`` (persisted once to a pool-owned
-    temp directory so spawned workers can load it).  ``engine_kwargs``
-    are forwarded to :meth:`InferenceEngine.from_directory` in every
-    worker and on every reload; a ``strict`` entry is also the default
-    for calls that pass no ``strict=``.
+    temp directory so spawned workers can load it).  Strict mode is a
+    per-call flag, as on the engine.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
     callable applied to each worker's engine after load (the pool
@@ -378,14 +368,11 @@ class ScoringPool:
         model_source: str | os.PathLike | None = None,
         engine: InferenceEngine | None = None,
         config: PoolConfig | None = None,
-        engine_kwargs: dict | None = None,
         worker_init: Callable | None = None,
     ) -> None:
         if (model_source is None) == (engine is None):
             raise ValueError("pass exactly one of model_source or engine")
         self.config = config or PoolConfig()
-        self._engine_kwargs = dict(engine_kwargs or {})
-        self._default_strict = bool(self._engine_kwargs.get("strict", False))
         self._worker_init = worker_init
         self._engine = engine
         self._model_source = (
@@ -547,7 +534,6 @@ class ScoringPool:
                 child_conn,
                 worker_id,
                 self._model_source,
-                self._engine_kwargs,
                 self._worker_init,
             ),
             name=f"repro-pool-{worker_id}",
@@ -638,7 +624,7 @@ class ScoringPool:
         self,
         pairs: np.ndarray,
         mjd: np.ndarray,
-        strict: bool | None = None,
+        strict: bool = False,
         start_index: int = 0,
     ) -> list[PredictionResult]:
         """Scatter one batch across the pool; gather in request order.
@@ -725,7 +711,7 @@ class ScoringPool:
         mjd32: np.ndarray,
         offset: int,
         count: int,
-        strict: bool | None,
+        strict: bool,
         start_index: int,
         wire: tuple | None = None,
     ) -> _Shard:
@@ -883,7 +869,7 @@ class ScoringPool:
         shards: list[_Shard],
         pairs32: np.ndarray,
         mjd32: np.ndarray,
-        strict: bool | None,
+        strict: bool,
         start_index: int,
     ) -> list[PredictionResult]:
         """Combine shard outcomes; heal crashes; re-raise scoring errors."""
@@ -905,16 +891,13 @@ class ScoringPool:
         shard: _Shard,
         pairs32: np.ndarray,
         mjd32: np.ndarray,
-        strict: bool | None,
+        strict: bool,
         start_index: int,
     ) -> list[PredictionResult]:
         """Respawn dead workers, then re-score a crashed shard's samples
         alone via :func:`isolate` (never the whole shard again).  A repeat
         crash becomes a :class:`WorkerCrashError` placeholder (raised
         under strict); any other lone scoring error re-raises."""
-        effective_strict = (
-            self._default_strict if strict is None else bool(strict)
-        )
         for dead in list(self._workers):
             if not dead.process.is_alive():
                 self._note_crash(dead)
@@ -944,17 +927,17 @@ class ScoringPool:
             def note_crashed_shard(exc: Exception) -> None:
                 self._crashed_shards += 1
 
-            outcomes = isolate(
+            outcomes = list(isolate(
                 score, shard.count, on_split=note_crashed_shard,
                 failure=WorkerCrashError(
                     f"worker {shard.worker.id} died scoring {shard.count} "
                     f"sample(s) from {shard.start_index}"
                 ),
-            )
+            ))
         healed: list[PredictionResult] = []
         for i, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
-                if effective_strict or not isinstance(outcome, WorkerCrashError):
+                if strict or not isinstance(outcome, WorkerCrashError):
                     raise outcome
                 self._poison_samples += 1
                 outcome = PredictionResult.failed(shard.start_index + i, outcome)
@@ -965,7 +948,7 @@ class ScoringPool:
         self,
         dataset,
         batch_size: int = 64,
-        strict: bool | None = None,
+        strict: bool = False,
     ) -> Iterator[PredictionResult]:
         """Yield results for a dataset, ``workers`` batches in flight.
 
@@ -976,11 +959,7 @@ class ScoringPool:
         request order.  :class:`PoolBrokenError` always raises.
         """
         return stream_isolated(
-            self.classify_arrays,
-            dataset,
-            batch_size * self.config.workers,
-            strict,
-            self._default_strict,
+            self.classify_arrays, dataset, batch_size * self.config.workers, strict
         )
 
     # ------------------------------------------------------------------

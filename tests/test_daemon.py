@@ -1,5 +1,6 @@
 """Serving daemon: round trips, admission, deadlines, watchdog, drain."""
 
+import contextlib
 import http.client
 import json
 import statistics
@@ -9,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.obs import EVENTS_FILE, read_events
 from repro.runtime import WedgeBatch
 from repro.serve import DaemonConfig, PoolBrokenError, PoolConfig, ServingDaemon
 
@@ -327,15 +330,32 @@ class TestBadRequests:
             assert status == 200
 
 
+@contextlib.contextmanager
+def _session(directory):
+    """A telemetry session with run id ``probe`` around the block."""
+    obs.start(directory, run_id="probe")
+    try:
+        yield
+    finally:
+        obs.stop()
+
+
+def _session_events(directory, name):
+    return [r for r in read_events(directory / EVENTS_FILE) if r["event"] == name]
+
+
 class TestStrictPoisonIsolation:
-    def test_strict_poison_isolated_from_batch_mates(self, engine):
-        """One strict-degraded sample 422s; its clean batch-mate still scores."""
+    def test_strict_poison_isolated_from_batch_mates(self, engine, tmp_path):
+        """One strict-degraded sample 422s; its clean batch-mate still
+        scores; the refusal is recorded once, under the answered id."""
         clean_pairs, mjd = make_serve_sample(engine, seed=2)
         poison_pairs = clean_pairs.copy()
         poison_pairs[0] = np.nan  # visit 0 unrecoverable -> strict refusal
         wedge = WedgeBatch({0})
         config = DaemonConfig(batch_deadline_ms=150.0, wedge_timeout_s=60.0)
-        with running_daemon(engine, config, fault_hook=wedge) as daemon:
+        with _session(tmp_path / "t"), running_daemon(
+            engine, config, fault_hook=wedge
+        ) as daemon:
             results: dict = {}
             threads = [
                 _post_async(
@@ -354,6 +374,7 @@ class TestStrictPoisonIsolation:
                     "poison",
                 )
             )
+            _wait_for(lambda: daemon._batcher.waiting() == 1)
             threads.append(
                 _post_async(
                     daemon.port,
@@ -368,6 +389,7 @@ class TestStrictPoisonIsolation:
                 thread.join(timeout=30.0)
             status, doc = results["poison"]
             assert status == 422 and doc["error"]["type"] == "degraded"
+            assert doc["request_id"] == "probe/r1"
             status, doc = results["clean"]
             assert status == 200
             solo = engine.classify_arrays(
@@ -375,6 +397,49 @@ class TestStrictPoisonIsolation:
             )[0]
             assert doc["result"]["probability"] == round(solo.probability, 6)
             assert int(daemon.metrics.counter("daemon.poison_batches").value) == 1
+        rejected = _session_events(tmp_path / "t", "serve.rejected")
+        assert [r["request_id"] for r in rejected] == ["probe/r1"]
+
+
+class TestResponseIdentity:
+    def test_each_request_answered_under_its_own_index(self, engine, tmp_path):
+        """A strict request between two plain ones splits the micro-batch
+        into runs of consecutive requests: every response, and every
+        audit record, belongs to the request that asked."""
+        pairs, mjd = make_serve_sample(engine, seed=2)
+        wedge = WedgeBatch({0})
+        config = DaemonConfig(batch_deadline_ms=150.0, wedge_timeout_s=60.0)
+        with _session(tmp_path / "t"), running_daemon(
+            engine, config, fault_hook=wedge
+        ) as daemon:
+            results: dict = {}
+            threads = [
+                _post_async(daemon.port, classify_body(pairs, mjd, deadline_ms=30000),
+                            results, 0)
+            ]
+            assert wedge.wedged.wait(10.0)
+            for k, strict in ((1, False), (2, True), (3, False)):
+                threads.append(_post_async(
+                    daemon.port,
+                    classify_body(pairs, mjd, strict=strict, deadline_ms=30000),
+                    results, k,
+                ))
+                # Admission order is request order: r1, r2, r3.
+                _wait_for(lambda k=k: daemon._batcher.waiting() == k)
+            wedge.release()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        answered = {}
+        for k in range(4):
+            status, doc = results[k]
+            assert status == 200, doc
+            assert doc["request_id"] == f"probe/r{k}"
+            assert doc["result"]["index"] == k
+            answered[doc["request_id"]] = doc["result"]["probability"]
+        audited = _session_events(tmp_path / "t", "serve.request")
+        assert sorted(r["request_id"] for r in audited) == sorted(answered)
+        for record in audited:
+            assert record["probability"] == answered[record["request_id"]]
 
 
 class _BrokenPool:
@@ -386,7 +451,7 @@ class _BrokenPool:
         self.config = PoolConfig(workers=2)
         self.dispatches = 0
 
-    def classify_arrays(self, pairs, mjd, strict=None, start_index=0):
+    def classify_arrays(self, pairs, mjd, strict=False, start_index=0):
         self.dispatches += 1
         raise PoolBrokenError("respawn budget exhausted (injected)")
 

@@ -1,4 +1,4 @@
-"""Telemetry core: event-log schema, context stack, metrics, sessions,
+"""Telemetry core: event-log schema, run-id stamping, metrics, sessions,
 drift statistics."""
 
 import io
@@ -19,8 +19,6 @@ from repro.obs import (
     EventLog,
     Histogram,
     MetricsRegistry,
-    context,
-    current_context,
     ks_statistic,
     psi_statistic,
     read_events,
@@ -43,57 +41,62 @@ def no_leaked_session():
 
 class TestEventLog:
     def test_jsonl_round_trip_validates(self, tmp_path):
+        session = obs.start(tmp_path, run_id="run-x")
+        try:
+            session.emit("build.start", n_target=np.int64(12), seed=0)
+            session.emit("build.slot", level="debug", slot=3, attempts=[1, 2])
+            session.emit("build.end", message="done", elapsed=np.float32(0.5))
+        finally:
+            obs.stop()
         path = tmp_path / EVENTS_FILE
-        with EventLog(path) as log, context(scope="thread", run_id="run-x"):
-            log.emit("build.start", n_target=np.int64(12), seed=0)
-            log.emit("build.slot", level="debug", slot=3, attempts=[1, 2])
-            log.emit("build.end", message="done", elapsed=np.float32(0.5))
         records = list(read_events(path))
-        assert [r["event"] for r in records] == ["build.start", "build.slot", "build.end"]
-        assert [r["seq"] for r in records] == [1, 2, 3]
+        assert [r["event"] for r in records] == [
+            "session.start", "build.start", "build.slot", "build.end", "session.end",
+        ]
+        assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
         for record in records:
             assert validate_event(record) == []
             assert record["schema"] == SCHEMA_VERSION
             assert record["run_id"] == "run-x"
         # numpy scalars must arrive as JSON-native numbers
-        assert records[0]["n_target"] == 12
-        assert isinstance(records[0]["n_target"], int)
-        assert isinstance(records[2]["elapsed"], float)
+        assert records[1]["n_target"] == 12
+        assert isinstance(records[1]["n_target"], int)
+        assert isinstance(records[3]["elapsed"], float)
         n, errors = validate_file(path)
-        assert (n, errors) == (3, [])
+        assert (n, errors) == (5, [])
 
-    def test_context_nesting_and_unwind(self):
-        assert current_context() == {}
-        with context(run_id="outer", stage="a"):
-            with context(stage="b", epoch=2):
-                merged = current_context()
-                assert merged == {"run_id": "outer", "stage": "b", "epoch": 2}
-            assert current_context() == {"run_id": "outer", "stage": "a"}
-        assert current_context() == {}
+    def test_process_scope_visible_from_other_threads(self, tmp_path):
+        """An event emitted from another thread carries the session's run_id."""
+        session = obs.start(tmp_path, run_id="run-shared")
+        try:
+            thread = threading.Thread(
+                target=lambda: session.emit("serve.batch", batch=7)
+            )
+            thread.start()
+            thread.join()
+        finally:
+            obs.stop()
+        (record,) = [
+            r for r in read_events(tmp_path / EVENTS_FILE) if r["event"] == "serve.batch"
+        ]
+        assert record["run_id"] == "run-shared"
+        assert record["batch"] == 7
 
-    def test_process_scope_visible_from_other_threads(self):
-        seen = {}
-
-        def worker():
-            seen.update(current_context())
-
-        with context(scope="process", run_id="run-shared"):
-            with context(batch=7):  # thread-local: must NOT leak to the worker
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join()
-        assert seen == {"run_id": "run-shared"}
-
-    def test_caller_fields_win_over_context_but_not_header(self):
-        sink = io.StringIO()
-        log = EventLog(sink)
-        with context(run_id="ctx", epoch=1):
-            log.emit("train.epoch", epoch=9, seq="spoofed")
-        record = json.loads(sink.getvalue())
-        assert record["epoch"] == 9  # caller beats context
-        assert record["run_id"] == "ctx"
-        assert record["seq"] == 1  # header beats caller
-        assert validate_event(record) == []
+    def test_caller_fields_win_over_context_but_not_header(self, tmp_path):
+        session = obs.start(tmp_path, run_id="run-session")
+        try:
+            stamped = session.emit("train.epoch", epoch=9)
+            overridden = session.emit("train.epoch", run_id="run-caller", seq="spoofed")
+        finally:
+            obs.stop()
+        assert stamped["run_id"] == "run-session"
+        assert stamped["epoch"] == 9
+        assert overridden["run_id"] == "run-caller"  # caller beats session stamp
+        assert overridden["seq"] == 3  # header beats caller
+        assert validate_event(overridden) == []
+        # A bare log stamps nothing of its own.
+        record = EventLog(io.StringIO()).emit("train.epoch", epoch=1)
+        assert "run_id" not in record
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / EVENTS_FILE

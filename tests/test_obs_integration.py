@@ -2,6 +2,7 @@
 drift tripping on the dropped-band ladder, the cost of the disabled
 hooks on the classify hot path, and the CLI obs-smoke path."""
 
+import contextlib
 import time
 from dataclasses import replace
 
@@ -15,7 +16,13 @@ from repro.datasets import BuildConfig, DatasetBuilder, N_BANDS, save_dataset
 from repro.obs import EVENTS_FILE, read_events, validate_file
 from repro.obs import trace as trace_mod
 from repro.runtime import DropBand, SaturateRegion
-from repro.serve import DegradedInputError, FluxPrior, InferenceEngine
+from repro.serve import (
+    DegradedInputError,
+    FluxPrior,
+    InferenceEngine,
+    PoolConfig,
+    ScoringPool,
+)
 from repro.survey import ImagingConfig
 
 from .helpers import smoke_classify_workload
@@ -133,20 +140,46 @@ class TestServeAudit:
         assert len({r["request_id"] for r in requests}) == len(dataset)
         assert sorted(r["index"] for r in requests) == list(range(len(dataset)))
 
-    def test_strict_rejection_carries_request_provenance(self, engine, dataset, tmp_path):
-        damaged = replace(dataset, pairs=SaturateRegion(size=12)(dataset.pairs))
+    @pytest.mark.parametrize("scorer", ["engine", "pool2"])
+    def test_strict_rejection_carries_request_provenance(
+        self, engine, dataset, tmp_path, scorer
+    ):
+        """A strict stream stops at its culprit (position 2 of one
+        8-sample chunk): the samples before it are served and audited,
+        and the refusal is recorded once, by the stream, under r2."""
+        pairs = dataset.pairs.copy()
+        pairs[2:3] = SaturateRegion(size=12)(pairs[2:3])
+        damaged = replace(dataset, pairs=pairs)
         directory = tmp_path / "t"
-        obs.start(directory, run_id="run-strict")
-        try:
-            with pytest.raises(DegradedInputError) as excinfo:
-                list(engine.stream(damaged, strict=True))
-        finally:
-            obs.stop()
-        assert excinfo.value.index == 0
-        assert excinfo.value.request_id == "run-strict/r0"
+        results = []
+        with contextlib.ExitStack() as stack:
+            if scorer == "pool2":
+                pool = stack.enter_context(
+                    ScoringPool(engine=engine, config=PoolConfig(workers=2))
+                )
+                stream = pool.stream(damaged, batch_size=4, strict=True)
+            else:
+                stream = engine.stream(damaged, batch_size=8, strict=True)
+            obs.start(directory, run_id="run-strict")
+            try:
+                with pytest.raises(DegradedInputError) as excinfo:
+                    for result in stream:
+                        results.append(result)
+            finally:
+                obs.stop()
+        assert [r.index for r in results] == [0, 1]
+        assert excinfo.value.index == 2
+        assert excinfo.value.request_id == "run-strict/r2"
+        requests = _events(directory, "serve.request")
+        assert sorted(r["request_id"] for r in requests) == [
+            "run-strict/r0", "run-strict/r1",
+        ]
         rejected = _events(directory, "serve.rejected")
-        assert rejected and rejected[0]["request_id"] == "run-strict/r0"
+        assert len(rejected) == 1
+        assert rejected[0]["request_id"] == "run-strict/r2"
         assert rejected[0]["level"] == "error"
+        assert rejected[0]["visit"] == excinfo.value.visit
+        assert rejected[0]["reason"] == excinfo.value.reason
 
 
 class TestDriftLadder:

@@ -228,24 +228,22 @@ class TestPoolParity:
         assert str(pool_exc.value) == str(single_exc.value)
         assert pool_exc.value.index == single_exc.value.index
 
-        # Strict as the pool's default: ``engine_kwargs`` (as built by
-        # ``classify --workers N --strict``) reach every worker's engine,
-        # so a call without ``strict=`` refuses like an engine
-        # constructed strict.
-        strict_engine = InferenceEngine(
-            engine.pipeline, prior=engine.prior, strict=True
-        )
-        with pytest.raises(DegradedInputError) as default_exc:
-            strict_engine.classify_arrays(corrupted, mjd[:4])
-        with ScoringPool(
-            engine=engine,
-            config=PoolConfig(workers=2),
-            engine_kwargs={"strict": True},
-        ) as pool:
-            with pytest.raises(DegradedInputError) as pool_default_exc:
-                pool.classify_arrays(corrupted, mjd[:4])
-        assert pool_default_exc.value.index == default_exc.value.index
-        assert default_exc.value.index == single_exc.value.index
+        # The typed error's diagnosis survives the worker's reply.
+        for field in ("visit", "band", "reason"):
+            assert getattr(pool_exc.value, field) == getattr(single_exc.value, field)
+
+        # ``classify --workers N --strict`` passes strict to the stream
+        # call, so the pool stream refuses like the engine stream: same
+        # index, same message.
+        dataset = _ArrayDataset(corrupted, mjd[:4])
+        with pytest.raises(DegradedInputError) as engine_stream_exc:
+            list(engine.stream(dataset, batch_size=2, strict=True))
+        with ScoringPool(engine=engine, config=PoolConfig(workers=2)) as pool:
+            with pytest.raises(DegradedInputError) as pool_stream_exc:
+                list(pool.stream(dataset, batch_size=1, strict=True))
+        assert pool_stream_exc.value.index == engine_stream_exc.value.index
+        assert str(pool_stream_exc.value) == str(engine_stream_exc.value)
+        assert engine_stream_exc.value.index == single_exc.value.index
 
     def test_shm_ring_grows_for_oversized_shard(self, engine, batch, monkeypatch):
         pairs, mjd = batch

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,17 +328,14 @@ class TestInferenceEngine:
             engine.classify_arrays(corrupted, dataset.visit_mjd, strict=True)
 
     def test_strict_engine_default(self, dataset, engine):
-        strict_engine = InferenceEngine(
-            engine.pipeline, prior=engine.prior, strict=True
-        )
+        """Strict is off unless the call sets it: no engine-level default."""
         corrupted = TruncateCutout(0.6)(dataset.pairs)
-        with pytest.raises(DegradedInputError):
-            strict_engine.classify_arrays(corrupted, dataset.visit_mjd)
-        # Per-call override still serves it.
-        results = strict_engine.classify_arrays(
-            corrupted, dataset.visit_mjd, strict=False
-        )
+        results = engine.classify_arrays(corrupted, dataset.visit_mjd)
         assert all(r.degraded for r in results)
+        assert all(r.degraded for r in engine.stream(replace(
+            dataset, pairs=corrupted), batch_size=4))
+        with pytest.raises(DegradedInputError):
+            engine.classify_arrays(corrupted, dataset.visit_mjd, strict=True)
 
     def test_stream_matches_classify(self, engine, dataset):
         streamed = list(engine.stream(dataset, batch_size=3))
