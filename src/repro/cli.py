@@ -586,7 +586,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ValueError("--workers must be >= 1")
     if args.batch_size < 1:
         raise ValueError("--batch-size must be >= 1")
-    dataset = load_dataset(args.dataset, require_finite=args.strict)
+    dataset = load_dataset(args.dataset)
     n_degraded = 0
     confidences = []
     with contextlib.ExitStack() as stack:

@@ -41,9 +41,7 @@ def save_dataset(dataset: SupernovaDataset, path: str | os.PathLike) -> None:
 
 
 def validate_dataset_arrays(
-    arrays: dict[str, np.ndarray],
-    origin: str = "dataset",
-    require_finite: bool = False,
+    arrays: dict[str, np.ndarray], origin: str = "dataset"
 ) -> None:
     """Check shapes/dtypes of raw dataset arrays before construction.
 
@@ -51,12 +49,9 @@ def validate_dataset_arrays(
     stamps, a visit count that is a whole number of ``N_BANDS``-band
     epochs, matching per-visit and per-sample row counts, numeric dtypes,
     and binary labels.  Raises :class:`ValueError` with a descriptive,
-    single-line message on the first violation.
-
-    ``require_finite`` additionally rejects NaN/Inf entries in every
-    floating-point field.  It is off by default because degraded cutouts
-    (missing visits, masked pixels) are legitimate *serving* inputs — the
-    strict mode of ``repro classify`` turns it on to refuse them.
+    single-line message on the first violation.  NaN/Inf entries are
+    accepted: degraded cutouts (missing visits, masked pixels) are
+    legitimate *serving* inputs.
     """
     pairs = arrays["pairs"]
     if pairs.ndim != 5 or pairs.shape[2] != 2:
@@ -109,35 +104,20 @@ def validate_dataset_arrays(
             f"{origin}: 'visit_band' entries must be in [0, {N_BANDS}), "
             f"got range [{band.min()}, {band.max()}]"
         )
-    if require_finite:
-        for name in ("pairs", "visit_mjd", "true_flux", "redshifts", "host_mag", "peak_mjd"):
-            n_bad = int((~np.isfinite(arrays[name])).sum())
-            if n_bad:
-                raise ValueError(
-                    f"{origin}: '{name}' holds {n_bad} non-finite entr"
-                    f"{'y' if n_bad == 1 else 'ies'} (degraded input refused in "
-                    "strict mode; drop --strict to serve it with masking)"
-                )
 
 
-def load_dataset(
-    path: str | os.PathLike, validate: bool = True, require_finite: bool = False
-) -> SupernovaDataset:
+def load_dataset(path: str | os.PathLike, validate: bool = True) -> SupernovaDataset:
     """Load a dataset saved by :func:`save_dataset`.
 
     Raises :class:`~repro.runtime.errors.CorruptArtifactError` when the
     archive is truncated, unreadable, fails its checksum, or is missing
     fields; with ``validate`` (the default) array shapes and dtypes are
     checked with descriptive errors before the container is built.
-    ``require_finite`` extends validation to reject NaN/Inf payloads (see
-    :func:`validate_dataset_arrays`).
     """
     arrays = verified_load(path)
     missing = [name for name in _FIELDS if name not in arrays]
     if missing:
         raise CorruptArtifactError(path, f"missing fields {missing}")
-    if validate or require_finite:
-        validate_dataset_arrays(
-            arrays, origin=os.fspath(path), require_finite=require_finite
-        )
+    if validate:
+        validate_dataset_arrays(arrays, origin=os.fspath(path))
     return SupernovaDataset(**{name: arrays[name] for name in _FIELDS})

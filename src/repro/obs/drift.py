@@ -14,13 +14,17 @@ and committed next to the model weights:
 * **KS** (two-sample Kolmogorov–Smirnov statistic, evaluated on the bin
   grid) — sensitive to localised shape changes PSI smears out.
 
-:class:`DriftMonitor` keeps a bounded rolling window, is thread-safe
-(serving worker threads feed it concurrently), and reports a
-:class:`DriftReport` whose ``flagged`` bit trips when either statistic
-of either distribution crosses its threshold with enough samples in the
-window.  The serving engine emits a ``drift.flagged`` event on the clean
-→ drifted transition (and ``drift.recovered`` on the way back), so a
-quiet feed stays quiet.
+:class:`DriftMonitor` keeps a rolling window of the last :data:`WINDOW`
+samples, is thread-safe (serving threads feed it concurrently), and
+reports a :class:`DriftReport` whose ``flagged`` bit trips when either
+statistic of either distribution crosses its threshold with at least
+:data:`MIN_SAMPLES` samples in the window.  Each served model version
+has one monitor, held by the scorer that serves it (the in-process
+engine or the scoring pool's parent).  The scorer's feed
+(:func:`repro.serve.engine.feed_drift`) writes a ``drift.flagged`` event
+on the clean → drifted transition (and ``drift.recovered`` on the way
+back), so a quiet feed stays quiet, and the serving daemon's rollback
+guard reads the same monitor's verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ __all__ = [
     "BASELINE_FILE",
     "PSI_THRESHOLD",
     "KS_THRESHOLD",
+    "WINDOW",
+    "MIN_SAMPLES",
     "DriftBaseline",
     "DriftMonitor",
     "DriftReport",
@@ -54,6 +60,14 @@ PSI_THRESHOLD = 0.25
 
 #: Trip level of the Kolmogorov–Smirnov statistic, scores and flux alike.
 KS_THRESHOLD = 0.30
+
+#: Most recent served samples a monitor's window holds: small enough
+#: that the rollback guard acts within seconds of a bad promote.
+WINDOW = 200
+
+#: Fewest window samples a statistic is evaluated on: PSI on a handful
+#: of scores is noise, not signal.
+MIN_SAMPLES = 50
 
 _EPS = 1e-4
 
@@ -219,42 +233,39 @@ class DriftReport:
 class DriftMonitor:
     """Rolling-window drift detector over served scores (and flux).
 
-    Parameters
-    ----------
-    baseline:
-        The committed training-set :class:`DriftBaseline`.
-    window:
-        Maximum number of recent samples retained.
-    min_samples:
-        Evaluations with fewer window samples never flag — PSI on a
-        handful of scores is noise, not signal.
-
-    A window flags when any statistic, of scores or flux, exceeds its
-    trip level: :data:`PSI_THRESHOLD` or :data:`KS_THRESHOLD`.
+    Holds the last :data:`WINDOW` samples.  A window of at least
+    :data:`MIN_SAMPLES` flags when any statistic, of scores or flux,
+    exceeds its trip level: :data:`PSI_THRESHOLD` or
+    :data:`KS_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        baseline: DriftBaseline,
-        window: int = 500,
-        min_samples: int = 50,
-    ) -> None:
-        if window < 1 or min_samples < 1:
-            raise ValueError("window and min_samples must be >= 1")
+    def __init__(self, baseline: DriftBaseline) -> None:
         self.baseline = baseline
-        self.min_samples = int(min_samples)
-        self._scores: deque[float] = deque(maxlen=int(window))
-        self._flux: deque[float] = deque(maxlen=int(window))
+        self._scores: deque[float] = deque(maxlen=WINDOW)
+        self._flux: deque[float] = deque(maxlen=WINDOW)
         self._lock = threading.Lock()
-        #: Whether the last :meth:`check` came back flagged.
-        self.flagged = False
+        #: The last evaluation of the window.
+        self.report = DriftReport(n_window=0)
 
-    def update(
+    def reset(self) -> None:
+        """Empty the window, as for a version that has served nothing."""
+        with self._lock:
+            self._scores.clear()
+            self._flux.clear()
+            self.report = DriftReport(n_window=0)
+
+    def observe(
         self,
         scores: np.ndarray | list[float] | float,
         flux: np.ndarray | list[float] | float | None = None,
-    ) -> None:
-        """Fold served sample scores (and flux features) into the window."""
+    ) -> tuple[DriftReport, bool]:
+        """Fold served sample scores (and flux features) into the window
+        and evaluate it.
+
+        Returns the report and whether its ``flagged`` bit differs from
+        the previous report's.  One lock covers both, so concurrent
+        feeders see each transition exactly once.
+        """
         scores = np.atleast_1d(np.asarray(scores, dtype=float))
         flux_arr = (
             None if flux is None else np.atleast_1d(np.asarray(flux, dtype=float))
@@ -263,43 +274,30 @@ class DriftMonitor:
             self._scores.extend(float(s) for s in scores)
             if flux_arr is not None:
                 self._flux.extend(float(f) for f in flux_arr if np.isfinite(f))
+            report = self._evaluate()
+            changed = report.flagged != self.report.flagged
+            self.report = report
+        return report, changed
 
-    def observe(self, scores, flux=None) -> "DriftReport":
-        """:meth:`update` then :meth:`check` in one call."""
-        self.update(scores, flux)
-        return self.check()
-
-    def check(self) -> DriftReport:
-        """Evaluate the current window; updates :attr:`flagged`."""
+    def _evaluate(self) -> DriftReport:
         base = self.baseline
-        with self._lock:
-            scores = np.asarray(self._scores, dtype=float)
-            flux = np.asarray(self._flux, dtype=float)
-        report = DriftReport(n_window=int(scores.size))
-        if scores.size >= self.min_samples:
-            observed = _histogram_probs(np.clip(scores, 0.0, 1.0), base.score_edges)
-            report.score_psi = psi_statistic(base.score_probs, observed)
-            report.score_ks = ks_statistic(base.score_probs, observed)
-            if report.score_psi > PSI_THRESHOLD:
-                report.reasons.append(
-                    f"score PSI {report.score_psi:.3f} > {PSI_THRESHOLD}"
-                )
-            if report.score_ks > KS_THRESHOLD:
-                report.reasons.append(
-                    f"score KS {report.score_ks:.3f} > {KS_THRESHOLD}"
-                )
-        if base.flux_edges is not None and flux.size >= self.min_samples:
-            observed = _histogram_probs(flux, base.flux_edges)
-            report.flux_psi = psi_statistic(base.flux_probs, observed)
-            report.flux_ks = ks_statistic(base.flux_probs, observed)
-            if report.flux_psi > PSI_THRESHOLD:
-                report.reasons.append(
-                    f"flux PSI {report.flux_psi:.3f} > {PSI_THRESHOLD}"
-                )
-            if report.flux_ks > KS_THRESHOLD:
-                report.reasons.append(
-                    f"flux KS {report.flux_ks:.3f} > {KS_THRESHOLD}"
-                )
+        report = DriftReport(n_window=len(self._scores))
+        series = [("score", np.clip(np.asarray(self._scores, dtype=float), 0.0, 1.0),
+                   base.score_edges, base.score_probs)]
+        if base.flux_edges is not None:
+            series.append(("flux", np.asarray(self._flux, dtype=float),
+                           base.flux_edges, base.flux_probs))
+        for name, window, edges, probs in series:
+            if window.size < MIN_SAMPLES:
+                continue
+            observed = _histogram_probs(window, edges)
+            psi = psi_statistic(probs, observed)
+            ks = ks_statistic(probs, observed)
+            setattr(report, f"{name}_psi", psi)
+            setattr(report, f"{name}_ks", ks)
+            if psi > PSI_THRESHOLD:
+                report.reasons.append(f"{name} PSI {psi:.3f} > {PSI_THRESHOLD}")
+            if ks > KS_THRESHOLD:
+                report.reasons.append(f"{name} KS {ks:.3f} > {KS_THRESHOLD}")
         report.flagged = bool(report.reasons)
-        self.flagged = report.flagged
         return report

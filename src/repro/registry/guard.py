@@ -4,11 +4,13 @@ Pure bookkeeping, no threads and no IO: the daemon feeds
 :class:`RollbackGuard` two independent signals and acts when either
 crosses its configured budget —
 
-* **production drift** — after each scored micro-batch the daemon runs
-  its :class:`~repro.obs.drift.DriftMonitor` (PSI/KS against the model's
-  committed baseline) and reports ``flagged``; the guard demands
-  ``sustained_checks`` *consecutive* flagged evaluations before asking
-  for a rollback, so one noisy window cannot unseat a good model;
+* **production drift** — after each scored micro-batch the daemon
+  reports the ``flagged`` verdict of the served version's
+  :class:`~repro.obs.drift.DriftMonitor` (PSI/KS against the model's
+  committed baseline, fed by the scorer that served the batch); the
+  guard demands ``sustained_checks`` *consecutive* flagged evaluations
+  before asking for a rollback, so one noisy window cannot unseat a
+  good model;
 * **shadow divergence** — the shadow worker reports per-sample
   ``|p_candidate - p_production|``; the guard keeps a rolling window
   and trips once the window holds at least ``divergence_min_samples``
@@ -34,23 +36,16 @@ DIVERGENCE_WINDOW = 200
 class GuardConfig:
     """Budgets for drift-triggered rollback and shadow quarantine.
 
-    ``drift_window`` / ``drift_min_samples`` parameterise the
-    daemon-owned :class:`~repro.obs.drift.DriftMonitor` (they
-    intentionally default tighter than the offline monitor: a serving
-    rollback should fire within seconds, not after 500 samples); its
-    PSI/KS trip levels are the monitor's own constants.  The divergence
+    The drift window, its minimum sample count and the PSI/KS trip
+    levels are :mod:`repro.obs.drift` module constants.  The divergence
     window is :data:`DIVERGENCE_WINDOW` samples.
     """
 
-    drift_window: int = 200
-    drift_min_samples: int = 50
     sustained_checks: int = 3
     divergence_budget: float = 0.15
     divergence_min_samples: int = 20
 
     def __post_init__(self) -> None:
-        if self.drift_window < self.drift_min_samples or self.drift_min_samples < 1:
-            raise ValueError("need drift_window >= drift_min_samples >= 1")
         if self.sustained_checks < 1:
             raise ValueError("sustained_checks must be >= 1")
         if not 0.0 < self.divergence_budget <= 1.0:

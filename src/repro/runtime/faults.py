@@ -174,7 +174,7 @@ class CrashWorkerOnMarker:
     The process-pool analogue of :class:`FailBatch`: instances travel
     into :class:`~repro.serve.pool.ScoringPool` workers (via the
     ``worker_init`` seam) and wrap the worker engine's
-    ``classify_arrays`` so a batch whose first pixel carries the magic
+    ``score_arrays`` so a batch whose first pixel carries the magic
     ``marker`` value kills the worker process mid-batch — a real
     ``SIGKILL``, not an exception, exercising the pool's crash
     detection, respawn budget and per-sample culprit isolation.
@@ -191,13 +191,13 @@ class CrashWorkerOnMarker:
         self.min_batch = int(min_batch)
 
     def __call__(self, engine, worker_id: int) -> None:
-        """Wrap ``engine.classify_arrays`` with the marker tripwire."""
+        """Wrap ``engine.score_arrays`` with the marker tripwire."""
         import signal as _signal
 
-        inner = engine.classify_arrays
+        inner = engine.score_arrays
         marker, min_batch = self.marker, self.min_batch
 
-        def classify_arrays(pairs, mjd, strict=False, start_index=0):
+        def score_arrays(pairs, mjd, strict, start_index):
             arr = np.asarray(pairs)
             if (
                 arr.ndim == 5
@@ -205,9 +205,9 @@ class CrashWorkerOnMarker:
                 and np.any(arr[:, 0, 0, 0, 0] == marker)
             ):
                 os.kill(os.getpid(), _signal.SIGKILL)
-            return inner(pairs, mjd, strict=strict, start_index=start_index)
+            return inner(pairs, mjd, strict, start_index)
 
-        engine.classify_arrays = classify_arrays
+        engine.score_arrays = score_arrays
 
 
 class WedgeWorkerOnMarker:
@@ -230,13 +230,13 @@ class WedgeWorkerOnMarker:
         self.hang_s = float(hang_s)
 
     def __call__(self, engine, worker_id: int) -> None:
-        """Wrap ``engine.classify_arrays`` with the marker tripwire."""
+        """Wrap ``engine.score_arrays`` with the marker tripwire."""
         import time as _time
 
-        inner = engine.classify_arrays
+        inner = engine.score_arrays
         marker, min_batch, hang_s = self.marker, self.min_batch, self.hang_s
 
-        def classify_arrays(pairs, mjd, strict=False, start_index=0):
+        def score_arrays(pairs, mjd, strict, start_index):
             arr = np.asarray(pairs)
             if (
                 arr.ndim == 5
@@ -244,9 +244,9 @@ class WedgeWorkerOnMarker:
                 and np.any(arr[:, 0, 0, 0, 0] == marker)
             ):
                 _time.sleep(hang_s)
-            return inner(pairs, mjd, strict=strict, start_index=start_index)
+            return inner(pairs, mjd, strict, start_index)
 
-        engine.classify_arrays = classify_arrays
+        engine.score_arrays = score_arrays
 
 
 class RaiseWorkerOnMarker:
@@ -266,17 +266,17 @@ class RaiseWorkerOnMarker:
         self.factory = factory
 
     def __call__(self, engine, worker_id: int) -> None:
-        """Wrap ``engine.classify_arrays`` with the marker tripwire."""
-        inner = engine.classify_arrays
+        """Wrap ``engine.score_arrays`` with the marker tripwire."""
+        inner = engine.score_arrays
         marker, factory = self.marker, self.factory
 
-        def classify_arrays(pairs, mjd, strict=False, start_index=0):
+        def score_arrays(pairs, mjd, strict, start_index):
             arr = np.asarray(pairs)
             if arr.ndim == 5 and np.any(arr[:, 0, 0, 0, 0] == marker):
                 raise factory()
-            return inner(pairs, mjd, strict=strict, start_index=start_index)
+            return inner(pairs, mjd, strict, start_index)
 
-        engine.classify_arrays = classify_arrays
+        engine.score_arrays = score_arrays
 
 
 class InputCorruption:

@@ -67,11 +67,12 @@ deploy loop (``repro serve --registry DIR``):
   promote --shadow``) admitted traffic is also scored on the candidate
   from a bounded queue that sheds under load (the primary path is never
   slowed), tracking per-sample score divergence |Δp|.
-* **automatic rollback** — a daemon-owned
-  :class:`~repro.obs.drift.DriftMonitor` watches the production scores
-  against the model's committed baseline; sustained PSI/KS drift (or a
-  candidate blowing the shadow-divergence budget) makes the
-  :class:`~repro.registry.RollbackGuard` trip: the daemon rolls back to
+* **automatic rollback** — after each scored micro-batch the
+  :class:`~repro.registry.RollbackGuard` reads the verdict of the
+  served version's :class:`~repro.obs.drift.DriftMonitor`, the one its
+  scorer (engine or pool) feeds against the model's committed
+  baseline; sustained PSI/KS drift (or a candidate blowing the
+  shadow-divergence budget) makes the guard trip: the daemon rolls back to
   the last-known-good version (quarantining the bad one in the registry
   as ``rolled_back``) and records a ``registry.rolled_back`` audit
   event, all without dropping in-flight requests.
@@ -94,7 +95,6 @@ import numpy as np
 from .. import obs
 from ..nn import workspace_total_stats
 from ..obs import trace as obs_trace
-from ..obs.drift import DriftMonitor
 from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
 from .engine import (
@@ -753,8 +753,8 @@ class ServingDaemon:
         else:
             self._latency_hist = self.metrics.histogram("daemon.latency_s")
         # Registry / hot-reload state.  _engine_lock makes the
-        # (engine, version, monitor) triple a consistent snapshot for the
-        # scoring worker; _reload_lock serialises swaps (exactly-once).
+        # (engine, version) pair a consistent snapshot for the scoring
+        # worker; _reload_lock serialises swaps (exactly-once).
         self._engine_lock = threading.Lock()
         self._reload_lock = threading.Lock()
         self._engine_version: str | None = None
@@ -764,7 +764,6 @@ class ServingDaemon:
         self._guard: RollbackGuard | None = (
             RollbackGuard(guard) if registry is not None else None
         )
-        self._prod_monitor: DriftMonitor | None = None
         self._rollback_lock = threading.Lock()
         self._rollback_pending = False
         self._registry_watcher: _RegistryWatcher | None = None
@@ -788,7 +787,6 @@ class ServingDaemon:
         elif registry is not None:
             self._engine_version = registry.production()
         self.engine = engine
-        self._prod_monitor = self._make_monitor(engine)
         self._batcher = _Batcher(
             self.config.queue_depth,
             self.config.batch_max_size,
@@ -1150,7 +1148,6 @@ class ServingDaemon:
                         "engine.lock_wait", time.monotonic() - lock_from
                     )
                     version = self._engine_version
-                    monitor = self._prod_monitor
                     try:
                         results = self._pool.classify_arrays(
                             pairs, mjd,
@@ -1163,12 +1160,13 @@ class ServingDaemon:
                             "pool_failure",
                         )
                         raise
+                    monitor = self._pool.drift_monitor
             else:
-                # One consistent (engine, version, monitor) snapshot per
-                # batch: a hot reload that lands mid-score only affects the
-                # *next* batch, so every request is scored wholly by a
-                # single version and the outgoing engine drains its
-                # in-flight work before it is dropped.
+                # One consistent (engine, version) snapshot per batch: a
+                # hot reload that lands mid-score only affects the *next*
+                # batch, so every request is scored wholly by a single
+                # version and the outgoing engine drains its in-flight
+                # work before it is dropped.
                 lock_from = time.monotonic()
                 with self._engine_lock:
                     obs_trace.record(
@@ -1176,15 +1174,20 @@ class ServingDaemon:
                     )
                     engine = self.engine
                     version = self._engine_version
-                    monitor = self._prod_monitor
                 results = engine.classify_arrays(
                     pairs, mjd, strict=group[0].strict, start_index=group[0].index
                 )
+                monitor = engine.drift_monitor
         self._note_drained(len(group), time.monotonic() - started)
         if version is not None:
             self.metrics.counter(f"daemon.served.{version}").inc(len(results))
         if monitor is not None and self._guard is not None:
-            self._observe_drift(monitor, version, results)
+            # The verdict of the window this group's scorer just fed.
+            report = monitor.report
+            if self._guard.note_drift(report.flagged):
+                self._request_rollback(
+                    f"sustained drift on {version}: {'; '.join(report.reasons)}"
+                )
         self._offer_shadow(pairs, mjd, results)
         return results
 
@@ -1257,23 +1260,6 @@ class ServingDaemon:
             self.reload_hook(engine, version)
         return engine
 
-    def _make_monitor(self, engine: InferenceEngine) -> DriftMonitor | None:
-        """Fresh production drift monitor for a newly swapped engine.
-
-        Daemon-owned (independent of the engine's obs-session monitor)
-        and recreated at every swap, so its window only ever holds
-        scores produced by the *current* version — the rollback guard
-        never blames a new model for its predecessor's traffic.
-        """
-        if self._guard is None or engine.drift_baseline is None:
-            return None
-        cfg = self._guard.config
-        return DriftMonitor(
-            engine.drift_baseline,
-            window=cfg.drift_window,
-            min_samples=cfg.drift_min_samples,
-        )
-
     def _sync_with_registry(self) -> None:
         """One watcher tick: reconcile with the registry state file."""
         assert self.registry is not None
@@ -1333,7 +1319,11 @@ class ServingDaemon:
             previous, previous_version = self.engine, self._engine_version
             self.engine = engine
             self._engine_version = version
-            self._prod_monitor = self._make_monitor(engine)
+            # The served version's window starts empty, even on a warm
+            # _last_good engine that has served before (a pool reload
+            # builds a fresh monitor itself).
+            if engine.drift_monitor is not None:
+                engine.drift_monitor.reset()
             if self._guard is not None:
                 self._guard.reset_drift()
             if remember_previous and previous_version is not None:
@@ -1360,19 +1350,6 @@ class ServingDaemon:
             role=role,
             error_type=type(exc).__name__,
         )
-
-    def _observe_drift(self, monitor: DriftMonitor, version: str | None,
-                       results: list[PredictionResult]) -> None:
-        """Feed one scored batch to the production monitor; maybe roll back."""
-        report = monitor.observe(
-            [result.probability for result in results],
-            [result.flux_feature for result in results],
-        )
-        assert self._guard is not None
-        if self._guard.note_drift(report.flagged):
-            self._request_rollback(
-                f"sustained drift on {version}: {'; '.join(report.reasons)}"
-            )
 
     def _request_rollback(self, reason: str) -> None:
         """Kick off at most one asynchronous rollback.

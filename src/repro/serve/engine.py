@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -396,6 +395,51 @@ def audit_results(
     )
 
 
+def feed_drift(
+    session: "obs.TelemetrySession | None",
+    monitor: DriftMonitor,
+    results: list[PredictionResult],
+) -> None:
+    """Fold one production call's scored samples into the served
+    version's drift window; under a session, also set the ``drift.*``
+    gauges and write ``drift.flagged`` / ``drift.recovered`` on a
+    transition.
+
+    The one drift feed (DESIGN §9), called by the same two scorers as
+    :func:`audit_results`, with or without a session.  Failed
+    placeholders carry no score and are skipped.
+    """
+    served = [result for result in results if result.error is None]
+    if not served:
+        return
+    report, changed = monitor.observe(
+        [result.probability for result in served],
+        [result.flux_feature for result in served],
+    )
+    if session is None:
+        return
+    metrics = session.metrics
+    metrics.gauge("drift.score_psi").set(report.score_psi)
+    metrics.gauge("drift.score_ks").set(report.score_ks)
+    metrics.gauge("drift.flux_psi").set(report.flux_psi)
+    metrics.gauge("drift.flux_ks").set(report.flux_ks)
+    if changed and report.flagged:
+        metrics.counter("drift.flagged").inc()
+        session.emit(
+            "drift.flagged",
+            level="warning",
+            message="served distribution drifted from the training baseline: "
+            + "; ".join(report.reasons),
+            **report.to_dict(),
+        )
+    elif changed:
+        session.emit(
+            "drift.recovered",
+            message="served distribution back within the training baseline",
+            **report.to_dict(),
+        )
+
+
 def audit_rejection(exc: DegradedInputError) -> None:
     """Under a telemetry session, record one strict refusal: stamp
     ``exc.request_id`` and write the single ``serve.rejected`` event and
@@ -435,9 +479,12 @@ class InferenceEngine:
         to the neutral (no-detection) prior.
     drift_baseline:
         Optional committed training-set :class:`~repro.obs.drift.DriftBaseline`;
-        when present *and* a telemetry session is active, served scores
-        and flux features feed a :class:`~repro.obs.drift.DriftMonitor`
-        that raises ``drift.flagged`` events past its thresholds.
+        when present, the scores and flux features of every
+        :meth:`classify_arrays` call feed this engine's
+        :class:`~repro.obs.drift.DriftMonitor` (:func:`feed_drift`),
+        which under a telemetry session writes ``drift.flagged`` events
+        past its thresholds.  A serving daemon's rollback guard reads the
+        same monitor.
     fused:
         When True (default) the CNN stage runs the whole flattened
         ``(N·V)`` visit batch through :meth:`BandwiseCNN.fused_forward`
@@ -461,7 +508,6 @@ class InferenceEngine:
         self.drift_monitor = (
             DriftMonitor(drift_baseline) if drift_baseline is not None else None
         )
-        self._drift_lock = threading.Lock()
         #: Chaos-only seam: when set, called with the classifier's raw
         #: probability array and its return value is served instead
         #: (see :class:`repro.runtime.faults.ShiftScores`).  Never set
@@ -511,13 +557,16 @@ class InferenceEngine:
     def fit_drift_baseline(self, dataset: SupernovaDataset, n_bins: int = 20) -> DriftBaseline:
         """Capture the serving-drift baseline from a (training) dataset.
 
-        Classifies the dataset through this engine's own path and bins
-        the resulting scores and per-sample flux features — i.e. the
+        Scores the dataset through this engine's own path and bins the
+        resulting scores and per-sample flux features — i.e. the
         baseline measures exactly the distributions the drift monitor
-        will see at serve time.  Sets :attr:`drift_baseline` (persisted
-        by :meth:`save`) and arms :attr:`drift_monitor`.
+        will see at serve time.  Scoring goes through
+        :meth:`score_arrays`, so training samples are neither audited
+        as production traffic nor fed to a monitor.  Sets
+        :attr:`drift_baseline` (persisted by :meth:`save`) and arms
+        :attr:`drift_monitor`.
         """
-        results = self.classify(dataset)
+        results = self.score_arrays(dataset.pairs, dataset.visit_mjd, False, 0)
         scores = np.array([r.probability for r in results], dtype=float)
         flux = np.array([r.flux_feature for r in results], dtype=float)
         flux = flux[np.isfinite(flux)]
@@ -580,16 +629,16 @@ class InferenceEngine:
         samples are flagged, not raised — except in strict mode, where
         the first degradation aborts with :class:`DegradedInputError`.
         Under a telemetry session every sample is audited
-        (:func:`audit_results`) and fed to the drift monitor.
+        (:func:`audit_results`); with a drift baseline every sample
+        feeds the drift monitor (:func:`feed_drift`).
         """
         session = obs.active()
-        if session is None:
-            return self.score_arrays(pairs, mjd, strict, start_index)
         t_start = time.perf_counter()
         results = self.score_arrays(pairs, mjd, strict, start_index)
-        audit_results(session, results, time.perf_counter() - t_start)
+        if session is not None:
+            audit_results(session, results, time.perf_counter() - t_start)
         if self.drift_monitor is not None:
-            self._feed_drift(session, results)
+            feed_drift(session, self.drift_monitor, results)
         return results
 
     def score_arrays(
@@ -601,8 +650,9 @@ class InferenceEngine:
     ) -> list[PredictionResult]:
         """:meth:`classify_arrays` without the audit: the same results,
         but no ``serve.request`` events, ``serve.*`` metrics or drift
-        feed.  The daemon scores shadow candidates through this, so
-        their scores never pass for production traffic.  A strict
+        feed.  The daemon scores shadow candidates and pool workers
+        score their shards through this, so neither passes for
+        production traffic.  A strict
         refusal raises before the CNN and records nothing: the caller
         that answers it does (:func:`audit_rejection`).
         """
@@ -702,38 +752,6 @@ class InferenceEngine:
                 )
             )
         return results
-
-    def _feed_drift(
-        self, session: "obs.TelemetrySession", results: list[PredictionResult]
-    ) -> None:
-        """Fold served scores/flux into the drift window; emit transitions."""
-        monitor = self.drift_monitor
-        scores = [r.probability for r in results]
-        flux = [r.flux_feature for r in results]
-        with self._drift_lock:
-            previously_flagged = monitor.flagged
-            report = monitor.observe(scores, flux)
-            transition = report.flagged != previously_flagged
-        metrics = session.metrics
-        metrics.gauge("drift.score_psi").set(report.score_psi)
-        metrics.gauge("drift.score_ks").set(report.score_ks)
-        metrics.gauge("drift.flux_psi").set(report.flux_psi)
-        metrics.gauge("drift.flux_ks").set(report.flux_ks)
-        if transition and report.flagged:
-            metrics.counter("drift.flagged").inc()
-            session.emit(
-                "drift.flagged",
-                level="warning",
-                message="served distribution drifted from the training baseline: "
-                + "; ".join(report.reasons),
-                **report.to_dict(),
-            )
-        elif transition:
-            session.emit(
-                "drift.recovered",
-                message="served distribution back within the training baseline",
-                **report.to_dict(),
-            )
 
     def classify(
         self, dataset: SupernovaDataset, strict: bool = False

@@ -70,11 +70,13 @@ import numpy as np
 from .. import obs
 from ..nn.threads import blas_env_settings, blas_thread_plan, pinned_blas_env
 from ..obs import trace as obs_trace
+from ..obs.drift import DriftBaseline, DriftMonitor
 from .engine import (
     InferenceEngine,
     PredictionResult,
     audit_results,
     check_batch_shape,
+    feed_drift,
     isolate,
     stream_isolated,
 )
@@ -188,6 +190,12 @@ def _portable(exc: BaseException) -> BaseException:
     return PoolError(f"{type(exc).__name__}: {exc}")
 
 
+def _drift_monitor(model_source: str) -> DriftMonitor | None:
+    """A fresh monitor over a model directory's baseline, if it has one."""
+    baseline = DriftBaseline.load(model_source)
+    return None if baseline is None else DriftMonitor(baseline)
+
+
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
@@ -224,9 +232,7 @@ def _run_task(
     started = time.perf_counter()
     try:
         with task_span:
-            results = engine.classify_arrays(
-                pairs, mjd, strict=strict, start_index=start_index
-            )
+            results = engine.score_arrays(pairs, mjd, strict, start_index)
     except Exception as exc:  # noqa: BLE001 - shipped to the parent, typed
         return ("task_error", task_id, _portable(exc), tracer.take(),
                 time.perf_counter() - started)
@@ -355,7 +361,9 @@ class ScoringPool:
     what ``repro serve --registry`` and ``repro classify --model``
     already have) or a live ``engine`` (persisted once to a pool-owned
     temp directory so spawned workers can load it).  Strict mode is a
-    per-call flag, as on the engine.
+    per-call flag, as on the engine.  The parent holds the served
+    version's :attr:`drift_monitor`, built from the model directory's
+    drift baseline at :meth:`start` and at each :meth:`reload`.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
     callable applied to each worker's engine after load (the pool
@@ -379,6 +387,8 @@ class ScoringPool:
             os.fspath(model_source) if model_source is not None else None
         )
         self._tmpdir: tempfile.TemporaryDirectory | None = None
+        #: Drift monitor of the served version; ``None`` without a baseline.
+        self.drift_monitor: DriftMonitor | None = None
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
         #: Guards only the closed flag, so close() can make the pool
@@ -422,6 +432,7 @@ class ScoringPool:
                 self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-pool-")
                 self._engine.save(self._tmpdir.name)
                 self._model_source = self._tmpdir.name
+            self.drift_monitor = _drift_monitor(self._model_source)
             self._shm = shared_memory.SharedMemory(
                 create=True, size=self.config.workers * self._slot_bytes
             )
@@ -635,8 +646,10 @@ class ScoringPool:
         malformed batches) re-raise with the same types, and a worker
         crash is healed internally (respawn + per-sample re-score) with
         only repeat offenders flagged as failed placeholders.  Workers
-        run no telemetry session, so under one the parent audits the
-        scored samples (:func:`~repro.serve.engine.audit_results`).
+        only score, so the parent audits the scored samples under a
+        telemetry session (:func:`~repro.serve.engine.audit_results`)
+        and feeds its drift monitor
+        (:func:`~repro.serve.engine.feed_drift`).
         """
         session = obs.active()
         t_start = time.perf_counter() if session is not None else 0.0
@@ -678,10 +691,14 @@ class ScoringPool:
                 self._gather(shards)
                 results = self._settle(shards, pairs32, mjd32, strict,
                                        start_index)
+            # The scoring version's monitor, not one a reload swaps in next.
+            monitor = self.drift_monitor
         self._tasks += 1
         self._samples += n
         if session is not None:
             audit_results(session, results, time.perf_counter() - t_start)
+        if monitor is not None:
+            feed_drift(session, monitor, results)
         return results
 
     def _plan_shards(self, n: int) -> list[tuple[int, int]]:
@@ -973,10 +990,12 @@ class ScoringPool:
         acks the new epoch.  On any worker failing the load, the
         remaining workers are rolled back to the previous source and the
         error re-raises — the pool never serves a half-swapped state.
+        The new version's drift monitor starts with an empty window.
         """
         source = os.fspath(model_source)
         with self._lock:
             self._ensure_live()
+            monitor = _drift_monitor(source)
             previous = self._model_source
             self._epoch += 1
             epoch = self._epoch
@@ -989,6 +1008,7 @@ class ScoringPool:
                     self._epoch += 1
                     self._broadcast_reload(previous, self._epoch)
                     raise
+            self.drift_monitor = monitor
             return epoch
 
     def _broadcast_reload(self, source: str, epoch: int) -> None:

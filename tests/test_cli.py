@@ -158,14 +158,28 @@ class TestClassify:
             assert payload["confidence"] < 1.0
 
     def test_dropped_band_refused_in_strict_mode(self, served, tmp_path, capsys):
+        """The stream refuses the first degraded sample, once: the dataset
+        loads, and the refusal is the stream's, with its request id."""
+        from repro.obs import EVENTS_FILE, read_events
+
         model_dir, _, _ = served
         degraded_path = self._degraded_dataset_path(served, tmp_path)
+        telemetry = tmp_path / "t"
         code = main([
             "classify", "--model", str(model_dir),
             "--dataset", str(degraded_path), "--strict",
+            "--telemetry", str(telemetry),
         ])
         assert code == 2
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sample 0" in err and "degraded" in err
+        events = list(read_events(telemetry / EVENTS_FILE))
+        rejected = [e for e in events if e["event"] == "serve.rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["index"] == 0 and rejected[0]["band"] == "r"
+        (error,) = [e for e in events if e["event"] == "cli.error"]
+        assert error["request_id"] == rejected[0]["request_id"]
+        assert error["request_id"].endswith("/r0")
 
     def test_truncated_model_dir_exits_3(self, served, tmp_path, capsys):
         import shutil

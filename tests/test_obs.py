@@ -25,6 +25,7 @@ from repro.obs import (
     validate_event,
     validate_file,
 )
+from repro.obs.drift import MIN_SAMPLES, WINDOW
 
 pytestmark = pytest.mark.obs
 
@@ -302,21 +303,72 @@ class TestDriftStatistics:
         rng = np.random.default_rng(1)
         scores = rng.uniform(size=1000)
         monitor = DriftMonitor(DriftBaseline.from_samples(scores))
-        report = monitor.observe(rng.uniform(size=200))
-        assert not report.flagged and not monitor.flagged
+        report, changed = monitor.observe(rng.uniform(size=200))
+        assert not report.flagged and not changed
 
     def test_monitor_flags_shifted_traffic(self):
         rng = np.random.default_rng(2)
         monitor = DriftMonitor(DriftBaseline.from_samples(rng.uniform(0.0, 0.5, size=1000)))
-        report = monitor.observe(rng.uniform(0.5, 1.0, size=200))
-        assert report.flagged and monitor.flagged
+        report, changed = monitor.observe(rng.uniform(0.5, 1.0, size=200))
+        assert report.flagged and monitor.report is report and changed
         assert report.reasons
         assert report.to_dict()["flagged"] is True
 
     def test_monitor_needs_min_samples(self):
         rng = np.random.default_rng(3)
-        monitor = DriftMonitor(
-            DriftBaseline.from_samples(rng.uniform(size=500)), min_samples=50
-        )
-        report = monitor.observe(np.full(10, 0.99))
-        assert not report.flagged  # 10 < min_samples: never flag on noise
+        monitor = DriftMonitor(DriftBaseline.from_samples(rng.uniform(size=500)))
+        report, _ = monitor.observe(np.full(MIN_SAMPLES - 1, 0.99))
+        assert not report.flagged  # below MIN_SAMPLES: never flag on noise
+        report, changed = monitor.observe(0.99)
+        assert report.flagged and changed  # the same traffic, one more sample
+
+    def test_monitor_window_rolls_and_resets(self):
+        rng = np.random.default_rng(4)
+        monitor = DriftMonitor(DriftBaseline.from_samples(rng.uniform(0.0, 0.5, size=1000)))
+        report, changed = monitor.observe(rng.uniform(0.5, 1.0, size=WINDOW))
+        assert report.flagged and changed
+        # A full window of baseline-like traffic pushes the drift out.
+        report, changed = monitor.observe(rng.uniform(0.0, 0.5, size=WINDOW))
+        assert report.n_window == WINDOW
+        assert not report.flagged and changed
+        monitor.observe(rng.uniform(0.5, 1.0, size=WINDOW))
+        monitor.reset()
+        assert not monitor.report.flagged and monitor.report.n_window == 0
+        report, _ = monitor.observe(rng.uniform(0.5, 1.0, size=MIN_SAMPLES - 1))
+        assert report.n_window == MIN_SAMPLES - 1 and not report.flagged
+
+    def test_concurrent_feeders_see_each_transition_once(self):
+        """Eight threads toggle one monitor between clean and drifted
+        traffic: with the transition under the monitor's lock, flagged
+        and recovered transitions alternate, so their counts differ by
+        exactly the final state."""
+        import sys
+
+        rng = np.random.default_rng(5)
+        monitor = DriftMonitor(DriftBaseline.from_samples(rng.uniform(0.0, 0.5, size=1000)))
+        clean = rng.uniform(0.0, 0.5, size=WINDOW)
+        shifted = rng.uniform(0.5, 1.0, size=WINDOW)
+        counts = {True: 0, False: 0}
+        lock = threading.Lock()
+
+        def feed(offset):
+            for k in range(40):
+                batch = shifted if (k + offset) % 4 < 2 else clean
+                report, changed = monitor.observe(batch)
+                if changed:
+                    with lock:
+                        counts[report.flagged] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=feed, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counts[True] >= 1
+        assert counts[True] - counts[False] == int(monitor.report.flagged)

@@ -194,7 +194,7 @@ class TestDriftLadder:
         try:
             for _ in range(8):  # clean traffic: past min_samples, still silent
                 engine.classify(dataset)
-            assert not engine.drift_monitor.flagged
+            assert not engine.drift_monitor.report.flagged
             assert _events(directory, "drift.flagged") == []
 
             pairs = dataset.pairs
@@ -206,12 +206,77 @@ class TestDriftLadder:
         finally:
             snapshot = obs.stop()
 
-        assert engine.drift_monitor.flagged
+        assert engine.drift_monitor.report.flagged
         flagged = _events(directory, "drift.flagged")
         assert flagged and flagged[0]["level"] == "warning"
         assert flagged[0]["reasons"]
         assert snapshot["counters"]["drift.flagged"] >= 1
         assert snapshot["gauges"]["drift.score_psi"] > 0.25
+
+    def test_fit_baseline_is_not_production_traffic(self, dataset, tmp_path):
+        """Fitting scores the training set without auditing it as served
+        samples or feeding the fresh monitor."""
+        pipe = SupernovaPipeline(input_size=36, units=8, epochs_used=1, seed=0)
+        engine = InferenceEngine(pipe, prior=FluxPrior.from_dataset(dataset))
+        directory = tmp_path / "t"
+        obs.start(directory)
+        try:
+            baseline = engine.fit_drift_baseline(dataset)
+        finally:
+            snapshot = obs.stop()
+        assert baseline.n == len(dataset)
+        assert _events(directory, "serve.request") == []
+        assert "serve.requests" not in snapshot["counters"]
+        assert engine.drift_monitor.report.n_window == 0
+
+    def test_pool_feeds_the_same_drift_monitor(self, dataset, tmp_path):
+        """The ladder through an in-process engine and a two-worker pool
+        from one model directory: the same transitions, statistics and
+        gauges, because each scorer feeds its served version's monitor."""
+        pipe = SupernovaPipeline(input_size=36, units=8, epochs_used=1, seed=0)
+        engine = InferenceEngine(pipe, prior=FluxPrior.from_dataset(dataset))
+        engine.fit_drift_baseline(dataset)
+        model_dir = tmp_path / "model"
+        engine.save(str(model_dir))
+
+        pairs = dataset.pairs
+        for band in range(N_BANDS):
+            pairs = DropBand(band)(pairs)
+        # Clean, all bands dropped, then clean long enough to refill the
+        # window: one flagged and one recovered transition.
+        ladder = [dataset.pairs] * 8 + [pairs] * 10 + [dataset.pairs] * 20
+
+        def drive(scorer, directory):
+            obs.start(directory)
+            try:
+                for batch in ladder:
+                    scorer.classify_arrays(batch, dataset.visit_mjd)
+            finally:
+                snapshot = obs.stop()
+            transitions = [
+                {k: r[k] for k in ("event", "reasons", "n_window", "score_psi",
+                                   "score_ks", "flux_psi", "flux_ks")}
+                for r in _events(directory)
+                if r["event"] in ("drift.flagged", "drift.recovered")
+            ]
+            gauges = {
+                name: value for name, value in snapshot["gauges"].items()
+                if name.startswith("drift.")
+            }
+            return transitions, gauges
+
+        in_process = drive(InferenceEngine.from_directory(str(model_dir)),
+                           tmp_path / "engine")
+        with ScoringPool(model_source=str(model_dir),
+                         config=PoolConfig(workers=2)) as pool:
+            pooled = drive(pool, tmp_path / "pool")
+        transitions, gauges = in_process
+        assert [t["event"] for t in transitions] == [
+            "drift.flagged", "drift.recovered",
+        ]
+        assert transitions[0]["reasons"]
+        assert len(gauges) == 4
+        assert pooled == in_process
 
     def test_baseline_persists_through_save_load(self, dataset, tmp_path):
         pipe = SupernovaPipeline(input_size=36, units=8, epochs_used=1, seed=0)

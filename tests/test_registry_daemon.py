@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.obs import EVENTS_FILE, read_events
-from repro.obs.drift import DriftBaseline
+from repro.obs.drift import MIN_SAMPLES, DriftBaseline
 from repro.registry import GuardConfig, ModelRegistry, RegistryError
 from repro.runtime import BurstSchedule, ShiftScores
 from repro.serve import InferenceEngine
@@ -489,9 +489,7 @@ class TestAutomaticRollback:
             if version == "v2":
                 engine.score_hook = ShiftScores(delta)
 
-        guard = GuardConfig(
-            drift_window=32, drift_min_samples=8, sustained_checks=2,
-        )
+        guard = GuardConfig(sustained_checks=2)
         config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
         telemetry = tmp_path / "telemetry"
         obs.start(telemetry, run_id="run-rollback")
@@ -501,11 +499,13 @@ class TestAutomaticRollback:
             ) as daemon:
                 body = classify_body(pairs, mjd, deadline_ms=30000)
                 statuses = []
-                # Warm traffic on v1: enough for the monitor to fill
+                # Warm traffic on v1: enough for the monitor to evaluate
                 # without flagging (scores match the committed baseline).
-                for _ in range(10):
+                for _ in range(MIN_SAMPLES + 5):
                     statuses.append(post_classify(daemon.port, body)[0])
                 assert daemon._engine_version == "v1"
+                report = daemon.engine.drift_monitor.report
+                assert report.n_window >= MIN_SAMPLES and not report.flagged
                 assert int(daemon.metrics.counter("daemon.rollbacks").value) == 0
 
                 registry.promote("v2")
@@ -513,7 +513,9 @@ class TestAutomaticRollback:
 
                 # Sustained load on the poisoned version until the guard
                 # trips and the daemon swaps back — bounded, not open-loop.
-                for _ in range(80):
+                # v2's window starts empty, so it needs MIN_SAMPLES of its
+                # own scores before the first flagged verdict.
+                for _ in range(MIN_SAMPLES + 40):
                     statuses.append(post_classify(daemon.port, body)[0])
                     if daemon._engine_version == "v1":
                         break
@@ -563,6 +565,18 @@ class TestAutomaticRollback:
         assert rolled[0]["version"] == "v2"
         assert rolled[0]["restored"] == "v1"
         assert "drift" in rolled[0]["reason"]
+        # The guard and the event stream read one monitor: v2's window
+        # flags (v1's never does) before the rollback it causes.
+        seq = {
+            name: [r["seq"] for r in records if r["event"] == name]
+            for name in ("registry.reloaded", "drift.flagged")
+        }
+        promoted_at = seq["registry.reloaded"][0]
+        assert any(
+            promoted_at < flagged < rolled[0]["seq"]
+            for flagged in seq["drift.flagged"]
+        )
+        assert all(flagged > promoted_at for flagged in seq["drift.flagged"])
         reloads = [r for r in records if r["event"] == "registry.reloaded"]
         # v1 -> v2 (promote), v2 -> v1 (rollback).
         assert [(r["previous"], r["version"]) for r in reloads] == [
@@ -582,16 +596,15 @@ class TestAutomaticRollback:
         )
         registry = ModelRegistry(tmp_path / "registry")
         registry.promote(registry.register(model))
-        guard = GuardConfig(
-            drift_window=16, drift_min_samples=4, sustained_checks=2,
-        )
+        guard = GuardConfig(sustained_checks=2)
         config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
         telemetry = tmp_path / "telemetry"
         obs.start(telemetry, run_id="run-norollback")
         try:
             with running_registry_daemon(registry, config, guard=guard) as daemon:
                 body = classify_body(pairs, mjd)
-                for _ in range(10):
+                # Past MIN_SAMPLES, then two flagged verdicts in a row.
+                for _ in range(MIN_SAMPLES + 10):
                     assert post_classify(daemon.port, body)[0] == 200
                     time.sleep(0.01)
                 _wait_for(
