@@ -919,6 +919,15 @@ def main(argv: list[str] | None = None) -> int:
             # A malformed --trace spec must not leave a half-open session.
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
+        except FileExistsError as exc:
+            # One directory holds one session: refuse rather than append
+            # to (or truncate) an earlier run's audit trail.
+            print(
+                f"error: {exc.filename} already exists; pass a fresh "
+                "--telemetry DIR (one directory holds one session)",
+                file=sys.stderr,
+            )
+            return EXIT_BAD_INPUT
     code: int | None = None  # None = a non-CLI exception escaped
     try:
         try:

@@ -15,8 +15,6 @@ and the pipeline keeps the fitted components accessible for evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..datasets import N_BANDS, SupernovaDataset
@@ -64,14 +62,6 @@ def scaled_dates(mjd: np.ndarray) -> np.ndarray:
     """Centre dates per sample and scale by the 50-day light-curve scale."""
     mjd = np.asarray(mjd, dtype=float)
     return ((mjd - mjd.mean(axis=1, keepdims=True)) / DATE_SCALE_DAYS).astype(np.float32)
-
-
-@dataclass
-class _StageData:
-    """Arrays one training stage consumes (train + validation)."""
-
-    train: tuple[np.ndarray, ...]
-    val: tuple[np.ndarray, ...]
 
 
 class SupernovaPipeline:

@@ -75,8 +75,11 @@ class EventLog:
     Parameters
     ----------
     path:
-        Target ``.jsonl`` file; parent directory must exist.  Pass a
-        file-like object instead to capture events in memory (tests).
+        Target ``.jsonl`` file; parent directory must exist and the file
+        must not: it is created exclusively (``FileExistsError``
+        otherwise), so a second log can never interleave a restarted
+        ``seq`` into an earlier run's stream.  Pass a file-like object
+        instead to capture events in memory (tests).
     """
 
     def __init__(self, path: str | os.PathLike | io.TextIOBase) -> None:
@@ -84,7 +87,7 @@ class EventLog:
         self._seq = 0
         if isinstance(path, (str, os.PathLike)):
             self.path: str | None = os.fspath(path)
-            self._handle: io.TextIOBase = open(self.path, "a")
+            self._handle: io.TextIOBase = open(self.path, "x")
             self._owns_handle = True
         else:
             self.path = None

@@ -70,13 +70,21 @@ def validate_event(record: object) -> list[str]:
     if not any(isinstance(record.get(f), str) and record[f] for f in _ID_FIELDS):
         errors.append("record carries neither run_id nor request_id")
     if record.get("event") == SPAN_EVENT:
-        for name, types in SPAN_FIELDS.items():
-            if name not in record:
-                errors.append(f"span record missing field {name!r}")
-            elif not isinstance(record[name], types) or isinstance(record[name], bool):
-                errors.append(
-                    f"span field {name!r} has type {type(record[name]).__name__}"
-                )
+        errors.extend(span_field_errors(record))
+    return errors
+
+
+def span_field_errors(record: dict) -> list[str]:
+    """Violations of the span fields (:data:`~repro.obs.trace.SPAN_FIELDS`)
+    in one span record; the header is not checked."""
+    errors: list[str] = []
+    for name, types in SPAN_FIELDS.items():
+        if record.get(name) is None:
+            errors.append(f"span record missing field {name!r}")
+        elif not isinstance(record[name], types) or isinstance(record[name], bool):
+            errors.append(
+                f"span field {name!r} has type {type(record[name]).__name__}"
+            )
     return errors
 
 

@@ -26,7 +26,11 @@ events, counters, gauges and stage timings.
 
 Sessions do not nest: :func:`start` while a session is active raises —
 one process serves one telemetry directory at a time, which is what
-keeps the hot-path check a single load.
+keeps the hot-path check a single load.  A directory holds one session:
+:func:`start` on a directory that already has an ``events.jsonl``
+raises ``FileExistsError`` before anything is written, so an earlier
+run's audit trail and ``metrics.json`` are never appended to or
+overwritten.
 """
 
 from __future__ import annotations

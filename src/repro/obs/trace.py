@@ -76,8 +76,9 @@ SPAN_EVENT = "trace.span"
 SLOW_EVENT = "trace.slow_request"
 MODES = ("always", "rate", "slow")
 
-# Fields every span record must carry (validated by ``validate_spans``
-# and, for schema-v2 event lines, by ``repro.obs.schema``).
+# Fields every span record must carry (checked by
+# ``repro.obs.schema.span_field_errors`` for ``validate_spans`` and for
+# schema-v2 event lines).
 SPAN_FIELDS: Dict[str, type | tuple] = {
     "trace_id": str,
     "span_id": str,
@@ -625,21 +626,19 @@ def load_spans(directory: str) -> List[dict]:
 
 
 def validate_spans(spans: Iterable[dict]) -> List[str]:
-    """Structural violations in span records; empty means valid."""
+    """Structural violations in span records; empty means valid.
+
+    Field types are the event schema's span check; on top of it come
+    the tree checks: a non-negative duration, a string ``parent_id``
+    and span ids unique within their trace.
+    """
+    from .schema import span_field_errors  # schema imports this module
+
     errors: List[str] = []
     ids = set()
-    records = list(spans)
-    for i, record_dict in enumerate(records):
+    for i, record_dict in enumerate(spans):
         where = f"span {i}"
-        for field, expected in SPAN_FIELDS.items():
-            value = record_dict.get(field)
-            if value is None:
-                errors.append(f"{where}: missing field {field!r}")
-            elif not isinstance(value, expected) or isinstance(value, bool):
-                errors.append(
-                    f"{where}: field {field!r} has type "
-                    f"{type(value).__name__}, expected {expected}"
-                )
+        errors.extend(f"{where}: {problem}" for problem in span_field_errors(record_dict))
         duration = record_dict.get("duration_s")
         if isinstance(duration, (int, float)) and duration < 0:
             errors.append(f"{where}: negative duration {duration!r}")

@@ -53,9 +53,13 @@ session's per-request audit uses.
 Model registry integration
 --------------------------
 Given a :class:`~repro.registry.ModelRegistry` the daemon closes the
-deploy loop (``repro serve --registry DIR``):
+deploy loop (``repro serve --registry DIR``).  Deploy state — the served
+``(engine, version)``, the last-known-good engine, the shadow candidate
+and the daemon's registry writes — has one owner, the registry watcher
+thread; the scoring and shadow threads only *post* a rollback or
+quarantine request and wake it:
 
-* **hot reload** — a version watcher polls ``registry.json``; when the
+* **hot reload** — the watcher polls ``registry.json``; when the
   production pointer moves it verifies + loads the new version off the
   scoring path and swaps it in *between* micro-batches.  Each batch
   captures one ``(engine, version)`` snapshot, so in-flight work drains
@@ -72,10 +76,13 @@ deploy loop (``repro serve --registry DIR``):
   served version's :class:`~repro.obs.drift.DriftMonitor`, the one its
   scorer (engine or pool) feeds against the model's committed
   baseline; sustained PSI/KS drift (or a candidate blowing the
-  shadow-divergence budget) makes the guard trip: the daemon rolls back to
-  the last-known-good version (quarantining the bad one in the registry
-  as ``rolled_back``) and records a ``registry.rolled_back`` audit
-  event, all without dropping in-flight requests.
+  shadow-divergence budget, or crashing) makes the guard trip and its
+  thread post a request.  The watcher's next tick applies posted
+  requests before it re-reads ``registry.json``: it rolls back to the
+  last-known-good version (quarantining the bad one in the registry
+  as ``rolled_back``) or quarantines the candidate, and records a
+  ``registry.rolled_back`` audit event, all without dropping in-flight
+  requests.
 """
 
 from __future__ import annotations
@@ -467,20 +474,28 @@ class _Watchdog(threading.Thread):
 
 
 class _RegistryWatcher(threading.Thread):
-    """Polls ``registry.json`` and drives hot reload / shadow sync.
+    """The one thread that changes the daemon's deploy state.
 
-    All actual state changes happen in the daemon's ``_sync_with_registry``
-    under its reload lock; this thread only provides the cadence.
+    Each tick runs the daemon's ``_sync_with_registry``: the rollback
+    and quarantine requests other threads posted, then a reconcile with
+    ``registry.json``.  A tick starts every ``reload_poll_s``, or as
+    soon as a request is posted; until the daemon drains.
     """
 
     def __init__(self, daemon: "ServingDaemon") -> None:
         super().__init__(name="repro-serve-registry", daemon=True)
         self.owner = daemon
-        self.stop_event = threading.Event()
 
     def run(self) -> None:
-        while not self.stop_event.wait(self.owner.config.reload_poll_s):
-            self.owner._sync_with_registry()
+        owner = self.owner
+        while True:
+            owner._deploy_wake.wait(owner.config.reload_poll_s)
+            # Cleared before the tick reads the posted requests, so a
+            # request posted during the tick wakes the next one.
+            owner._deploy_wake.clear()
+            if owner._draining:
+                return
+            owner._sync_with_registry()
 
 
 class _ShadowWorker(threading.Thread):
@@ -526,11 +541,9 @@ class _DaemonServer(ThreadingHTTPServer):
     owner: "ServingDaemon"
 
 
-class _SlowClientError(Exception):
-    """Body did not arrive within the client deadline."""
-
-
 class _BodyError(Exception):
+    """A refused request body: its status, typed error kind and message."""
+
     def __init__(self, status: int, kind: str, message: str) -> None:
         super().__init__(message)
         self.status = status
@@ -606,23 +619,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             raw = self._read_body()
-        except _SlowClientError:
-            owner.metrics.counter("daemon.slow_clients").inc()
-            self.close_connection = True
-            n_bytes = self._send_json(
-                408,
-                _error_payload(
-                    None, "slow_client",
-                    f"request body did not arrive within "
-                    f"{owner.config.client_body_deadline_s}s",
-                ),
-            )
-            owner._note_access(
-                "POST", self.path, 408, n_bytes, time.monotonic() - started
-            )
-            return
         except _BodyError as exc:
-            owner.metrics.counter("daemon.bad_requests").inc()
+            if exc.status == 408:
+                # A dribbling client: its connection is not reused.
+                owner.metrics.counter("daemon.slow_clients").inc()
+                self.close_connection = True
+            else:
+                owner.metrics.counter("daemon.bad_requests").inc()
             n_bytes = self._send_json(
                 exc.status, _error_payload(None, exc.kind, str(exc))
             )
@@ -676,7 +679,7 @@ class _Handler(BaseHTTPRequestHandler):
         while remaining > 0:
             time_left = deadline - time.monotonic()
             if time_left <= 0:
-                raise _SlowClientError
+                raise self._slow_client()
             # read1 = at most one underlying recv, so a dribbling client
             # cannot pin us inside a single blocking read past the
             # deadline; the socket timeout bounds a fully stalled one.
@@ -684,7 +687,7 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 data = self.rfile.read1(min(remaining, 65536))
             except (TimeoutError, OSError):
-                raise _SlowClientError
+                raise self._slow_client()
             if not data:
                 raise _BodyError(
                     400, "bad_request", "client closed the connection mid-body"
@@ -695,6 +698,12 @@ class _Handler(BaseHTTPRequestHandler):
         # not bound the response write or the next keep-alive request.
         self.connection.settimeout(self.timeout)
         return b"".join(chunks)
+
+    def _slow_client(self) -> _BodyError:
+        deadline_s = self.server.owner.config.client_body_deadline_s
+        return _BodyError(
+            408, "slow_client", f"request body did not arrive within {deadline_s}s"
+        )
 
 
 class ServingDaemon:
@@ -752,11 +761,11 @@ class ServingDaemon:
             )
         else:
             self._latency_hist = self.metrics.histogram("daemon.latency_s")
-        # Registry / hot-reload state.  _engine_lock makes the
-        # (engine, version) pair a consistent snapshot for the scoring
-        # worker; _reload_lock serialises swaps (exactly-once).
+        # Registry / deploy state.  Only the registry watcher changes
+        # it (after start()); _engine_lock makes the (engine, version)
+        # pair a consistent snapshot for the scoring worker.  Other
+        # threads ask for a rollback or quarantine through _post().
         self._engine_lock = threading.Lock()
-        self._reload_lock = threading.Lock()
         self._engine_version: str | None = None
         self._last_good: tuple[InferenceEngine, str] | None = None
         self._failed_production: str | None = None
@@ -764,9 +773,10 @@ class ServingDaemon:
         self._guard: RollbackGuard | None = (
             RollbackGuard(guard) if registry is not None else None
         )
-        self._rollback_lock = threading.Lock()
-        self._rollback_pending = False
-        self._registry_watcher: _RegistryWatcher | None = None
+        #: Requests for the watcher: (action, version) -> reason.
+        self._posted: dict[tuple[str, str], str] = {}
+        self._posted_lock = threading.Lock()
+        self._deploy_wake = threading.Event()
         # Shadow scoring state (candidate engine + bounded queue).
         self._shadow_cond = threading.Condition()
         self._shadow_engine: InferenceEngine | None = None
@@ -850,8 +860,7 @@ class ServingDaemon:
         if self.registry is not None:
             # Pick up a candidate staged before boot, then poll.
             self._sync_with_registry()
-            self._registry_watcher = _RegistryWatcher(self)
-            self._registry_watcher.start()
+            _RegistryWatcher(self).start()
         self._emit(
             "serve.listening",
             message=f"serving on {self.config.host}:{self.port}",
@@ -936,8 +945,7 @@ class ServingDaemon:
             self._exit_code = exit_code
         self.metrics.gauge("daemon.draining").set(1)
         self._emit("serve.draining", message=f"drain started ({reason})", reason=reason)
-        if self._registry_watcher is not None:
-            self._registry_watcher.stop_event.set()
+        self._deploy_wake.set()  # the registry watcher exits
 
         # Flush: the worker keeps consuming until the queue is empty and
         # nothing is mid-score, bounded by the drain timeout.
@@ -1184,9 +1192,10 @@ class ServingDaemon:
         if monitor is not None and self._guard is not None:
             # The verdict of the window this group's scorer just fed.
             report = monitor.report
-            if self._guard.note_drift(report.flagged):
-                self._request_rollback(
-                    f"sustained drift on {version}: {'; '.join(report.reasons)}"
+            if self._guard.note_drift(report.flagged) and version is not None:
+                self._post(
+                    "rollback", version,
+                    f"sustained drift on {version}: {'; '.join(report.reasons)}",
                 )
         self._offer_shadow(pairs, mjd, results)
         return results
@@ -1261,8 +1270,16 @@ class ServingDaemon:
         return engine
 
     def _sync_with_registry(self) -> None:
-        """One watcher tick: reconcile with the registry state file."""
+        """One watcher tick: apply posted requests, then reconcile with
+        the registry state file."""
         assert self.registry is not None
+        with self._posted_lock:
+            posted, self._posted = self._posted, {}
+        for (action, version), reason in posted.items():
+            if action == "rollback":
+                self._auto_rollback(version, reason)
+            else:
+                self._quarantine_candidate(version, reason)
         try:
             state = self.registry.state()
         except Exception as exc:  # noqa: BLE001 - keep serving on a bad state file
@@ -1281,23 +1298,20 @@ class ServingDaemon:
 
     def _reload_production(self, version: str) -> None:
         """Hot-swap to a newly promoted version; exactly-once per version."""
-        with self._reload_lock:
-            if version == self._engine_version:
-                return  # another path already swapped it in
-            try:
-                engine = self._load_version(version)
-            except Exception as exc:  # noqa: BLE001 - typed event, keep serving
-                # Remember the bad version so one broken promote logs one
-                # typed failure instead of one per poll tick.
-                self._failed_production = version
-                self._note_reload_failure(version, "production", exc)
-                return
-            self._failed_production = None
-            self._swap_engine(engine, version)
+        try:
+            engine = self._load_version(version)
+        except Exception as exc:  # noqa: BLE001 - typed event, keep serving
+            # Remember the bad version so one broken promote logs one
+            # typed failure instead of one per poll tick.
+            self._failed_production = version
+            self._note_reload_failure(version, "production", exc)
+            return
+        self._failed_production = None
+        self._swap_engine(engine, version)
 
     def _swap_engine(self, engine: InferenceEngine, version: str,
                      remember_previous: bool = True) -> bool:
-        """Publish a new production engine (callers hold _reload_lock).
+        """Publish a new production engine (registry watcher only).
 
         With a scoring pool attached the swap happens *inside* the
         engine lock the scoring path holds across each pool dispatch:
@@ -1351,105 +1365,86 @@ class ServingDaemon:
             error_type=type(exc).__name__,
         )
 
-    def _request_rollback(self, reason: str) -> None:
-        """Kick off at most one asynchronous rollback.
+    def _post(self, action: str, version: str, reason: str) -> None:
+        """Ask the registry watcher to ``"rollback"`` production or
+        ``"quarantine"`` the candidate ``version``, and wake it.
 
-        Runs on its own thread so the scoring worker never blocks on a
-        model load — traffic keeps flowing (on the bad version, briefly)
-        while the last-known-good engine is brought back.
+        The scoring and shadow threads never change deploy state
+        themselves: they post here and keep serving (the scoring worker
+        never blocks on a model load).  The first request per version
+        wins until the watcher's next tick applies it.
         """
-        with self._rollback_lock:
-            if self._rollback_pending or self.registry is None:
-                return
-            self._rollback_pending = True
-        threading.Thread(
-            target=self._auto_rollback,
-            args=(self._engine_version, reason),
-            name="repro-serve-rollback",
-            daemon=True,
-        ).start()
+        with self._posted_lock:
+            self._posted.setdefault((action, version), reason)
+        self._deploy_wake.set()
 
-    def _auto_rollback(self, bad_version: str | None, reason: str) -> None:
+    def _auto_rollback(self, bad_version: str, reason: str) -> None:
+        """Roll production back from ``bad_version`` (registry watcher only)."""
         assert self.registry is not None
+        if self._engine_version != bad_version:
+            return  # already swapped away from the flagged version
         try:
-            with self._reload_lock:
-                if bad_version is None or self._engine_version != bad_version:
-                    return  # already swapped away from the flagged version
-                try:
-                    quarantined, restored = self.registry.rollback(
-                        reason=reason, by=f"daemon:{self.run_id}"
-                    )
-                except RegistryError as exc:
-                    self._emit(
-                        "registry.rollback_failed",
-                        level="error",
-                        message=f"cannot roll back {bad_version}: {exc}",
-                        version=bad_version,
-                    )
-                    return
-                engine = None
-                if self._last_good is not None and self._last_good[1] == restored:
-                    engine = self._last_good[0]  # still warm from the swap
-                if engine is None:
-                    try:
-                        engine = self._load_version(restored)
-                    except Exception as exc:  # noqa: BLE001
-                        self._note_reload_failure(restored, "rollback", exc)
-                        return
-                if not self._swap_engine(engine, restored, remember_previous=False):
-                    return
-                self.metrics.counter("daemon.rollbacks").inc()
-                self._emit(
-                    "registry.rolled_back",
-                    level="warning",
-                    message=f"rolled back {quarantined} -> {restored}: {reason}",
-                    version=quarantined,
-                    restored=restored,
-                    role="production",
-                    reason=reason,
-                )
-        finally:
-            with self._rollback_lock:
-                self._rollback_pending = False
+            quarantined, restored = self.registry.rollback(
+                reason=reason, by=f"daemon:{self.run_id}"
+            )
+        except Exception as exc:  # noqa: BLE001 - the watcher must survive
+            # Nothing to restore, or a bad state file.
+            self._emit(
+                "registry.rollback_failed",
+                level="error",
+                message=f"cannot roll back {bad_version}: {exc}",
+                version=bad_version,
+            )
+            return
+        engine = None
+        if self._last_good is not None and self._last_good[1] == restored:
+            engine = self._last_good[0]  # still warm from the swap
+        if engine is None:
+            try:
+                engine = self._load_version(restored)
+            except Exception as exc:  # noqa: BLE001
+                self._note_reload_failure(restored, "rollback", exc)
+                return
+        if not self._swap_engine(engine, restored, remember_previous=False):
+            return
+        self.metrics.counter("daemon.rollbacks").inc()
+        self._emit(
+            "registry.rolled_back",
+            level="warning",
+            message=f"rolled back {quarantined} -> {restored}: {reason}",
+            version=quarantined,
+            restored=restored,
+            role="production",
+            reason=reason,
+        )
 
     # -- shadow scoring -------------------------------------------------
     def _sync_shadow(self, candidate: str | None) -> None:
         """Start/stop/replace shadow scoring to match the registry candidate."""
-        with self._reload_lock:
-            # Stale tick: the candidate changed (e.g. the shadow worker
-            # quarantined it) after the watcher read the state file.  A
-            # state file that fails to read is reported by the next tick.
-            try:
-                if self.registry.candidate() != candidate:
-                    return
-            except Exception:  # noqa: BLE001 - keep the watcher alive
-                return
-            if candidate is None:
-                self._stop_shadow("candidate cleared")
-                return
-            if candidate == self._shadow_version:
-                return
-            try:
-                engine = self._load_version(candidate)
-            except Exception as exc:  # noqa: BLE001
-                self._failed_candidate = candidate
-                self._note_reload_failure(candidate, "candidate", exc)
-                return
-            self._failed_candidate = None
-            with self._shadow_cond:
-                self._shadow_engine = engine
-                self._shadow_version = candidate
-                self._shadow_queue.clear()
-            if self._guard is not None:
-                self._guard.reset_divergence()
-            if self._shadow_worker is None or not self._shadow_worker.is_alive():
-                self._shadow_worker = _ShadowWorker(self)
-                self._shadow_worker.start()
-            self._emit(
-                "registry.shadow_started",
-                message=f"shadow-scoring candidate {candidate}",
-                version=candidate,
-            )
+        if candidate is None:
+            self._stop_shadow("candidate cleared")
+            return
+        try:
+            engine = self._load_version(candidate)
+        except Exception as exc:  # noqa: BLE001
+            self._failed_candidate = candidate
+            self._note_reload_failure(candidate, "candidate", exc)
+            return
+        self._failed_candidate = None
+        with self._shadow_cond:
+            self._shadow_engine = engine
+            self._shadow_version = candidate
+            self._shadow_queue.clear()
+        if self._guard is not None:
+            self._guard.reset_divergence()
+        if self._shadow_worker is None or not self._shadow_worker.is_alive():
+            self._shadow_worker = _ShadowWorker(self)
+            self._shadow_worker.start()
+        self._emit(
+            "registry.shadow_started",
+            message=f"shadow-scoring candidate {candidate}",
+            version=candidate,
+        )
 
     def _stop_shadow(self, reason: str) -> str | None:
         """Detach the shadow engine (worker thread stays for reuse)."""
@@ -1494,8 +1489,8 @@ class ServingDaemon:
             results = engine.score_arrays(pairs, mjd, strict=False, start_index=0)
         except Exception as exc:  # noqa: BLE001 - a crashing candidate is poison
             self.metrics.counter("daemon.shadow_errors").inc()
-            self._quarantine_candidate(
-                version, f"candidate {version} failed scoring: {exc}"
+            self._post(
+                "quarantine", version, f"candidate {version} failed scoring: {exc}"
             )
             return
         divergences = [
@@ -1516,36 +1511,36 @@ class ServingDaemon:
         if math.isfinite(mean):
             self.metrics.gauge("shadow.divergence_mean").set(round(mean, 6))
         if exceeded:
-            self._quarantine_candidate(
-                version,
+            self._post(
+                "quarantine", version,
                 f"shadow divergence {mean:.4f} > budget "
                 f"{self._guard.config.divergence_budget} over "
                 f"{self._guard.divergence_count()} samples",
             )
 
     def _quarantine_candidate(self, version: str, reason: str) -> None:
-        """Kill a bad candidate: stop shadowing, quarantine in the registry."""
-        with self._reload_lock:
-            if self._shadow_version != version:
-                return  # already stopped or replaced
-            self._stop_shadow(reason)
-            if self.registry is not None:
-                try:
-                    self.registry.quarantine(
-                        version, reason, by=f"daemon:{self.run_id}"
-                    )
-                except RegistryError:
-                    pass  # e.g. promoted out from under us; state wins
-            self.metrics.counter("daemon.quarantined").inc()
-            self._emit(
-                "registry.rolled_back",
-                level="warning",
-                message=f"candidate {version} quarantined: {reason}",
-                version=version,
-                restored=self._engine_version,
-                role="candidate",
-                reason=reason,
-            )
+        """Kill a bad candidate: stop shadowing, quarantine in the registry
+        (registry watcher only)."""
+        assert self.registry is not None
+        if self._shadow_version != version:
+            return  # already stopped or replaced
+        self._stop_shadow(reason)
+        try:
+            self.registry.quarantine(version, reason, by=f"daemon:{self.run_id}")
+        except Exception:  # noqa: BLE001 - the watcher must survive
+            # Promoted out from under us (state wins), or a bad state
+            # file, which this tick's own read reports next.
+            pass
+        self.metrics.counter("daemon.quarantined").inc()
+        self._emit(
+            "registry.rolled_back",
+            level="warning",
+            message=f"candidate {version} quarantined: {reason}",
+            version=version,
+            restored=self._engine_version,
+            role="candidate",
+            reason=reason,
+        )
 
     def shadow_stats(self) -> dict | None:
         """Shadow snapshot for /healthz; ``None`` when nothing is shadowed."""

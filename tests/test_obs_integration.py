@@ -421,6 +421,33 @@ class TestCliTelemetry:
         assert 'serve_latency_s_bucket{le="+Inf"}' in prom
         assert "serve_requests" in prom
 
+    def test_reused_telemetry_directory_is_refused(self, engine, dataset, tmp_path, capsys):
+        """One directory holds one session: a second run into it exits 2
+        before writing anything, so the first run's stream still
+        validates and its files are untouched."""
+        model_dir = tmp_path / "model"
+        engine.save(str(model_dir))
+        ds = tmp_path / "ds.npz"
+        save_dataset(dataset, ds)
+        t_dir = tmp_path / "t"
+        argv = [
+            "classify", "--model", str(model_dir), "--dataset", str(ds),
+            "--out", str(tmp_path / "results.jsonl"), "--telemetry", str(t_dir),
+        ]
+        assert main(argv) == 0
+        first = {
+            name: (t_dir / name).read_bytes()
+            for name in (EVENTS_FILE, "metrics.json")
+        }
+        capsys.readouterr()
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(t_dir / EVENTS_FILE) in err
+        assert obs.active() is None
+        for name, content in first.items():
+            assert (t_dir / name).read_bytes() == content
+        assert main(["metrics", str(t_dir), "--validate"]) == 0
+
     def test_strict_exit_2_leaves_terminal_error_event(self, engine, dataset, tmp_path, capsys):
         model_dir = tmp_path / "model"
         engine.save(str(model_dir))

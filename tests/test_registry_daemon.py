@@ -54,21 +54,219 @@ def _build_model_dir(directory, seed=0, baseline_scores=None):
     return engine
 
 
-@pytest.fixture()
-def two_version_registry(tmp_path):
+def _make_two_version_registry(directory):
     """v1 promoted to production, v2 registered (same weights)."""
-    model = tmp_path / "model"
+    model = directory / "model"
     _build_model_dir(model, seed=0)
-    registry = ModelRegistry(tmp_path / "registry")
+    registry = ModelRegistry(directory / "registry")
     registry.promote(registry.register(model))
     registry.register(model)
     return registry
+
+
+@pytest.fixture()
+def two_version_registry(tmp_path):
+    return _make_two_version_registry(tmp_path)
+
+
+def _record_deploy_writes(registry, calls):
+    """Wrap the registry's ``rollback`` and ``quarantine`` so each call
+    appends ``(method, calling thread name)`` to ``calls``."""
+    for name in ("rollback", "quarantine"):
+        method = getattr(registry, name)
+
+        def recorded(*args, _name=name, _method=method, **kwargs):
+            calls.append((_name, threading.current_thread().name))
+            return _method(*args, **kwargs)
+
+        setattr(registry, name, recorded)
 
 
 def _healthz(port):
     status, raw = http_get(port, "/healthz")
     assert status == 200
     return json.loads(raw)
+
+
+def _divergent_candidate_drill(registry, tmp_path):
+    """A shadow candidate over the divergence budget never reaches
+    production: the daemon quarantines it in the registry."""
+    probe = InferenceEngine.from_directory(registry.path("v1"))
+    probe_pairs, probe_mjd = make_serve_sample(probe, seed=5)
+    clean = probe.classify_arrays(probe_pairs[None], probe_mjd[None])[0].probability
+    # Shift away from the clean score so the clip bounds cannot eat
+    # the injected divergence.
+    delta = 0.4 if clean < 0.5 else -0.4
+
+    def poison_v2(engine, version):
+        if version == "v2":
+            engine.score_hook = ShiftScores(delta)
+
+    guard = GuardConfig(divergence_budget=0.15, divergence_min_samples=4)
+    config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
+    telemetry = tmp_path / "telemetry"
+    obs.start(telemetry, run_id="run-shadow")
+    try:
+        with running_registry_daemon(
+            registry, config, guard=guard, reload_hook=poison_v2
+        ) as daemon:
+            engine = daemon.engine
+            pairs, mjd = make_serve_sample(engine, seed=5)
+            body = classify_body(pairs, mjd)
+            registry.shadow("v2")
+            _wait_for(lambda: daemon._shadow_version == "v2")
+            assert _healthz(daemon.port)["shadow"]["version"] == "v2"
+            for _ in range(12):
+                status, _doc = post_classify(daemon.port, body)
+                assert status == 200
+                if daemon._shadow_version is None:
+                    break
+                time.sleep(0.05)
+            _wait_for(lambda: daemon._shadow_version is None)
+            _wait_for(lambda: registry.candidate() is None)
+            state = registry.state()
+            assert state["versions"]["v2"]["status"] == "rolled_back"
+            assert "divergence" in state["versions"]["v2"]["reason"]
+            # Production was never touched.
+            assert daemon._engine_version == "v1"
+            assert int(daemon.metrics.counter("daemon.quarantined").value) == 1
+            assert int(daemon.metrics.counter("shadow.scored").value) >= 4
+    finally:
+        obs.stop()
+    records = list(read_events(telemetry / EVENTS_FILE))
+    started = [r for r in records if r["event"] == "registry.shadow_started"]
+    assert [r["version"] for r in started] == ["v2"]
+    quarantined = [
+        r for r in records
+        if r["event"] == "registry.rolled_back" and r["role"] == "candidate"
+    ]
+    assert len(quarantined) == 1
+    assert quarantined[0]["version"] == "v2"
+    assert quarantined[0]["restored"] == "v1"
+
+
+def _poisoned_promote_drill(tmp_path, watch=None):
+    """The acceptance-criteria chaos drill, end to end.
+
+    Under sustained traffic, promoting a candidate whose scores are
+    diverted (``ShiftScores`` via the reload hook) must: keep every
+    in-flight request answered (zero drops), trip the drift guard,
+    roll production back to the last-known-good version, quarantine
+    the bad version in ``registry.json`` and leave a
+    ``registry.rolled_back`` audit event.
+    """
+    # Commit a drift baseline built from the model's own score on the
+    # exact sample the test sends, so v1 never drifts and the
+    # poisoned v2 (+0.4 on every score) immediately does.
+    probe = make_serve_engine(seed=0)
+    pairs, mjd = make_serve_sample(probe, seed=7)
+    clean_score = probe.classify_arrays(pairs[None], mjd[None])[0].probability
+    delta = 0.5 if clean_score < 0.5 else -0.5
+    model = tmp_path / "model"
+    _build_model_dir(model, seed=0, baseline_scores=[clean_score] * 64)
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.promote(registry.register(model, note="good"))
+    registry.register(model, note="poisoned retrain")
+    if watch is not None:
+        watch(registry)
+
+    def poison_v2(engine, version):
+        if version == "v2":
+            engine.score_hook = ShiftScores(delta)
+
+    guard = GuardConfig(sustained_checks=2)
+    config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
+    telemetry = tmp_path / "telemetry"
+    obs.start(telemetry, run_id="run-rollback")
+    try:
+        with running_registry_daemon(
+            registry, config, guard=guard, reload_hook=poison_v2
+        ) as daemon:
+            body = classify_body(pairs, mjd, deadline_ms=30000)
+            statuses = []
+            # Warm traffic on v1: enough for the monitor to evaluate
+            # without flagging (scores match the committed baseline).
+            for _ in range(MIN_SAMPLES + 5):
+                statuses.append(post_classify(daemon.port, body)[0])
+            assert daemon._engine_version == "v1"
+            report = daemon.engine.drift_monitor.report
+            assert report.n_window >= MIN_SAMPLES and not report.flagged
+            assert int(daemon.metrics.counter("daemon.rollbacks").value) == 0
+
+            registry.promote("v2")
+            _wait_for(lambda: daemon._engine_version == "v2")
+
+            # Sustained load on the poisoned version until the guard
+            # trips and the daemon swaps back — bounded, not open-loop.
+            # v2's window starts empty, so it needs MIN_SAMPLES of its
+            # own scores before the first flagged verdict.
+            for _ in range(MIN_SAMPLES + 40):
+                statuses.append(post_classify(daemon.port, body)[0])
+                if daemon._engine_version == "v1":
+                    break
+                time.sleep(0.01)
+            _wait_for(
+                lambda: int(daemon.metrics.counter("daemon.rollbacks").value) == 1
+            )
+            _wait_for(lambda: daemon._engine_version == "v1")
+
+            # Zero dropped requests: every send was answered, and
+            # under this light load none were shed or timed out.
+            assert statuses and set(statuses) == {200}
+            responses = int(daemon.metrics.counter("daemon.responses").value)
+            assert responses == len(statuses)
+
+            # The registry quarantined v2 and restored v1...
+            state = registry.state()
+            assert state["production"] == "v1"
+            assert state["versions"]["v2"]["status"] == "rolled_back"
+            assert "drift" in state["versions"]["v2"]["reason"]
+            rollbacks = [
+                entry for entry in state["history"]
+                if entry["action"] == "rollback"
+            ]
+            assert len(rollbacks) == 1
+            assert rollbacks[0]["by"].startswith("daemon:")
+
+            # ...and the quarantined version is refused by promote.
+            with pytest.raises(RegistryError, match="rolled back"):
+                registry.promote("v2")
+
+            health = _healthz(daemon.port)
+            assert health["model_version"] == "v1"
+            assert health["rollbacks"] == 1
+
+            # Traffic keeps flowing on the restored version.
+            assert post_classify(daemon.port, body)[0] == 200
+    finally:
+        obs.stop()
+
+    records = list(read_events(telemetry / EVENTS_FILE))
+    rolled = [
+        r for r in records
+        if r["event"] == "registry.rolled_back" and r["role"] == "production"
+    ]
+    assert len(rolled) == 1
+    assert rolled[0]["version"] == "v2"
+    assert rolled[0]["restored"] == "v1"
+    assert "drift" in rolled[0]["reason"]
+    # The guard and the event stream read one monitor: v2's window
+    # flags (v1's never does) before the rollback it causes.
+    seq = {
+        name: [r["seq"] for r in records if r["event"] == name]
+        for name in ("registry.reloaded", "drift.flagged")
+    }
+    promoted_at = seq["registry.reloaded"][0]
+    assert any(
+        promoted_at < flagged < rolled[0]["seq"]
+        for flagged in seq["drift.flagged"]
+    )
+    assert all(flagged > promoted_at for flagged in seq["drift.flagged"])
+    reloads = [r for r in records if r["event"] == "registry.reloaded"]
+    # v1 -> v2 (promote), v2 -> v1 (rollback).
+    assert [(r["previous"], r["version"]) for r in reloads] == [
+        ("v1", "v2"), ("v2", "v1"),
+    ]
 
 
 class TestHotReload:
@@ -331,49 +529,42 @@ class TestHotReload:
 
 class TestShadowScoring:
     def test_divergent_candidate_is_quarantined(self, two_version_registry, tmp_path):
-        """A shadow candidate over the divergence budget never reaches
-        production: the daemon quarantines it in the registry."""
+        _divergent_candidate_drill(two_version_registry, tmp_path)
+
+    def test_stale_tick_cannot_revive_a_quarantined_candidate(
+        self, two_version_registry, tmp_path
+    ):
+        """A quarantine the shadow worker posts is applied by the watcher
+        before its tick reads ``registry.json``, so no tick can start
+        shadowing the quarantined candidate again."""
         registry = two_version_registry
-        probe = InferenceEngine.from_directory(registry.path("v1"))
-        probe_pairs, probe_mjd = make_serve_sample(probe, seed=5)
-        clean = probe.classify_arrays(probe_pairs[None], probe_mjd[None])[0].probability
-        # Shift away from the clean score so the clip bounds cannot eat
-        # the injected divergence.
-        delta = 0.4 if clean < 0.5 else -0.4
 
-        def poison_v2(engine, version):
+        def crash_v2(engine, version):
             if version == "v2":
-                engine.score_hook = ShiftScores(delta)
+                def explode(probs):
+                    raise RuntimeError("injected candidate crash")
+                engine.score_hook = explode
 
-        guard = GuardConfig(divergence_budget=0.15, divergence_min_samples=4)
         config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
         telemetry = tmp_path / "telemetry"
-        obs.start(telemetry, run_id="run-shadow")
+        obs.start(telemetry, run_id="run-quarantine")
         try:
             with running_registry_daemon(
-                registry, config, guard=guard, reload_hook=poison_v2
+                registry, config, reload_hook=crash_v2
             ) as daemon:
-                engine = daemon.engine
-                pairs, mjd = make_serve_sample(engine, seed=5)
+                pairs, mjd = make_serve_sample(daemon.engine, seed=5)
                 body = classify_body(pairs, mjd)
                 registry.shadow("v2")
                 _wait_for(lambda: daemon._shadow_version == "v2")
-                assert _healthz(daemon.port)["shadow"]["version"] == "v2"
-                for _ in range(12):
-                    status, _doc = post_classify(daemon.port, body)
-                    assert status == 200
-                    if daemon._shadow_version is None:
-                        break
-                    time.sleep(0.05)
+                for _ in range(3):
+                    assert post_classify(daemon.port, body)[0] == 200
                 _wait_for(lambda: daemon._shadow_version is None)
-                _wait_for(lambda: registry.candidate() is None)
-                state = registry.state()
-                assert state["versions"]["v2"]["status"] == "rolled_back"
-                assert "divergence" in state["versions"]["v2"]["reason"]
-                # Production was never touched.
-                assert daemon._engine_version == "v1"
+                # At least three more watcher polls on the quarantined state.
+                time.sleep(4 * config.reload_poll_s)
+                assert daemon._shadow_version is None
+                assert registry.candidate() is None
+                assert registry.state()["versions"]["v2"]["status"] == "rolled_back"
                 assert int(daemon.metrics.counter("daemon.quarantined").value) == 1
-                assert int(daemon.metrics.counter("shadow.scored").value) >= 4
         finally:
             obs.stop()
         records = list(read_events(telemetry / EVENTS_FILE))
@@ -384,24 +575,7 @@ class TestShadowScoring:
             if r["event"] == "registry.rolled_back" and r["role"] == "candidate"
         ]
         assert len(quarantined) == 1
-        assert quarantined[0]["version"] == "v2"
-        assert quarantined[0]["restored"] == "v1"
-
-    def test_stale_tick_cannot_revive_a_quarantined_candidate(
-        self, two_version_registry
-    ):
-        """A watcher tick that read the registry before the shadow worker
-        quarantined the candidate must not start shadowing it again."""
-        registry = two_version_registry
-        config = DaemonConfig(reload_poll_s=0.05)
-        with running_registry_daemon(registry, config) as daemon:
-            registry.shadow("v2")
-            _wait_for(lambda: daemon._shadow_version == "v2")
-            daemon._quarantine_candidate("v2", "divergence over budget")
-            assert registry.state()["versions"]["v2"]["status"] == "rolled_back"
-            daemon._sync_shadow("v2")  # the stale tick, replayed
-            assert daemon._shadow_version is None
-            assert registry.candidate() is None
+        assert "failed scoring" in quarantined[0]["reason"]
 
     def test_clean_candidate_keeps_shadowing(self, two_version_registry):
         """Identical weights diverge by ~0: the candidate must survive."""
@@ -463,125 +637,7 @@ class TestShadowScoring:
 
 class TestAutomaticRollback:
     def test_poisoned_promote_rolls_back_under_load(self, tmp_path):
-        """The acceptance-criteria chaos drill, end to end.
-
-        Under sustained traffic, promoting a candidate whose scores are
-        diverted (``ShiftScores`` via the reload hook) must: keep every
-        in-flight request answered (zero drops), trip the drift guard,
-        roll production back to the last-known-good version, quarantine
-        the bad version in ``registry.json`` and leave a
-        ``registry.rolled_back`` audit event.
-        """
-        # Commit a drift baseline built from the model's own score on the
-        # exact sample the test sends, so v1 never drifts and the
-        # poisoned v2 (+0.4 on every score) immediately does.
-        probe = make_serve_engine(seed=0)
-        pairs, mjd = make_serve_sample(probe, seed=7)
-        clean_score = probe.classify_arrays(pairs[None], mjd[None])[0].probability
-        delta = 0.5 if clean_score < 0.5 else -0.5
-        model = tmp_path / "model"
-        _build_model_dir(model, seed=0, baseline_scores=[clean_score] * 64)
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.promote(registry.register(model, note="good"))
-        registry.register(model, note="poisoned retrain")
-
-        def poison_v2(engine, version):
-            if version == "v2":
-                engine.score_hook = ShiftScores(delta)
-
-        guard = GuardConfig(sustained_checks=2)
-        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
-        telemetry = tmp_path / "telemetry"
-        obs.start(telemetry, run_id="run-rollback")
-        try:
-            with running_registry_daemon(
-                registry, config, guard=guard, reload_hook=poison_v2
-            ) as daemon:
-                body = classify_body(pairs, mjd, deadline_ms=30000)
-                statuses = []
-                # Warm traffic on v1: enough for the monitor to evaluate
-                # without flagging (scores match the committed baseline).
-                for _ in range(MIN_SAMPLES + 5):
-                    statuses.append(post_classify(daemon.port, body)[0])
-                assert daemon._engine_version == "v1"
-                report = daemon.engine.drift_monitor.report
-                assert report.n_window >= MIN_SAMPLES and not report.flagged
-                assert int(daemon.metrics.counter("daemon.rollbacks").value) == 0
-
-                registry.promote("v2")
-                _wait_for(lambda: daemon._engine_version == "v2")
-
-                # Sustained load on the poisoned version until the guard
-                # trips and the daemon swaps back — bounded, not open-loop.
-                # v2's window starts empty, so it needs MIN_SAMPLES of its
-                # own scores before the first flagged verdict.
-                for _ in range(MIN_SAMPLES + 40):
-                    statuses.append(post_classify(daemon.port, body)[0])
-                    if daemon._engine_version == "v1":
-                        break
-                    time.sleep(0.01)
-                _wait_for(
-                    lambda: int(daemon.metrics.counter("daemon.rollbacks").value) == 1
-                )
-                _wait_for(lambda: daemon._engine_version == "v1")
-
-                # Zero dropped requests: every send was answered, and
-                # under this light load none were shed or timed out.
-                assert statuses and set(statuses) == {200}
-                responses = int(daemon.metrics.counter("daemon.responses").value)
-                assert responses == len(statuses)
-
-                # The registry quarantined v2 and restored v1...
-                state = registry.state()
-                assert state["production"] == "v1"
-                assert state["versions"]["v2"]["status"] == "rolled_back"
-                assert "drift" in state["versions"]["v2"]["reason"]
-                rollbacks = [
-                    entry for entry in state["history"]
-                    if entry["action"] == "rollback"
-                ]
-                assert len(rollbacks) == 1
-                assert rollbacks[0]["by"].startswith("daemon:")
-
-                # ...and the quarantined version is refused by promote.
-                with pytest.raises(RegistryError, match="rolled back"):
-                    registry.promote("v2")
-
-                health = _healthz(daemon.port)
-                assert health["model_version"] == "v1"
-                assert health["rollbacks"] == 1
-
-                # Traffic keeps flowing on the restored version.
-                assert post_classify(daemon.port, body)[0] == 200
-        finally:
-            obs.stop()
-
-        records = list(read_events(telemetry / EVENTS_FILE))
-        rolled = [
-            r for r in records
-            if r["event"] == "registry.rolled_back" and r["role"] == "production"
-        ]
-        assert len(rolled) == 1
-        assert rolled[0]["version"] == "v2"
-        assert rolled[0]["restored"] == "v1"
-        assert "drift" in rolled[0]["reason"]
-        # The guard and the event stream read one monitor: v2's window
-        # flags (v1's never does) before the rollback it causes.
-        seq = {
-            name: [r["seq"] for r in records if r["event"] == name]
-            for name in ("registry.reloaded", "drift.flagged")
-        }
-        promoted_at = seq["registry.reloaded"][0]
-        assert any(
-            promoted_at < flagged < rolled[0]["seq"]
-            for flagged in seq["drift.flagged"]
-        )
-        assert all(flagged > promoted_at for flagged in seq["drift.flagged"])
-        reloads = [r for r in records if r["event"] == "registry.reloaded"]
-        # v1 -> v2 (promote), v2 -> v1 (rollback).
-        assert [(r["previous"], r["version"]) for r in reloads] == [
-            ("v1", "v2"), ("v2", "v1"),
-        ]
+        _poisoned_promote_drill(tmp_path)
 
     def test_rollback_without_prior_good_version_keeps_serving(self, tmp_path):
         """Drift on the only version ever deployed: nothing to restore,
@@ -618,3 +674,20 @@ class TestAutomaticRollback:
                 assert registry.production() == "v1"
         finally:
             obs.stop()
+
+
+class TestDeployStateOwner:
+    def test_registry_writes_run_on_the_registry_watcher(self, tmp_path):
+        """The scoring and shadow threads only post requests: every
+        rollback and quarantine the drills cause is written to the
+        registry by the watcher thread."""
+        calls = []
+        _poisoned_promote_drill(
+            tmp_path / "promote",
+            watch=lambda registry: _record_deploy_writes(registry, calls),
+        )
+        registry = _make_two_version_registry(tmp_path / "shadow")
+        _record_deploy_writes(registry, calls)
+        _divergent_candidate_drill(registry, tmp_path / "shadow")
+        assert {name for name, _thread in calls} == {"rollback", "quarantine"}
+        assert {thread for _name, thread in calls} == {"repro-serve-registry"}
