@@ -173,7 +173,7 @@ class BandwiseCNN(nn.Module):
     def predict(self, pairs: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Chunked inference over a NumPy batch of pairs; returns magnitudes.
 
-        The fixed-size chunking bounds the im2col workspace of each conv
+        The fixed-size chunking bounds the activations of each conv
         layer.  Each row's magnitude depends on that row alone (conv and
         FC products run per row at inference), so the output is bit-
         identical to :meth:`fused_forward` for any ``batch_size``.
@@ -195,10 +195,10 @@ class BandwiseCNN(nn.Module):
         The serving engine flattens its ``(N, V)`` sample/visit axes into
         one row axis, so every layer runs once over the entire request
         batch instead of :meth:`predict`'s fixed 256-row chunks — one
-        im2col copy and one batched ``np.matmul`` (a GEMM per row) per
-        conv layer, no per-chunk Tensor/workspace churn, and the bucketed
-        workspace cache in :mod:`repro.nn.ops` is reused across the
-        whole batch.
+        ``conv2d`` call per conv layer (its im2col columns stream through
+        a cache-sized buffer, a GEMM per row), no per-chunk Tensor
+        churn, and each conv output borrows a bucketed buffer from the
+        workspace cache in :mod:`repro.nn.ops`.
 
         The returned float32 magnitudes are bit-identical to
         :meth:`predict` with any chunk size, and a row's magnitude is the

@@ -15,9 +15,12 @@ gathering one patch row per output pixel, and the GEMM
 ``weight (C_out, C·KH·KW) @ cols`` writes straight into the ``NCHW``
 output buffer via ``out=``, with the bias added in place.  This removes
 both full transposed copies of the previous formulation.  During
-inference (no autograd recording) the column matrix additionally comes
-from a shape-keyed, thread-local workspace cache, so steady-state
-batches allocate only their output.
+inference (no autograd recording) the column matrix is streamed, not
+cached: a few rows at a time are copied into one cache-sized buffer
+(:data:`_COL_CHUNK_BYTES`) and multiplied straight into their slice of
+the output, so the copy's writes are still in cache when the GEMM reads
+them.  Only the conv *output* may be borrowed from the shape-keyed,
+thread-local workspace cache (``conv2d(scratch_out=True)``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ __all__ = [
 _MAX_WORKSPACES = 32
 
 _workspaces = threading.local()
+
+#: Bytes of column matrix the no-graph path of :func:`conv2d` builds
+#: before each GEMM: a chunk of ``max(1, budget // row_bytes)`` rows,
+#: capped at the batch.  Small enough to stay in cache between the
+#: im2col copy and the GEMM that reads it (DESIGN §8 has the sweep).
+_COL_CHUNK_BYTES = 1 << 20
 
 
 class _WorkspaceState:
@@ -236,6 +245,13 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation (the deep-learning "convolution").
 
+    Without a graph to record, the column matrix is never built whole:
+    rows stream through one buffer of about :data:`_COL_CHUNK_BYTES`,
+    and each chunk's GEMM writes its rows of the output.  ``np.matmul``
+    on ``(n, K, L)`` runs one GEMM per row, so the output is the
+    whole-batch one bit for bit.  A recorded graph keeps the whole
+    column matrix, because its backward reads it.
+
     Parameters
     ----------
     x:
@@ -278,24 +294,30 @@ def conv2d(
             or weight.requires_grad
             or (bias is not None and bias.requires_grad)
         )
+        w_matrix = weight.data.reshape(out_channels, k_dim)
+        w_gemm = w_matrix if w_matrix.dtype == out_dtype else w_matrix.astype(out_dtype)
+        window_shape = (in_channels, kernel_h, kernel_w, out_h, out_w)
         if requires:
             # The column matrix is captured by the backward closure and
             # must outlive this call.
             col_matrix = np.empty((batch, k_dim, n_loc), dtype=out_dtype)
-        else:
-            col_matrix = _workspace((batch, k_dim, n_loc), out_dtype)
-        np.copyto(
-            col_matrix.reshape(batch, in_channels, kernel_h, kernel_w, out_h, out_w),
-            cols,
-        )
-
-        w_matrix = weight.data.reshape(out_channels, k_dim)
-        w_gemm = w_matrix if w_matrix.dtype == out_dtype else w_matrix.astype(out_dtype)
-        if scratch_out and not requires:
-            out_data = _workspace((batch, out_channels, n_loc), out_dtype)
-        else:
+            np.copyto(col_matrix.reshape(batch, *window_shape), cols)
             out_data = np.empty((batch, out_channels, n_loc), dtype=out_dtype)
-        np.matmul(w_gemm, col_matrix, out=out_data)
+            np.matmul(w_gemm, col_matrix, out=out_data)
+        else:
+            if scratch_out:
+                out_data = _workspace((batch, out_channels, n_loc), out_dtype)
+            else:
+                out_data = np.empty((batch, out_channels, n_loc), dtype=out_dtype)
+            # Stream the rows through one cache-sized column buffer.
+            row_bytes = max(k_dim * n_loc * np.dtype(out_dtype).itemsize, 1)
+            step = max(1, min(batch, _COL_CHUNK_BYTES // row_bytes))
+            chunk = np.empty((step, k_dim, n_loc), dtype=out_dtype)
+            for start in range(0, batch, step):
+                stop = min(start + step, batch)
+                rows = chunk[: stop - start]
+                np.copyto(rows.reshape(stop - start, *window_shape), cols[start:stop])
+                np.matmul(w_gemm, rows, out=out_data[start:stop])
         if bias is not None:
             out_data += bias.data.reshape(1, out_channels, 1)
         out_data = out_data.reshape(batch, out_channels, out_h, out_w)

@@ -12,7 +12,8 @@ slow — and exports it two ways:
 
 External *sources* can be registered so one snapshot covers subsystems
 that keep their own state: the telemetry session registers the conv
-workspace cache's hit/miss counters as the ``nn.workspace`` source.
+workspace cache's hit/miss counters (borrowed conv outputs) as the
+``nn.workspace`` source.
 Stage timings are not a source: spans feed ``trace.<name>_s``
 histograms directly (:mod:`repro.obs.trace`).
 

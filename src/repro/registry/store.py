@@ -357,17 +357,25 @@ class ModelRegistry:
         return version
 
     def rollback(self, *, reason: str = "manual rollback",
-                 by: str | None = None) -> tuple[str, str]:
+                 by: str | None = None,
+                 expected: str | None = None) -> tuple[str, str]:
         """Quarantine production, reinstate the last-known-good version.
 
         Returns ``(quarantined, restored)``.  Last-known-good is the
         most recently retired version — i.e. the one production demoted
-        when the now-bad version was promoted.
+        when the now-bad version was promoted.  With ``expected``,
+        production must still be that version when the state is read:
+        a rollback that lost a race with a promote raises
+        :class:`RegistryError` and writes nothing.
         """
         state = self.state()
         bad = state.get("production")
         if bad is None:
             raise RegistryError("no production version to roll back")
+        if expected is not None and bad != expected:
+            raise RegistryError(
+                f"production is {bad}, not {expected}; not rolling back"
+            )
         retired = [
             (record.get("retired_at", 0.0), version)
             for version, record in state["versions"].items()

@@ -770,6 +770,7 @@ class ServingDaemon:
         self._last_good: tuple[InferenceEngine, str] | None = None
         self._failed_production: str | None = None
         self._failed_candidate: str | None = None
+        self._failed_rollback: str | None = None
         self._guard: RollbackGuard | None = (
             RollbackGuard(guard) if registry is not None else None
         )
@@ -1340,6 +1341,7 @@ class ServingDaemon:
                 engine.drift_monitor.reset()
             if self._guard is not None:
                 self._guard.reset_drift()
+            self._failed_rollback = None
             if remember_previous and previous_version is not None:
                 self._last_good = (previous, previous_version)
             else:
@@ -1383,12 +1385,19 @@ class ServingDaemon:
         assert self.registry is not None
         if self._engine_version != bad_version:
             return  # already swapped away from the flagged version
+        if self._failed_rollback == bad_version:
+            return  # sustained drift re-posts; one refusal per served version
         try:
+            # ``expected``: an operator may have promoted another version
+            # since the last tick; that one was never served here.
             quarantined, restored = self.registry.rollback(
-                reason=reason, by=f"daemon:{self.run_id}"
+                reason=reason, by=f"daemon:{self.run_id}", expected=bad_version
             )
         except Exception as exc:  # noqa: BLE001 - the watcher must survive
-            # Nothing to restore, or a bad state file.
+            # A refusal (nothing to restore, production moved on) repeats
+            # until the next swap, so it is memoed; a bad state file is not.
+            if isinstance(exc, RegistryError):
+                self._failed_rollback = bad_version
             self._emit(
                 "registry.rollback_failed",
                 level="error",

@@ -12,7 +12,9 @@ The serving contract pinned here:
   tolerance;
 * ``InferenceEngine.classify_arrays`` returns the same result, field
   for field, for a sample whatever batch it is scored in;
-* the im2col workspace cache buckets batch sizes, so bursty mixed-size
+* the workspace cache, which now holds only the conv outputs that
+  ``_conv_inference`` borrows (the im2col columns stream through a
+  small per-call buffer), buckets batch sizes, so bursty mixed-size
   traffic hits cached buffers instead of thrashing allocations.
 """
 

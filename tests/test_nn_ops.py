@@ -1,10 +1,12 @@
 """Gradient and value tests for conv2d / pooling primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal
 
-from repro.nn import Tensor, avg_pool2d, conv2d, max_pool2d, preserve_float64
+from repro.nn import Tensor, avg_pool2d, conv2d, max_pool2d, ops, preserve_float64
 
 from .helpers import check_gradient
 
@@ -50,6 +52,55 @@ class TestConv2dForward:
             conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
         with pytest.raises(ValueError):
             conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3))))
+
+    # The no-graph path streams rows through a column buffer of
+    # ``ops._COL_CHUNK_BYTES``; the graph path builds the whole batch.
+    # ``step`` rows fit the patched budget, so the batch sizes put the
+    # last chunk at every boundary case.  These tests draw from their
+    # own generator, so the module RNG stream the tests below see is
+    # unchanged.
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 10])
+    def test_streamed_rows_equal_whole_batch(self, monkeypatch, batch, stride, padding):
+        step = 3  # batch sizes 1, step - 1, step, step + 1, 3 * step + 1
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 3, 9, 8)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        out_h = (9 + 2 * padding - 3) // stride + 1
+        out_w = (8 + 2 * padding - 3) // stride + 1
+        row_bytes = 3 * 3 * 3 * out_h * out_w * 4
+        monkeypatch.setattr(ops, "_COL_CHUNK_BYTES", step * row_bytes + row_bytes // 2)
+        graph = conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), stride, padding)
+        streamed = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+        assert streamed.shape == graph.shape
+        assert np.array_equal(streamed.numpy(), graph.numpy())
+
+    def test_row_larger_than_budget_streams_one_row_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(ops, "_COL_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, 2, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(3, 2, 5, 5)).astype(np.float32)
+        graph = conv2d(Tensor(x, requires_grad=True), Tensor(w), padding=2)
+        streamed = conv2d(Tensor(x), Tensor(w), padding=2)
+        assert np.array_equal(streamed.numpy(), graph.numpy())
+
+    def test_streamed_column_buffer_stays_small(self):
+        """A conv2-shaped call at 320 rows (one bench batch) allocates
+        less than a tenth of the whole-batch column matrix: its output
+        plus one chunk of columns."""
+        batch, c_in, size, c_out, k = 320, 10, 28, 20, 5
+        n_loc = (size - k + 1) ** 2
+        whole_batch_cols = batch * c_in * k * k * n_loc * 4
+        x = Tensor(np.ones((batch, c_in, size, size), dtype=np.float32))
+        w = Tensor(np.full((c_out, c_in, k, k), 0.01, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_batch_cols / 10, (peak, whole_batch_cols)
 
 
 class TestConv2dGradients:

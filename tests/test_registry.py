@@ -152,6 +152,22 @@ class TestStoreLifecycle:
         with pytest.raises(RegistryError, match="no previous good version"):
             registry.rollback()
 
+    def test_rollback_of_an_unexpected_production_is_refused(
+        self, registry, model_dir
+    ):
+        for _ in range(3):
+            registry.register(model_dir)
+        registry.promote("v1")
+        registry.promote("v2")
+        registry.promote("v3")
+        with open(registry.state_path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(RegistryError, match="production is v3, not v2"):
+            registry.rollback(reason="drift", expected="v2")
+        with open(registry.state_path, "rb") as handle:
+            assert handle.read() == before
+        assert registry.rollback(expected="v3") == ("v3", "v2")
+
     def test_quarantine_candidate(self, registry, model_dir):
         registry.register(model_dir)
         registry.register(model_dir)

@@ -642,38 +642,87 @@ class TestAutomaticRollback:
     def test_rollback_without_prior_good_version_keeps_serving(self, tmp_path):
         """Drift on the only version ever deployed: nothing to restore,
         so the daemon logs rollback_failed and keeps answering."""
-        probe = make_serve_engine(seed=0)
-        pairs, mjd = make_serve_sample(probe, seed=2)
-        # Baseline deliberately far from the model's actual scores: v1
-        # itself drifts immediately.
+        _drift_without_prior_good_version(tmp_path, MIN_SAMPLES + 10)
+
+    def test_failed_rollback_is_reported_once_per_version(self, tmp_path):
+        """Sustained drift re-posts the rollback on every scored group;
+        the watcher memoes the version whose rollback failed, so the
+        whole run logs one ``registry.rollback_failed``, not one per tick."""
+        telemetry = _drift_without_prior_good_version(tmp_path, 80)
+        failures = [
+            r for r in read_events(telemetry / EVENTS_FILE)
+            if r["event"] == "registry.rollback_failed"
+        ]
+        assert len(failures) == 1
+        assert failures[0]["version"] == "v1"
+
+    def test_rollback_never_quarantines_a_version_it_did_not_serve(
+        self, tmp_path
+    ):
+        """A drift rollback of v2 posted before an operator promoted v3
+        must not quarantine v3: the registry refuses the rollback because
+        production is no longer the flagged version, and the same tick
+        then reloads v3."""
         model = tmp_path / "model"
-        _build_model_dir(
-            model, seed=0, baseline_scores=np.linspace(0.0, 0.05, 64)
-        )
+        _build_model_dir(model, seed=0)
         registry = ModelRegistry(tmp_path / "registry")
-        registry.promote(registry.register(model))
-        guard = GuardConfig(sustained_checks=2)
-        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
-        telemetry = tmp_path / "telemetry"
-        obs.start(telemetry, run_id="run-norollback")
-        try:
-            with running_registry_daemon(registry, config, guard=guard) as daemon:
-                body = classify_body(pairs, mjd)
-                # Past MIN_SAMPLES, then two flagged verdicts in a row.
-                for _ in range(MIN_SAMPLES + 10):
-                    assert post_classify(daemon.port, body)[0] == 200
-                    time.sleep(0.01)
-                _wait_for(
-                    lambda: any(
-                        r["event"] == "registry.rollback_failed"
-                        for r in read_events(telemetry / EVENTS_FILE)
-                    )
-                )
-                assert daemon._engine_version == "v1"
+        for _ in range(3):
+            registry.register(model)
+        registry.promote("v1")
+        registry.promote("v2")
+        from repro.serve import ServingDaemon
+
+        daemon = ServingDaemon(None, DaemonConfig(), registry=registry)
+        assert daemon._engine_version == "v2"
+        registry.promote("v3")
+        daemon._post("rollback", "v2", "sustained drift on v2")
+        daemon._sync_with_registry()
+        state = registry.state()
+        assert state["production"] == "v3"
+        assert state["versions"]["v3"]["status"] == "production"
+        assert state["versions"]["v2"]["status"] == "retired"
+        assert daemon._engine_version == "v3"
+
+
+def _drift_without_prior_good_version(tmp_path, n_requests):
+    """Serve ``n_requests`` on a lone v1 that drifts at once; return the
+    telemetry directory once its rollback has failed.
+
+    The daemon must keep v1 in production and keep answering.
+    """
+    probe = make_serve_engine(seed=0)
+    pairs, mjd = make_serve_sample(probe, seed=2)
+    # Baseline deliberately far from the model's actual scores: v1
+    # itself drifts immediately.
+    model = tmp_path / "model"
+    _build_model_dir(model, seed=0, baseline_scores=np.linspace(0.0, 0.05, 64))
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.promote(registry.register(model))
+    guard = GuardConfig(sustained_checks=2)
+    config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
+    telemetry = tmp_path / "telemetry"
+    obs.start(telemetry, run_id="run-norollback")
+    try:
+        with running_registry_daemon(registry, config, guard=guard) as daemon:
+            body = classify_body(pairs, mjd)
+            # Past MIN_SAMPLES, then flagged verdicts in a row.
+            for _ in range(n_requests):
                 assert post_classify(daemon.port, body)[0] == 200
-                assert registry.production() == "v1"
-        finally:
-            obs.stop()
+                time.sleep(0.01)
+            _wait_for(
+                lambda: any(
+                    r["event"] == "registry.rollback_failed"
+                    for r in read_events(telemetry / EVENTS_FILE)
+                )
+            )
+            # Several more watcher ticks on the still-drifting version.
+            time.sleep(4 * config.reload_poll_s)
+            assert daemon._engine_version == "v1"
+            assert post_classify(daemon.port, body)[0] == 200
+            assert registry.production() == "v1"
+    finally:
+        obs.stop()
+    return telemetry
 
 
 class TestDeployStateOwner:
