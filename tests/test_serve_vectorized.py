@@ -5,7 +5,8 @@ The serving engine validates/repairs visits through
 per-visit :func:`diagnose_and_repair`.  These tests pin the contract
 that the two are *bit-identical* — same diagnostics, same repaired
 pixels, same keep/reject verdicts — on traffic damaged by every
-:mod:`repro.runtime.faults` injector.
+:mod:`repro.runtime.faults` injector, and that the batch path's
+per-visit median equals ``np.median``.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.serve import (
     diagnose_and_repair,
     diagnose_and_repair_batch,
 )
+from repro.serve.validation import _median_rows
 from repro.survey import ImagingConfig
 
 pytestmark = pytest.mark.faults
@@ -98,8 +100,93 @@ class TestBatchRepairParity:
         corrupted[1, 2, 0, 17, 23] = value
         _assert_batch_matches_loop(corrupted, config)
 
+    def test_even_sided_stamps(self, dataset):
+        # The survey only renders odd stamps, so crop to 40x40: an even
+        # pixel count takes the batch median's two-order-statistic path.
+        corrupted = NaNPixels(0.03, seed=4)(dataset.pairs[:3, :, :, :40, :40])
+        corrupted[:, :, 1, 12, 27] += 5000.0
+        _assert_batch_matches_loop(corrupted, RepairConfig())
+        _assert_batch_matches_loop(dataset.pairs[:3, :, :, 1:, 1:], RepairConfig())
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(M, 2, S, S\)"):
             diagnose_and_repair_batch(np.zeros((3, 9, 9)), np.zeros(3))
         with pytest.raises(ValueError, match="visits"):
             diagnose_and_repair_batch(np.zeros((3, 2, 9, 9)), np.zeros(2))
+
+
+def _assert_rows_match_np_median(a: np.ndarray) -> None:
+    before = a.copy()
+    with np.errstate(invalid="ignore"):  # even rows average -inf and +inf
+        expected = np.median(a, axis=tuple(range(1, a.ndim)))
+        got = _median_rows(a)
+    # By value: the two partitions may pick -0.0 or +0.0 from a tie.
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(a, before)  # input left untouched
+
+
+class TestMedianRows:
+    @pytest.mark.parametrize(
+        "shape",
+        [(6, 9, 9), (6, 8, 8), (1, 13), (1, 12), (4, 1), (3, 7, 5)],
+        ids=["odd", "even", "single-row-odd", "single-row-even", "width-1", "odd-rect"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_np_median(self, shape, dtype):
+        a = np.random.default_rng(3).normal(size=shape).astype(dtype)
+        _assert_rows_match_np_median(a)
+
+    @pytest.mark.parametrize("width", [25, 24])
+    def test_ties(self, width):
+        a = np.random.default_rng(4).integers(-2, 3, size=(40, width))
+        _assert_rows_match_np_median(a.astype(np.float32))
+
+    @pytest.mark.parametrize("width", [9, 10])
+    def test_nan_rows(self, width):
+        a = np.random.default_rng(5).normal(size=(5, width)).astype(np.float32)
+        a[1, 2] = np.nan  # one NaN among the large half
+        a[2, :] = np.nan  # nothing but NaN
+        a[3, : width // 2 + 1] = np.nan  # NaN at the middle position
+        a[4, :] = np.inf
+        a[4, 0] = np.nan  # NaN among +inf
+        _assert_rows_match_np_median(a)  # NaN compares equal to NaN here
+
+    @pytest.mark.parametrize("width", [9, 10])
+    def test_infinities(self, width):
+        a = np.random.default_rng(6).normal(size=(4, width)).astype(np.float32)
+        a[0, :3] = np.inf
+        a[1, :3] = -np.inf
+        a[2, :] = np.inf
+        a[3, ::2] = -np.inf
+        a[3, 1::2] = np.inf
+        _assert_rows_match_np_median(a)
+
+    @pytest.mark.parametrize("width", [9, 10])
+    def test_signed_zeros(self, width):
+        a = np.zeros((6, width), dtype=np.float32)
+        a[1] = -0.0
+        a[2, ::2] = -0.0
+        a[3, 1::2] = -0.0
+        a[4, : width // 2] = -1.0
+        a[4, width // 2 + 1 :] = 1.0
+        a[4, width // 2] = -0.0
+        a[5, ::3] = -0.0
+        a[5, 1::3] = 2.0
+        _assert_rows_match_np_median(a)
+
+    @pytest.mark.parametrize("shape", [(7, 11, 11), (7, 10, 10)], ids=["odd", "even"])
+    def test_overwrite_input_partitions_in_place(self, shape):
+        a = np.abs(np.random.default_rng(7).normal(size=shape)).astype(np.float32)
+        a[2, 3, 4] = np.nan
+        original = a.copy()
+        expected = np.median(original, axis=(1, 2))
+        got = _median_rows(a, overwrite_input=True)
+        np.testing.assert_array_equal(got, expected)
+        rows, before = a.reshape(shape[0], -1), original.reshape(shape[0], -1)
+        # Each row is a permutation of itself, partitioned about its middle.
+        np.testing.assert_array_equal(np.sort(rows, axis=1), np.sort(before, axis=1))
+        k = rows.shape[1] // 2
+        clean = ~np.isnan(before).any(axis=1)
+        assert (rows[clean, :k] <= rows[clean, k : k + 1]).all()
+        assert (rows[clean, k + 1 :] >= rows[clean, k : k + 1]).all()
