@@ -67,39 +67,13 @@ def features_from_arrays(
     Returns
     -------
     (N, 10 * len(epochs)) float32 feature matrix: for each requested
-    epoch, 5 signed-log fluxes followed by 5 scaled dates.
+    epoch, 5 signed-log fluxes followed by 5 scaled dates.  This is
+    :func:`masked_features_from_arrays` with every visit usable, bit
+    for bit.
     """
-    flux = _as_float(flux)
-    mjd = _as_float(mjd)
-    if flux.shape != mjd.shape or flux.ndim != 2:
-        raise ValueError("flux and mjd must both be (N, V)")
-    n_visits = flux.shape[1]
-    total = n_epochs_total or n_visits // N_BANDS
-    if total * N_BANDS != n_visits:
-        raise ValueError(f"visit axis {n_visits} is not {total} epochs x {N_BANDS} bands")
-
-    epoch_list = list(range(epochs)) if isinstance(epochs, int) else list(epochs)
-    if not epoch_list:
-        raise ValueError("need at least one epoch")
-    for e in epoch_list:
-        if not 0 <= e < total:
-            raise IndexError(f"epoch {e} out of range [0, {total})")
-
-    visit_idx = np.concatenate(
-        [np.arange(e * N_BANDS, (e + 1) * N_BANDS) for e in epoch_list]
+    return masked_features_from_arrays(
+        flux, mjd, np.ones(np.shape(flux), dtype=bool), epochs, n_epochs_total
     )
-    f = flux[:, visit_idx]
-    d = mjd[:, visit_idx]
-    d_centered = (d - d.mean(axis=1, keepdims=True)) / DATE_SCALE_DAYS
-
-    blocks = []
-    n_sel = len(epoch_list)
-    f_blocks = f.reshape(-1, n_sel, N_BANDS)
-    d_blocks = d_centered.reshape(-1, n_sel, N_BANDS)
-    for k in range(n_sel):
-        blocks.append(signed_log10(f_blocks[:, k]))
-        blocks.append(d_blocks[:, k])
-    return np.concatenate(blocks, axis=1).astype(np.float32)
 
 
 def masked_features_from_arrays(
@@ -112,9 +86,9 @@ def masked_features_from_arrays(
 ) -> np.ndarray:
     """Classifier features for samples with missing or rejected visits.
 
-    Degraded-input counterpart of :func:`features_from_arrays`: ``usable``
-    is an (N, V) boolean mask marking visits whose flux estimate can be
-    trusted.  Masked entries never touch the arithmetic — their flux and
+    The one feature builder (:func:`features_from_arrays` is this call
+    with every visit usable): ``usable`` is an (N, V) boolean mask
+    marking visits whose flux estimate can be trusted.  Masked entries never touch the arithmetic — their flux and
     date values may be NaN —
 
     * the flux feature of a masked visit is imputed from

@@ -247,13 +247,6 @@ class DriftMonitor:
         #: The last evaluation of the window.
         self.report = DriftReport(n_window=0)
 
-    def reset(self) -> None:
-        """Empty the window, as for a version that has served nothing."""
-        with self._lock:
-            self._scores.clear()
-            self._flux.clear()
-            self.report = DriftReport(n_window=0)
-
     def observe(
         self,
         scores: np.ndarray | list[float] | float,

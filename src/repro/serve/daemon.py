@@ -32,7 +32,9 @@ Request flow
    injected chaos fault) triggers per-sample re-scoring through
    :func:`~repro.serve.engine.isolate`: the poison sample alone gets its
    typed error response while its batch-mates are scored normally.  A
-   broken scoring pool is not poison: its group is answered 500 at once.
+   broken scoring pool is not poison: its group is answered 500 at once
+   (or, if a swap retired that pool mid-dispatch, re-scored on the
+   version now served).
 5. **Watchdog** — one deadline, ``wedge_timeout_s``, per scoring call,
    owned by whoever runs it.  A scoring pool heals its own wedged
    workers at that deadline.  The watchdog guards the in-process
@@ -54,19 +56,22 @@ Model registry integration
 --------------------------
 Given a :class:`~repro.registry.ModelRegistry` the daemon closes the
 deploy loop (``repro serve --registry DIR``).  Deploy state — the served
-``(engine, version)``, the last-known-good engine, the shadow candidate
-and the daemon's registry writes — has one owner, the registry watcher
-thread; the scoring and shadow threads only *post* a rollback or
-quarantine request and wake it:
+``(engine, scorer, version)`` snapshot, the shadow candidate and the
+daemon's registry writes — has one owner, the registry watcher thread;
+the scoring and shadow threads only *post* a rollback or quarantine
+request and wake it:
 
 * **hot reload** — the watcher polls ``registry.json``; when the
   production pointer moves it verifies + loads the new version off the
-  scoring path and swaps it in *between* micro-batches.  Each batch
-  captures one ``(engine, version)`` snapshot, so in-flight work drains
-  on the old engine, every request is scored wholly by a single version
-  and nothing is dropped.  A failed load (corrupt version dir, bad
-  weights) leaves the current model serving and emits a typed
-  ``registry.reload_failed`` event.
+  scoring path (with ``--scoring-workers N`` it also boots a new
+  :class:`~repro.serve.pool.ScoringPool` from the version's directory)
+  and swaps the snapshot *between* micro-batches, then closes the old
+  pool.  The scorer is the engine itself in-process, or the pool; a
+  pool serves one model for life.  Each batch captures one snapshot, so
+  in-flight work drains on the old scorer, every request is scored
+  wholly by a single version and nothing is dropped.  A failed load or
+  pool boot (corrupt version dir, bad weights) leaves the current model
+  serving and emits a typed ``registry.reload_failed`` event.
 * **shadow scoring** — when a candidate is staged (``repro models
   promote --shadow``) admitted traffic is also scored on the candidate
   from a bounded queue that sheds under load (the primary path is never
@@ -79,8 +84,9 @@ quarantine request and wake it:
   shadow-divergence budget, or crashing) makes the guard trip and its
   thread post a request.  The watcher's next tick applies posted
   requests before it re-reads ``registry.json``: it rolls back to the
-  last-known-good version (quarantining the bad one in the registry
-  as ``rolled_back``) or quarantines the candidate, and records a
+  most recently retired version, loaded afresh like any promote
+  (quarantining the bad one in the registry as ``rolled_back``), or
+  quarantines the candidate, and records a
   ``registry.rolled_back`` audit event, all without dropping in-flight
   requests.
 """
@@ -137,6 +143,10 @@ DRAIN_TIMEOUT_S = 10.0
 #: shadow worker; beyond it shadow copies are shed, never queued.
 SHADOW_QUEUE_DEPTH = 8
 
+#: Request-id prefix and registry ``by`` tag when no telemetry session
+#: is active (under a session, its run id).
+DEFAULT_RUN_ID = "serve"
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -160,7 +170,6 @@ class DaemonConfig:
     max_body_bytes: int = 32 << 20
     strict: bool = False
     wedge_timeout_s: float = 5.0
-    run_id: str = "serve"
     #: How often the version watcher re-reads ``registry.json`` (with a
     #: registry attached); a promote becomes live within about one poll.
     reload_poll_s: float = 0.25
@@ -744,14 +753,22 @@ class ServingDaemon:
         self.fault_hook = fault_hook
         self.registry = registry
         self.reload_hook = reload_hook
-        #: Multi-process scoring pool; built in start() when
-        #: ``config.scoring_workers > 0`` (or injected here by tests).
-        self._pool = pool
+        #: Pool mode: every served version is scored by a pool of this
+        #: config.  The first pool is built in start() when
+        #: ``config.scoring_workers > 0``, or injected here by tests.
+        self._pool_config: PoolConfig | None = None
+        if pool is not None:
+            self._pool_config = pool.config
+        elif self.config.scoring_workers > 0:
+            self._pool_config = PoolConfig(
+                workers=self.config.scoring_workers,
+                task_timeout_s=self.config.wedge_timeout_s,
+            )
         session = obs.active()
         self.metrics: MetricsRegistry = (
             session.metrics if session is not None else MetricsRegistry()
         )
-        self.run_id = session.run_id if session is not None else self.config.run_id
+        self.run_id = session.run_id if session is not None else DEFAULT_RUN_ID
         # End-to-end latency histogram, created once so configured
         # buckets (ms -> s) never race the lazy default-bucket creation.
         if self.config.latency_buckets_ms is not None:
@@ -762,12 +779,10 @@ class ServingDaemon:
         else:
             self._latency_hist = self.metrics.histogram("daemon.latency_s")
         # Registry / deploy state.  Only the registry watcher changes
-        # it (after start()); _engine_lock makes the (engine, version)
-        # pair a consistent snapshot for the scoring worker.  Other
-        # threads ask for a rollback or quarantine through _post().
+        # it (after start()); _engine_lock guards the read and the
+        # replacement of the served (engine, scorer, version) snapshot.
+        # Other threads ask for a rollback or quarantine through _post().
         self._engine_lock = threading.Lock()
-        self._engine_version: str | None = None
-        self._last_good: tuple[InferenceEngine, str] | None = None
         self._failed_production: str | None = None
         self._failed_candidate: str | None = None
         self._failed_rollback: str | None = None
@@ -784,20 +799,23 @@ class ServingDaemon:
         self._shadow_version: str | None = None
         self._shadow_queue: deque[tuple[np.ndarray, np.ndarray, list[float]]] = deque()
         self._shadow_worker: _ShadowWorker | None = None
+        version = registry.production() if registry is not None else None
         if engine is None:
             if registry is None:
                 raise ValueError("ServingDaemon needs an engine or a registry")
-            version = registry.production()
             if version is None:
                 raise RegistryError(
                     "registry has no production version; "
                     "`repro models promote` one first"
                 )
             engine = self._load_version(version)
-            self._engine_version = version
-        elif registry is not None:
-            self._engine_version = registry.production()
-        self.engine = engine
+        #: What scores the next batch: ``(engine, scorer, version)``,
+        #: where the scorer is the engine itself in-process, or the pool
+        #: (from start()) that serves the same version.
+        self._served: tuple[InferenceEngine, InferenceEngine | ScoringPool,
+                            str | None] = (
+            engine, pool if pool is not None else engine, version
+        )
         self._batcher = _Batcher(
             self.config.queue_depth,
             self.config.batch_max_size,
@@ -827,6 +845,21 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def engine(self) -> InferenceEngine:
+        """The served version's engine (validation, eval mode)."""
+        return self._served[0]
+
+    @property
+    def _engine_version(self) -> str | None:
+        return self._served[2]
+
+    @property
+    def _pool(self) -> ScoringPool | None:
+        """The served scoring pool; ``None`` when scoring in-process."""
+        engine, scorer, _ = self._served
+        return None if scorer is engine else scorer
+
     @property
     def port(self) -> int:
         if self._server is None:
@@ -876,36 +909,33 @@ class ServingDaemon:
         )
 
     def _start_pool(self) -> None:
-        """Spawn the scoring pool (if configured) before traffic arrives.
+        """Boot the first scoring pool (pool mode) before traffic arrives.
 
-        Registry mode hands workers the production version's directory —
-        the same bytes every future :meth:`_swap_engine` hands them via
-        ``pool.reload`` — while engine mode persists the live engine to
-        a pool-owned temp directory.  A pool that cannot boot fails
-        ``start()`` outright: better a loud refusal than a daemon that
-        silently serves single-process at N-times the advertised
-        latency.  An injected (test-seam) pool is started here too when
-        it isn't already; its own worker count is authoritative — it is
-        what /healthz and the ``pool.workers`` gauge report, regardless
-        of ``config.scoring_workers``.
+        Registry mode hands workers the production version's directory,
+        as every later swap does for its version, while engine mode
+        persists the live engine to a pool-owned temp directory.  A pool
+        that cannot boot fails ``start()`` outright: better a loud
+        refusal than a daemon that silently serves single-process at
+        N-times the advertised latency.  An injected (test-seam) pool is
+        started here too when it isn't already; its own config is
+        authoritative — it is what /healthz and the ``pool.workers``
+        gauge report, and what every swap's pool is built with.
         """
-        if self._pool is None:
-            if self.config.scoring_workers < 1:
-                return
-            kwargs: dict = {
-                "config": PoolConfig(
-                    workers=self.config.scoring_workers,
-                    task_timeout_s=self.config.wedge_timeout_s,
-                ),
-            }
-            if self.registry is not None and self._engine_version is not None:
-                kwargs["model_source"] = self.registry.path(self._engine_version)
+        if self._pool_config is None:
+            return
+        engine, scorer, version = self._served
+        if scorer is engine:
+            if self.registry is not None and version is not None:
+                scorer = ScoringPool(
+                    model_source=self.registry.path(version),
+                    config=self._pool_config,
+                )
             else:
-                kwargs["engine"] = self.engine
-            self._pool = ScoringPool(**kwargs)
-        if not self._pool.started:
-            self._pool.start()
-        self.metrics.gauge("pool.workers").set(self._pool.config.workers)
+                scorer = ScoringPool(engine=engine, config=self._pool_config)
+        if not scorer.started:
+            scorer.start()
+        self._served = (engine, scorer, version)
+        self.metrics.gauge("pool.workers").set(self._pool_config.workers)
 
     def install_signal_handlers(self) -> None:
         """Route SIGTERM/SIGINT to a graceful drain (main thread only)."""
@@ -981,8 +1011,9 @@ class ServingDaemon:
         worker = self._worker
         if worker is not None and not worker.abandoned:
             worker.join(timeout=2.0)
-        if self._pool is not None:
-            self._pool.close()
+        pool = self._pool  # a swap racing this drain closes its own pool
+        if pool is not None:
+            pool.close()
         if self._server is not None:
             self._server.shutdown()
         self._emit_terminal(reason)
@@ -1143,50 +1174,38 @@ class ServingDaemon:
             "daemon.score", parent=trace_parent,
             batch_index=batch_index, n_samples=len(group),
         ):
-            if self._pool is not None:
-                # Pool mode holds _engine_lock across the dispatch: the pool
-                # is shared mutable state (unlike an engine snapshot), so a
-                # hot reload must not land between reading the version label
-                # and the workers scoring — _swap_engine calls pool.reload()
-                # under this same lock, which both serialises the swap
-                # against in-flight batches and keeps the (scores, version)
-                # pair consistent.
-                lock_from = time.monotonic()
-                with self._engine_lock:
-                    obs_trace.record(
-                        "engine.lock_wait", time.monotonic() - lock_from
+            # One consistent (engine, scorer, version) snapshot per
+            # batch: a swap that lands mid-score only affects the *next*
+            # batch, so every request is scored wholly by a single
+            # version, and the outgoing scorer finishes its in-flight
+            # work before the watcher drops (or closes) it.
+            lock_from = time.monotonic()
+            with self._engine_lock:
+                obs_trace.record("engine.lock_wait", time.monotonic() - lock_from)
+                _, scorer, version = self._served
+            while True:
+                try:
+                    results = scorer.classify_arrays(
+                        pairs, mjd, strict=group[0].strict,
+                        start_index=group[0].index,
                     )
-                    version = self._engine_version
-                    try:
-                        results = self._pool.classify_arrays(
-                            pairs, mjd,
-                            strict=group[0].strict, start_index=group[0].index,
-                        )
-                    except PoolBrokenError:
+                    break
+                except PoolBrokenError:
+                    # A swap closes the old pool after publishing its
+                    # successor, which breaks a dispatch that outlives
+                    # the close's grace: score the group on the served
+                    # scorer.  A broken *served* pool spent its budget.
+                    retired = scorer
+                    with self._engine_lock:
+                        _, scorer, version = self._served
+                    if scorer is retired:
                         self._drain_on_spent_budget(
                             "serve.pool_broken",
                             "scoring pool respawn budget exhausted; draining",
                             "pool_failure",
                         )
                         raise
-                    monitor = self._pool.drift_monitor
-            else:
-                # One consistent (engine, version) snapshot per batch: a
-                # hot reload that lands mid-score only affects the *next*
-                # batch, so every request is scored wholly by a single
-                # version and the outgoing engine drains its in-flight
-                # work before it is dropped.
-                lock_from = time.monotonic()
-                with self._engine_lock:
-                    obs_trace.record(
-                        "engine.lock_wait", time.monotonic() - lock_from
-                    )
-                    engine = self.engine
-                    version = self._engine_version
-                results = engine.classify_arrays(
-                    pairs, mjd, strict=group[0].strict, start_index=group[0].index
-                )
-                monitor = engine.drift_monitor
+            monitor = scorer.drift_monitor
         self._note_drained(len(group), time.monotonic() - started)
         if version is not None:
             self.metrics.counter(f"daemon.served.{version}").inc(len(results))
@@ -1297,10 +1316,25 @@ class ServingDaemon:
         if candidate != self._shadow_version and candidate != self._failed_candidate:
             self._sync_shadow(candidate)
 
+    def _load_served(
+        self, version: str
+    ) -> tuple[InferenceEngine, InferenceEngine | ScoringPool]:
+        """Load ``version`` with the scorer that will serve it: the
+        engine itself, or in pool mode a pool booted from the version's
+        directory (a pool whose start fails leaves no worker behind)."""
+        engine = self._load_version(version)
+        if self._pool_config is None:
+            return engine, engine
+        pool = ScoringPool(
+            model_source=self.registry.path(version), config=self._pool_config
+        )
+        pool.start()
+        return engine, pool
+
     def _reload_production(self, version: str) -> None:
         """Hot-swap to a newly promoted version; exactly-once per version."""
         try:
-            engine = self._load_version(version)
+            engine, scorer = self._load_served(version)
         except Exception as exc:  # noqa: BLE001 - typed event, keep serving
             # Remember the bad version so one broken promote logs one
             # typed failure instead of one per poll tick.
@@ -1308,44 +1342,32 @@ class ServingDaemon:
             self._note_reload_failure(version, "production", exc)
             return
         self._failed_production = None
-        self._swap_engine(engine, version)
+        self._swap(engine, scorer, version)
 
-    def _swap_engine(self, engine: InferenceEngine, version: str,
-                     remember_previous: bool = True) -> bool:
-        """Publish a new production engine (registry watcher only).
+    def _swap(self, engine: InferenceEngine,
+              scorer: InferenceEngine | ScoringPool, version: str) -> None:
+        """Publish a loaded version (registry watcher only), then close
+        the pool it replaces.
 
-        With a scoring pool attached the swap happens *inside* the
-        engine lock the scoring path holds across each pool dispatch:
-        ``pool.reload`` therefore waits for the in-flight batch, swaps
-        every worker exactly once, and the next batch reads the new
-        version label with the new workers — no batch ever mixes
-        versions, no request is dropped.  A failed pool reload (the
-        pool rolls its workers back internally) aborts the publish and
-        leaves the previous version serving; returns False in that
-        case.
+        Only the snapshot replacement holds ``_engine_lock``: the load
+        and pool boot ran before it, the old pool's close runs after it.
+        A batch still in flight on the old pool gets ``close()``'s 2 s
+        grace; past it the dispatch breaks and the scoring thread
+        re-scores that group on the new snapshot.  The new version's
+        scorer brings its own empty drift monitor.
         """
         with self._engine_lock:
-            if self._pool is not None and self.registry is not None:
-                try:
-                    self._pool.reload(self.registry.path(version))
-                except Exception as exc:  # noqa: BLE001 - keep serving previous
-                    self._note_reload_failure(version, "pool", exc)
-                    return False
-            previous, previous_version = self.engine, self._engine_version
-            self.engine = engine
-            self._engine_version = version
-            # The served version's window starts empty, even on a warm
-            # _last_good engine that has served before (a pool reload
-            # builds a fresh monitor itself).
-            if engine.drift_monitor is not None:
-                engine.drift_monitor.reset()
-            if self._guard is not None:
-                self._guard.reset_drift()
-            self._failed_rollback = None
-            if remember_previous and previous_version is not None:
-                self._last_good = (previous, previous_version)
-            else:
-                self._last_good = None
+            draining = self._draining
+            if not draining:
+                previous, self._served = self._served, (engine, scorer, version)
+        if draining:  # drain() closes the served pool, not this one
+            if scorer is not engine:
+                scorer.close()
+            return
+        previous_engine, previous_scorer, previous_version = previous
+        if self._guard is not None:
+            self._guard.reset_drift()
+        self._failed_rollback = None
         self.metrics.counter("daemon.reloads").inc()
         self._emit(
             "registry.reloaded",
@@ -1353,7 +1375,8 @@ class ServingDaemon:
             version=version,
             previous=previous_version,
         )
-        return True
+        if previous_scorer is not previous_engine:
+            previous_scorer.close()
 
     def _note_reload_failure(self, version: str | None, role: str,
                              exc: Exception) -> None:
@@ -1405,17 +1428,12 @@ class ServingDaemon:
                 version=bad_version,
             )
             return
-        engine = None
-        if self._last_good is not None and self._last_good[1] == restored:
-            engine = self._last_good[0]  # still warm from the swap
-        if engine is None:
-            try:
-                engine = self._load_version(restored)
-            except Exception as exc:  # noqa: BLE001
-                self._note_reload_failure(restored, "rollback", exc)
-                return
-        if not self._swap_engine(engine, restored, remember_previous=False):
+        try:
+            engine, scorer = self._load_served(restored)
+        except Exception as exc:  # noqa: BLE001
+            self._note_reload_failure(restored, "rollback", exc)
             return
+        self._swap(engine, scorer, restored)
         self.metrics.counter("daemon.rollbacks").inc()
         self._emit(
             "registry.rolled_back",
@@ -1638,6 +1656,7 @@ class ServingDaemon:
         rollback counter climbing) without scraping /metrics.
         """
         draining = self._draining
+        pool = self._pool
         payload = {
             "live": True,
             "ready": not draining and self._server is not None,
@@ -1653,9 +1672,7 @@ class ServingDaemon:
             "rollbacks": int(self.metrics.counter("daemon.rollbacks").value),
             "quarantined": int(self.metrics.counter("daemon.quarantined").value),
             "shadow": self.shadow_stats(),
-            "scoring_pool": (
-                self._pool.stats() if self._pool is not None else None
-            ),
+            "scoring_pool": pool.stats() if pool is not None else None,
         }
         return (503 if draining else 200), payload
 
@@ -1663,17 +1680,18 @@ class ServingDaemon:
         """``/metrics`` body: the registry in text exposition format."""
         self.metrics.gauge("daemon.queue_depth").set(self._batcher.waiting())
         self.metrics.gauge("daemon.draining").set(1 if self._draining else 0)
-        if self._pool is not None:
-            self._export_pool_metrics()
+        pool = self._pool
+        if pool is not None:
+            self._export_pool_metrics(pool)
         for name, value in workspace_total_stats().items():
             if name == "hit_rate":
                 continue  # derivable from hits/misses; gauges stay raw counts
             self.metrics.gauge(f"nn.workspace_{name}").set(value)
         return self.metrics.to_prometheus()
 
-    def _export_pool_metrics(self) -> None:
+    def _export_pool_metrics(self, pool: ScoringPool) -> None:
         """Fold the pool's stats into the registry as gauges."""
-        stats = self._pool.stats()
+        stats = pool.stats()
         per_worker = stats.pop("per_worker")
         stats.pop("broken", None)
         for name, value in stats.items():

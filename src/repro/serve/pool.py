@@ -41,14 +41,13 @@ scatters micro-batches onto them:
   budget replenishes after a crash-free :data:`RESPAWN_RESET_S` (it
   bounds *flapping*, not lifetime crashes); exhausting it inside one
   unhealthy window marks the pool broken (:class:`PoolBrokenError`) so
-  the daemon can drain with exit code 4.  :meth:`close` never waits on a stuck
-  dispatch: if the scoring lock cannot be acquired promptly it
-  terminates the workers outright and unlinks the shm ring, so a drain
-  cannot deadlock behind a wedge.
-* **Hot reload.**  :meth:`reload` broadcasts a new model directory and
-  an incremented version epoch; it returns only once every worker has
-  acked the epoch, and it holds the dispatch lock, so a registry swap
-  is exactly-once pool-wide and no in-flight batch ever mixes versions.
+  the daemon can drain with exit code 4.  :meth:`close` waits at most
+  2 s for a stuck dispatch, then terminates the workers outright and
+  unlinks the shm ring, so a drain cannot deadlock behind a wedge.
+* **One model for life.**  A pool loads one model directory at
+  :meth:`start` and serves it until :meth:`close`.  A daemon that swaps
+  versions boots a new pool beside the served one and closes the old
+  pool after the swap, exactly as it swaps in-process engines.
 """
 
 from __future__ import annotations
@@ -124,9 +123,6 @@ SLOT_BYTES = 16 << 20
 #: ready, at start and on every respawn.
 START_TIMEOUT_S = 120.0
 
-#: How long a reload broadcast waits for every worker's ack.
-RELOAD_TIMEOUT_S = 120.0
-
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -190,26 +186,18 @@ def _portable(exc: BaseException) -> BaseException:
     return PoolError(f"{type(exc).__name__}: {exc}")
 
 
-def _drift_monitor(model_source: str) -> DriftMonitor | None:
-    """A fresh monitor over a model directory's baseline, if it has one."""
-    baseline = DriftBaseline.load(model_source)
-    return None if baseline is None else DriftMonitor(baseline)
+def _terminate(process) -> None:
+    """Terminate ``process`` and reap it, killing it if SIGTERM is ignored."""
+    process.terminate()
+    process.join(1.0)
+    if process.is_alive():  # pragma: no cover - last resort
+        process.kill()
+        process.join(1.0)
 
 
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _load_worker_engine(
-    model_source: str, worker_init: Callable | None, worker_id: int
-) -> InferenceEngine:
-    engine = InferenceEngine.from_directory(model_source)
-    engine.pipeline.cnn.eval()
-    engine.pipeline.classifier.eval()
-    if worker_init is not None:
-        worker_init(engine, worker_id)
-    return engine
-
-
 def _run_task(
     engine: InferenceEngine, tracer: obs_trace.WorkerTracer, buf, msg: tuple
 ) -> tuple:
@@ -250,12 +238,10 @@ def _worker_main(
 
     Spawned (not forked) so the pinned BLAS environment is read by a
     fresh numpy import and no daemon thread state leaks in.  The worker
-    owns one warm engine, answers each ``task`` message (pixels in the
-    shm ring it names, re-attached when the parent has grown it) with
-    one reply over its pipe — results or a typed error, plus the spans
-    the task finished and its busy time — and swaps its engine on
-    ``reload`` broadcasts, acking each version epoch so the parent can
-    prove an exactly-once swap.
+    owns one warm engine for its whole life and answers each ``task``
+    message (pixels in the shm ring it names, re-attached when the
+    parent has grown it) with one reply over its pipe — results or a
+    typed error, plus the spans the task finished and its busy time.
 
     A :class:`~repro.obs.trace.WorkerTracer` keeps finished spans in
     memory: ``worker.compute`` is resumed from the wire context of a
@@ -264,7 +250,11 @@ def _worker_main(
     tracer = obs_trace.WorkerTracer(worker_id)
     obs_trace.install(tracer)
     try:
-        engine = _load_worker_engine(model_source, worker_init, worker_id)
+        engine = InferenceEngine.from_directory(model_source)
+        engine.pipeline.cnn.eval()
+        engine.pipeline.classifier.eval()
+        if worker_init is not None:
+            worker_init(engine, worker_id)
     except Exception as exc:  # noqa: BLE001 - boot failures go to the parent
         try:
             conn.send(("boot_error", worker_id, _portable(exc)))
@@ -281,14 +271,6 @@ def _worker_main(
         kind = msg[0]
         if kind == "stop":
             break
-        if kind == "reload":
-            _, epoch, source = msg
-            try:
-                engine = _load_worker_engine(source, worker_init, worker_id)
-                conn.send(("reload_ack", worker_id, epoch, None))
-            except Exception as exc:  # noqa: BLE001
-                conn.send(("reload_ack", worker_id, epoch, _portable(exc)))
-            continue
         if kind == "task":
             if shm is None or shm.name != msg[2]:
                 if shm is not None:
@@ -361,9 +343,10 @@ class ScoringPool:
     what ``repro serve --registry`` and ``repro classify --model``
     already have) or a live ``engine`` (persisted once to a pool-owned
     temp directory so spawned workers can load it).  Strict mode is a
-    per-call flag, as on the engine.  The parent holds the served
-    version's :attr:`drift_monitor`, built from the model directory's
-    drift baseline at :meth:`start` and at each :meth:`reload`.
+    per-call flag, as on the engine.  A pool serves that one model from
+    :meth:`start` to :meth:`close`; the parent holds its
+    :attr:`drift_monitor`, built from the model directory's drift
+    baseline at :meth:`start`.
 
     ``worker_init(engine, worker_id)`` is the chaos seam: a *picklable*
     callable applied to each worker's engine after load (the pool
@@ -387,7 +370,7 @@ class ScoringPool:
             os.fspath(model_source) if model_source is not None else None
         )
         self._tmpdir: tempfile.TemporaryDirectory | None = None
-        #: Drift monitor of the served version; ``None`` without a baseline.
+        #: Drift monitor of the served model; ``None`` without a baseline.
         self.drift_monitor: DriftMonitor | None = None
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
@@ -406,7 +389,6 @@ class ScoringPool:
         self._broken: str | None = None
         self._task_counter = 0
         self._next_worker = 0
-        self._epoch = 0
         self._respawns = 0
         self._crashes = 0
         self._wedges = 0
@@ -432,7 +414,9 @@ class ScoringPool:
                 self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-pool-")
                 self._engine.save(self._tmpdir.name)
                 self._model_source = self._tmpdir.name
-            self.drift_monitor = _drift_monitor(self._model_source)
+            baseline = DriftBaseline.load(self._model_source)
+            if baseline is not None:
+                self.drift_monitor = DriftMonitor(baseline)
             self._shm = shared_memory.SharedMemory(
                 create=True, size=self.config.workers * self._slot_bytes
             )
@@ -442,6 +426,13 @@ class ScoringPool:
                 for worker in self._workers:
                     self._await_ready(worker, START_TIMEOUT_S)
             except BaseException:
+                # No caller can close a pool whose start() raised (a
+                # ``with`` block never runs __exit__ when __enter__
+                # raises), so reap every worker already booted here.
+                for worker in self._workers:
+                    _terminate(worker.process)
+                    worker.conn.close()
+                self._workers.clear()
                 self._teardown()
                 raise
             self._started = True
@@ -460,9 +451,10 @@ class ScoringPool:
         """Stop every worker and release the shm ring; idempotent.
 
         Never blocks behind a stuck dispatch: when the scoring lock
-        cannot be acquired promptly (a wedged worker holding a gather
-        hostage), the worker processes are terminated outright and the
-        shm ring name is unlinked anyway.  The killed workers wake the
+        cannot be acquired within 2 s (a dispatch still in flight, or a
+        wedged worker holding a gather hostage), the worker processes
+        are terminated outright and the shm ring name is unlinked
+        anyway.  The killed workers wake the
         stuck gather (dead sentinels), its shards settle as crashes, and
         the now-closed pool raises :class:`PoolBrokenError` out of the
         dispatch instead of respawning into torn-down state — so a
@@ -480,15 +472,14 @@ class ScoringPool:
                         worker.conn.send(("stop",))
                     except (BrokenPipeError, OSError):
                         pass
+            else:  # set before the kills below wake the stuck gather
+                self._broken = "pool closed while a dispatch was stuck"
             deadline = time.monotonic() + timeout_s
             for worker in self._workers:
-                worker.process.join(max(0.1, deadline - time.monotonic()))
+                if acquired:  # only a worker sent "stop" exits by itself
+                    worker.process.join(max(0.1, deadline - time.monotonic()))
                 if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(1.0)
-                if worker.process.is_alive():  # pragma: no cover - last resort
-                    worker.process.kill()
-                    worker.process.join(1.0)
+                    _terminate(worker.process)
                 if acquired:
                     worker.conn.close()
             if acquired:
@@ -498,7 +489,6 @@ class ScoringPool:
                 # over the slab, so only unlink the name (the mapping is
                 # freed with the process); conns stay open for the stuck
                 # gather to drain its error exits through.
-                self._broken = "pool closed while a dispatch was stuck"
                 self._unlink_shm()
         finally:
             if acquired:
@@ -691,14 +681,12 @@ class ScoringPool:
                 self._gather(shards)
                 results = self._settle(shards, pairs32, mjd32, strict,
                                        start_index)
-            # The scoring version's monitor, not one a reload swaps in next.
-            monitor = self.drift_monitor
         self._tasks += 1
         self._samples += n
         if session is not None:
             audit_results(session, results, time.perf_counter() - t_start)
-        if monitor is not None:
-            feed_drift(session, monitor, results)
+        if self.drift_monitor is not None:
+            feed_drift(session, self.drift_monitor, results)
         return results
 
     def _plan_shards(self, n: int) -> list[tuple[int, int]]:
@@ -841,11 +829,7 @@ class ScoringPool:
             worker = shard.worker
             if worker.process.is_alive():
                 self._wedges += 1
-                worker.process.terminate()
-                worker.process.join(1.0)
-                if worker.process.is_alive():  # pragma: no cover - last resort
-                    worker.process.kill()
-                    worker.process.join(1.0)
+                _terminate(worker.process)
             shard.outcome = ("crash", None)
             del pending[shard.task_id]
 
@@ -862,8 +846,6 @@ class ScoringPool:
     def _handle_message(
         self, worker: _Worker, msg: tuple, pending: dict[int, _Shard]
     ) -> bool:
-        # A reload_ack cannot arrive mid-scoring under the dispatch lock;
-        # it (like a stale reply) is ignored defensively.
         kind = msg[0]
         shard = (
             pending.pop(msg[2], None) if kind in ("task_done", "task_error") else None
@@ -980,97 +962,8 @@ class ScoringPool:
         )
 
     # ------------------------------------------------------------------
-    # Hot reload
-    # ------------------------------------------------------------------
-    def reload(self, model_source: str | os.PathLike) -> int:
-        """Swap every worker to a new model directory; exactly-once.
-
-        Holds the dispatch lock, so no batch is in flight during the
-        swap and no batch ever mixes versions; blocks until every worker
-        acks the new epoch.  On any worker failing the load, the
-        remaining workers are rolled back to the previous source and the
-        error re-raises — the pool never serves a half-swapped state.
-        The new version's drift monitor starts with an empty window.
-        """
-        source = os.fspath(model_source)
-        with self._lock:
-            self._ensure_live()
-            monitor = _drift_monitor(source)
-            previous = self._model_source
-            self._epoch += 1
-            epoch = self._epoch
-            self._model_source = source
-            with obs_trace.span("pool.reload"):
-                try:
-                    self._broadcast_reload(source, epoch)
-                except PoolError:
-                    self._model_source = previous
-                    self._epoch += 1
-                    self._broadcast_reload(previous, self._epoch)
-                    raise
-            self.drift_monitor = monitor
-            return epoch
-
-    def _broadcast_reload(self, source: str, epoch: int) -> None:
-        for worker in self._workers:
-            if not worker.process.is_alive():
-                # A fresh spawn loads self._model_source — already `source`.
-                self._note_crash(worker)
-        pending: dict[int, _Worker] = {}
-        for worker in self._workers:
-            try:
-                worker.conn.send(("reload", epoch, source))
-                pending[worker.id] = worker
-            except (BrokenPipeError, OSError):
-                self._note_crash(worker)
-        deadline = time.monotonic() + RELOAD_TIMEOUT_S
-        failures: list[str] = []
-        while pending:
-            if time.monotonic() > deadline:
-                raise PoolError(
-                    f"reload epoch {epoch} not acked by workers "
-                    f"{sorted(pending)} within {RELOAD_TIMEOUT_S}s"
-                )
-            workers = list(pending.values())
-            sentinels = {w.process.sentinel: w for w in workers}
-            conns = {w.conn: w for w in workers}
-            ready = connection.wait(list(conns) + list(sentinels), timeout=0.5)
-            for item in ready:
-                worker = conns.get(item)
-                if worker is None:
-                    continue
-                try:
-                    while worker.conn.poll():
-                        msg = worker.conn.recv()
-                        if msg[0] != "reload_ack" or msg[2] != epoch:
-                            continue
-                        pending.pop(worker.id, None)
-                        if msg[3] is not None:
-                            failures.append(
-                                f"worker {worker.id}: "
-                                f"{type(msg[3]).__name__}: {msg[3]}"
-                            )
-                except (EOFError, OSError):
-                    pass
-            for item in ready:
-                worker = sentinels.get(item)
-                if worker is None or worker.process.is_alive():
-                    continue
-                if worker.id in pending:
-                    del pending[worker.id]
-                    # The respawn loads the new source directly.
-                    self._note_crash(worker)
-        if failures:
-            raise PoolError("reload failed: " + "; ".join(failures))
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """The version epoch every live worker has acked."""
-        return self._epoch
-
     def stats(self) -> dict:
         """Pool-level and per-worker utilization and healing stats."""
         uptime = (
@@ -1107,7 +1000,6 @@ class ScoringPool:
             "shm_overflow": self._overflow,
             "crashed_shards": self._crashed_shards,
             "poison_samples": self._poison_samples,
-            "reload_epoch": self._epoch,
             "scatter_s_total": round(self._scatter_s, 6),
             "gather_s_total": round(self._gather_s, 6),
             "broken": self._broken,

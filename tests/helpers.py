@@ -109,6 +109,18 @@ def smoke_classify_workload(seed: int, n: int = 32, stamp: int = 40):
     return engine, pairs, mjd
 
 
+class FailWorkerBoot:
+    """Picklable pool ``worker_init`` that fails one worker's boot, so
+    ``ScoringPool.start()`` raises with the other workers already up."""
+
+    def __init__(self, worker_id: int = 1) -> None:
+        self.worker_id = worker_id
+
+    def __call__(self, engine, worker_id: int) -> None:
+        if worker_id == self.worker_id:
+            raise RuntimeError(f"worker {worker_id} refused to boot (injected)")
+
+
 def classify_body(pairs, mjd, **extra) -> bytes:
     """The JSON body ``POST /classify`` expects for one sample."""
     doc = {"pairs": np.asarray(pairs).tolist(), "mjd": np.asarray(mjd).tolist()}

@@ -17,7 +17,10 @@ from repro.core import (
     scaled_dates,
     windowed_epoch_features,
 )
+from repro.core.features import DATE_SCALE_DAYS
+from repro.datasets import N_BANDS
 from repro.nn import Tensor
+from repro.photometry import signed_log10
 
 RNG = np.random.default_rng(99)
 
@@ -222,6 +225,44 @@ class TestFeatures:
         mjd = np.tile(np.linspace(0, 95, 20), (2, 1))
         feats = features_from_arrays(flux, mjd, epochs=1)
         assert feats[:, 5:].mean() == pytest.approx(0.0, abs=1e-6)
+
+    def test_bit_identical_to_the_plain_formula(self):
+        """The one (masked) builder with every visit usable reproduces the
+        plain formula — signed-log fluxes, dates centred on the mean of
+        the selected visits — bit for bit."""
+
+        def plain(flux, mjd, epoch_list):
+            visits = np.concatenate(
+                [np.arange(e * N_BANDS, (e + 1) * N_BANDS) for e in epoch_list]
+            )
+            f, d = flux[:, visits], mjd[:, visits]
+            d = (d - d.mean(axis=1, keepdims=True)) / DATE_SCALE_DAYS
+            blocks = []
+            for k in range(len(epoch_list)):
+                cols = slice(k * N_BANDS, (k + 1) * N_BANDS)
+                blocks += [signed_log10(f[:, cols]), d[:, cols]]
+            return np.concatenate(blocks, axis=1).astype(np.float32)
+
+        rng = np.random.default_rng(7)
+        for case in range(240):
+            dtype = (np.float32, np.float64)[case % 2]
+            total = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 9))
+            flux = (rng.normal(0.0, 200.0, size=(n, total * N_BANDS))
+                    * rng.uniform(0.0, 10.0)).astype(dtype)
+            mjd = (57000.0 + rng.uniform(0.0, 300.0, size=flux.shape)).astype(dtype)
+            if case % 4 < 2:
+                epochs = int(rng.integers(1, total + 1))
+                epoch_list = list(range(epochs))
+            else:
+                epoch_list = sorted(rng.choice(
+                    total, size=int(rng.integers(1, total + 1)), replace=False
+                ).tolist())
+                epochs = epoch_list
+            got = features_from_arrays(flux, mjd, epochs, total)
+            want = plain(flux, mjd, epoch_list)
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_validation(self):
         with pytest.raises(ValueError):

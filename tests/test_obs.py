@@ -331,11 +331,14 @@ class TestDriftStatistics:
         report, changed = monitor.observe(rng.uniform(0.0, 0.5, size=WINDOW))
         assert report.n_window == WINDOW
         assert not report.flagged and changed
-        monitor.observe(rng.uniform(0.5, 1.0, size=WINDOW))
-        monitor.reset()
-        assert not monitor.report.flagged and monitor.report.n_window == 0
-        report, _ = monitor.observe(rng.uniform(0.5, 1.0, size=MIN_SAMPLES - 1))
-        assert report.n_window == MIN_SAMPLES - 1 and not report.flagged
+        # The window keeps only the newest WINDOW scores: a full window
+        # of drifted traffic rolls the clean scores out and flags again.
+        report, changed = monitor.observe(rng.uniform(0.5, 1.0, size=WINDOW))
+        assert report.n_window == WINDOW
+        assert report.flagged and changed
+        # A fresh monitor (what each new scorer brings) starts empty.
+        fresh = DriftMonitor(monitor.baseline)
+        assert fresh.report.n_window == 0 and not fresh.report.flagged
 
     def test_concurrent_feeders_see_each_transition_once(self):
         """Eight threads toggle one monitor between clean and drifted

@@ -1,4 +1,4 @@
-"""Multi-process scoring pool: parity, crash healing, hot reload, stream.
+"""Multi-process scoring pool: parity, crash healing, version swaps, stream.
 
 The pool's promise is that scattering a batch across worker processes
 changes *nothing* observable but the wall clock.  The parity tests pin
@@ -15,17 +15,19 @@ the respawn budget, per-sample culprit isolation and the
 :class:`PoolBrokenError` endgame.
 """
 
+import multiprocessing
 import os
 import signal
-import tempfile
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.log import EVENTS_FILE
+from repro.obs.log import EVENTS_FILE, read_events
+from repro.registry import ModelRegistry
 from repro.nn import cpu_count
 from repro.runtime.errors import CorruptArtifactError, TrainingDiverged
 from repro.runtime.faults import (
@@ -35,6 +37,7 @@ from repro.runtime.faults import (
     RaiseWorkerOnMarker,
     WedgeWorkerOnMarker,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve import pool as pool_module
 from repro.serve import (
     DegradedInputError,
@@ -45,8 +48,17 @@ from repro.serve import (
     ScoringPool,
     WorkerCrashError,
 )
+from repro.serve.daemon import DaemonConfig
 
-from .helpers import make_serve_engine, smoke_classify_workload
+from .helpers import (
+    FailWorkerBoot,
+    classify_body,
+    make_serve_engine,
+    make_serve_sample,
+    post_classify,
+    running_registry_daemon,
+    smoke_classify_workload,
+)
 
 pytestmark = pytest.mark.serve
 
@@ -80,11 +92,29 @@ def shared_pool(engine):
     pool.close()
 
 
+def reaped(pids):
+    """True once no process with any of ``pids`` exists."""
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        return False
+    return True
+
+
 def assert_reaped(pids):
     """No process with any of ``pids`` exists any more."""
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    assert reaped(pids)
+
+
+def wait_for(predicate, timeout_s=15.0):
+    """Poll ``predicate`` until truthy; fail the test on timeout."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"condition not reached within {timeout_s}s")
+        time.sleep(0.02)
 
 
 def assert_bit_exact(got, want):
@@ -129,6 +159,32 @@ class TestPoolLifecycle:
         assert pool.closed
         with pytest.raises(PoolBrokenError):
             pool.classify_arrays(pairs, mjd)
+
+    def test_failed_start_reaps_booted_workers(self, engine, monkeypatch):
+        """A start() failing on worker 1 leaves worker 0 neither alive nor
+        holding the shm ring: no caller can close a pool whose start raised
+        (``with`` never runs ``__exit__`` when ``__enter__`` raises)."""
+        ring_names = []
+        spawn = ScoringPool._spawn
+
+        def spy(pool, worker_id):
+            ring_names.append(pool._shm.name)
+            return spawn(pool, worker_id)
+
+        monkeypatch.setattr(ScoringPool, "_spawn", spy)
+        before = set(multiprocessing.active_children())
+        pool = ScoringPool(
+            engine=engine, config=PoolConfig(workers=2),
+            worker_init=FailWorkerBoot(worker_id=1),
+        )
+        with pytest.raises(RuntimeError, match="refused to boot"):
+            with pool:
+                pass
+        assert not pool.started and pool.pids() == []
+        assert [p for p in multiprocessing.active_children() if p not in before] == []
+        assert ring_names
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=ring_names[0])
 
     def test_close_reaps_every_worker(self, engine, batch):
         pairs, mjd = batch
@@ -404,37 +460,114 @@ class TestPoolCrash:
                 pool.classify_arrays(pairs, mjd)
 
 
-class TestPoolReload:
-    def test_reload_swaps_exactly_once_and_is_deterministic(self, engine, batch):
-        pairs, mjd = batch
-        other = make_serve_engine(seed=77)
-        with tempfile.TemporaryDirectory() as td:
-            other.save(td)
-            want = other.classify_arrays(pairs, mjd)
-            with ScoringPool(
-                engine=engine, config=PoolConfig(workers=2)
-            ) as pool:
-                before = pool.classify_arrays(pairs, mjd)
-                assert pool.reload(td) == 1
-                assert pool.epoch == 1
-                after = pool.classify_arrays(pairs, mjd)
-        assert_bit_exact(after, want)
-        # The models genuinely disagree, so the swap demonstrably landed.
-        assert any(a.probability != b.probability for a, b in zip(before, after))
+def _two_version_registry(tmp_path, engine):
+    """``engine`` as production v1, and a v2 with different weights."""
+    engine.save(str(tmp_path / "model-v1"))
+    make_serve_engine(seed=77).save(str(tmp_path / "model-v2"))
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.promote(registry.register(tmp_path / "model-v1"))
+    registry.register(tmp_path / "model-v2")
+    return registry
 
-    def test_failed_reload_rolls_back_every_worker(self, engine, batch, tmp_path):
-        pairs, mjd = batch
-        want = engine.classify_arrays(pairs, mjd)
-        bad = tmp_path / "not-a-model"
-        bad.mkdir()
-        with ScoringPool(
-            engine=engine, config=PoolConfig(workers=2)
-        ) as pool:
-            pool.classify_arrays(pairs, mjd)
-            with pytest.raises(Exception, match="reload failed"):
-                pool.reload(bad)
-            # Every worker is back on the previous model, bit for bit.
-            assert_bit_exact(pool.classify_arrays(pairs, mjd), want)
+
+def _version_scores(registry, pairs, mjd):
+    """Each version's in-process result for one sample."""
+    return {
+        version: InferenceEngine.from_directory(registry.path(version))
+        .classify_arrays(pairs[None], mjd[None])
+        for version in ("v1", "v2")
+    }
+
+
+class TestPoolReload:
+    """A pool serves one model for life: a pool-mode registry daemon
+    swaps versions by booting a new pool and closing the old one."""
+
+    def test_reload_swaps_exactly_once_and_is_deterministic(self, engine, tmp_path):
+        registry = _two_version_registry(tmp_path, engine)
+        pairs, mjd = make_serve_sample(engine, seed=4)
+        want = _version_scores(registry, pairs, mjd)
+        # The models genuinely disagree, so the swap demonstrably lands.
+        assert want["v1"][0].probability != want["v2"][0].probability
+        body = classify_body(pairs, mjd, deadline_ms=30000)
+        config = DaemonConfig(
+            scoring_workers=2, reload_poll_s=0.05, batch_deadline_ms=2.0
+        )
+        with running_registry_daemon(registry, config) as daemon:
+            v1_pool = daemon._pool
+            v1_pids = v1_pool.pids()
+            status, doc = post_classify(daemon.port, body)
+            assert status == 200
+            assert doc["result"]["probability"] == round(want["v1"][0].probability, 6)
+            assert_bit_exact(v1_pool.classify_arrays(pairs[None], mjd[None]), want["v1"])
+
+            registry.promote("v2")
+            wait_for(lambda: daemon._engine_version == "v2")
+            wait_for(lambda: reaped(v1_pids))
+            assert v1_pool.closed
+            v2_pool = daemon._pool
+            assert v2_pool is not v1_pool
+            assert set(v2_pool.pids()).isdisjoint(v1_pids)
+            status, doc = post_classify(daemon.port, body)
+            assert status == 200
+            assert doc["result"]["probability"] == round(want["v2"][0].probability, 6)
+            assert_bit_exact(v2_pool.classify_arrays(pairs[None], mjd[None]), want["v2"])
+
+            metrics = daemon.metrics
+            assert int(metrics.counter("daemon.reloads").value) == 1
+            assert int(metrics.counter("daemon.served.v1").value) + int(
+                metrics.counter("daemon.served.v2").value
+            ) == int(metrics.counter("daemon.responses").value) == 2
+
+    def test_failed_reload_rolls_back_every_worker(
+        self, engine, tmp_path, monkeypatch
+    ):
+        """A v2 whose pool cannot boot leaves v1 serving bit for bit, logs
+        one typed ``registry.reload_failed`` and leaks no process."""
+        registry = _two_version_registry(tmp_path, engine)
+        v2_source = registry.path("v2")
+
+        def pool_factory(model_source=None, **kwargs):
+            if model_source is not None and os.fspath(model_source) == v2_source:
+                kwargs["worker_init"] = FailWorkerBoot(worker_id=1)
+            return ScoringPool(model_source=model_source, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "ScoringPool", pool_factory)
+        pairs, mjd = make_serve_sample(engine, seed=4)
+        want = _version_scores(registry, pairs, mjd)["v1"]
+        body = classify_body(pairs, mjd, deadline_ms=30000)
+        config = DaemonConfig(
+            scoring_workers=2, reload_poll_s=0.05, batch_deadline_ms=2.0
+        )
+        before = set(multiprocessing.active_children())
+        telemetry = tmp_path / "telemetry"
+        obs.start(telemetry, run_id="run-poolboot")
+        try:
+            with running_registry_daemon(registry, config) as daemon:
+                v1_pool = daemon._pool
+                v1_children = set(multiprocessing.active_children()) - before
+                assert len(v1_children) == 2
+                registry.promote("v2")
+                wait_for(
+                    lambda: daemon.metrics.counter("daemon.reload_failures").value >= 1
+                )
+                time.sleep(0.3)  # more polls: the failed-version memo holds
+                assert set(multiprocessing.active_children()) - before == v1_children
+                assert daemon._engine_version == "v1"
+                assert daemon._pool is v1_pool and not v1_pool.closed
+                status, doc = post_classify(daemon.port, body)
+                assert status == 200
+                assert doc["result"]["probability"] == round(want[0].probability, 6)
+                assert_bit_exact(v1_pool.classify_arrays(pairs[None], mjd[None]), want)
+        finally:
+            obs.stop()
+        failures = [
+            record for record in read_events(telemetry / EVENTS_FILE)
+            if record["event"] == "registry.reload_failed"
+        ]
+        assert len(failures) == 1
+        assert failures[0]["version"] == "v2"
+        assert failures[0]["error_type"] == "RuntimeError"
 
 
 class _ArrayDataset:

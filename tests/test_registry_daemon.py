@@ -18,7 +18,8 @@ from repro.obs import EVENTS_FILE, read_events
 from repro.obs.drift import MIN_SAMPLES, DriftBaseline
 from repro.registry import GuardConfig, ModelRegistry, RegistryError
 from repro.runtime import BurstSchedule, ShiftScores
-from repro.serve import InferenceEngine
+from repro.runtime.faults import WedgeWorkerOnMarker
+from repro.serve import InferenceEngine, PoolConfig, ScoringPool, ServingDaemon
 from repro.serve.daemon import DaemonConfig
 
 from .helpers import (
@@ -365,8 +366,8 @@ class TestHotReload:
 
         Same conservation and exactly-once-swap contract as the
         single-process variant above, but scoring runs on a two-worker
-        :class:`ScoringPool` — the swap must broadcast to every worker
-        (epoch ack) without dropping a single in-flight request, and no
+        :class:`ScoringPool` — the swap boots a new pool for v2 and
+        closes v1's without dropping a single in-flight request, and no
         200 may mix versions.
         """
         model_a = tmp_path / "model-a"
@@ -394,7 +395,9 @@ class TestHotReload:
         )
         with running_registry_daemon(registry, config) as daemon:
             assert daemon._engine_version == "v1"
-            assert daemon._pool is not None and daemon._pool.epoch == 0
+            v1_pool = daemon._pool
+            assert v1_pool is not None
+            v1_pids = set(v1_pool.pids())
             results = [None] * len(offsets)
             start = time.monotonic()
 
@@ -430,11 +433,12 @@ class TestHotReload:
             assert statuses.count(429) == shed
             assert statuses.count(504) == timeouts
 
-            # Exactly-once swap, broadcast pool-wide: one reload, one
-            # epoch bump, every worker still alive, zero crashes.
+            # Exactly-once swap: one reload, served by a new pool with
+            # new workers, every one alive, zero crashes.
             assert int(daemon.metrics.counter("daemon.reloads").value) == 1
+            assert daemon._pool is not v1_pool
+            assert set(daemon._pool.pids()).isdisjoint(v1_pids)
             pool_stats = daemon._pool.stats()
-            assert pool_stats["reload_epoch"] == 1
             assert pool_stats["crashes"] == 0
             assert pool_stats["broken"] is None
             per_worker = pool_stats["per_worker"]
@@ -453,6 +457,76 @@ class TestHotReload:
             health = _healthz(daemon.port)
             assert health["model_version"] == "v2"
             assert health["scoring_pool"]["workers"] == 2
+
+    @pytest.mark.serve
+    def test_promote_during_a_held_pool_dispatch_rescores_on_the_new_version(
+        self, tmp_path
+    ):
+        """A dispatch still held on the old pool when the swap closes it
+        (past close()'s 2 s grace) breaks; its group is re-scored on the
+        new version's pool and answered 200, and the daemon keeps serving
+        instead of draining as for a broken served pool."""
+        model_a = tmp_path / "model-a"
+        model_b = tmp_path / "model-b"
+        _build_model_dir(model_a, seed=0)
+        _build_model_dir(model_b, seed=1)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.promote(registry.register(model_a))
+        registry.register(model_b)
+
+        marker = 12345.0
+        engine_v2 = InferenceEngine.from_directory(registry.path("v2"))
+        pairs, mjd = make_serve_sample(engine_v2, seed=7)
+        pairs[0, 0, 0, 0] = marker
+        want = engine_v2.classify_arrays(pairs[None], mjd[None])[0]
+        # The v1 pool's workers hang on the marked sample; both deadlines
+        # are far past the swap, so only the swap's close() ends the hold.
+        held_pool = ScoringPool(
+            model_source=registry.path("v1"),
+            config=PoolConfig(workers=2, task_timeout_s=30.0),
+            worker_init=WedgeWorkerOnMarker(marker, min_batch=1),
+        )
+        config = DaemonConfig(
+            wedge_timeout_s=30.0, reload_poll_s=0.05, batch_deadline_ms=2.0
+        )
+        daemon = ServingDaemon(None, config, registry=registry, pool=held_pool)
+        daemon.start()
+        try:
+            held_pids = held_pool.pids()
+            answers = []
+            thread = threading.Thread(
+                target=lambda: answers.append(post_classify(
+                    daemon.port, classify_body(pairs, mjd, deadline_ms=60000),
+                    timeout=60.0,
+                )),
+                daemon=True,
+            )
+            thread.start()
+            _wait_for(lambda: daemon._worker.current is not None)
+            registry.promote("v2")
+            thread.join(timeout=60.0)
+            assert answers, "the held request was never answered"
+            status, doc = answers[0]
+            assert status == 200, doc
+            assert "error" not in doc["result"]
+            assert doc["result"]["probability"] == round(want.probability, 6)
+            # The held dispatch broke on the closed pool, not on its own
+            # wedge deadline, and was scored by v2 alone.
+            _wait_for(lambda: not any(
+                worker.process.is_alive() for worker in held_pool._workers
+            ))
+            assert held_pool.stats()["broken"] is not None
+            assert held_pool.stats()["wedges"] == 0
+            assert int(daemon.metrics.counter("daemon.served.v2").value) == 1
+            assert int(daemon.metrics.counter("daemon.served.v1").value) == 0
+            assert daemon._engine_version == "v2"
+            assert daemon._pool is not held_pool
+            assert _healthz(daemon.port)["state"] == "ready"
+            assert not daemon._draining
+            assert not set(held_pids) & set(daemon._pool.pids())
+        finally:
+            daemon.drain(reason="test-teardown")
+        assert daemon.wait() == 0
 
     def test_healthz_reports_deploy_state(self, two_version_registry):
         """Satellite: /healthz carries version and counters."""
