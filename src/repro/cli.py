@@ -9,7 +9,7 @@ The subcommands cover the full workflow::
     python -m repro.cli classify --model model_dir/ --dataset ds.npz
     python -m repro.cli serve --model model_dir/ --port 8350
     python -m repro.cli models register --registry reg/ --model model_dir/
-    python -m repro.cli models promote v2 --registry reg/
+    python -m repro.cli models promote v2 --registry reg/ --gate ds.npz
     python -m repro.cli metrics telemetry_dir/
 
 ``classify`` is the degradation-tolerant batch serving path: it loads a
@@ -31,12 +31,13 @@ thread restarted.
 ``models`` manages the versioned model registry
 (:mod:`repro.registry`): ``register`` copies a saved model directory in
 as an immutable checksummed version, ``promote`` makes it production
-(``--shadow`` stages it as the shadow candidate instead, ``--force``
-overrides a quarantine), ``rollback`` reinstates the last-known-good
-version, ``gc`` prunes old retired/rolled-back version directories.
-``serve --registry DIR`` serves the registry's production version and
-follows promotes/rollbacks live (hot reload, shadow scoring and
-drift-triggered automatic rollback).
+(``--gate DATASET`` first scores the dataset on production and on the
+candidate and refuses a mean |Δp| over budget, ``--force`` overrides a
+quarantine), ``rollback`` reinstates the last-known-good version, ``gc``
+prunes old retired/rolled-back version directories.  ``serve --registry
+DIR`` serves the registry's production version and follows
+promotes/rollbacks live (hot reload and drift-triggered automatic
+rollback).
 
 Datasets are ``.npz`` archives written by :mod:`repro.datasets.io`;
 models are ``.npz`` state dicts written by :mod:`repro.nn.serialization`.
@@ -91,8 +92,8 @@ from .core.features import dataset_windowed_features
 from .datasets import BuildConfig, DatasetBuilder, load_dataset, save_dataset, train_val_test_split
 from .eval import auc_score, roc_curve
 from .nn import load_module, save_module
-from .registry import RegistryError
-from .runtime import BuildAborted, CorruptArtifactError, TrainingDiverged
+from .registry import GATE_MIN_SAMPLES, RegistryError, gate_verdict
+from .runtime import BuildAborted, CorruptArtifactError, TrainingDiverged, file_sha256
 
 __all__ = ["main", "build_parser"]
 
@@ -267,16 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--registry", default=None, metavar="DIR",
         help="serve the production version of this model registry and "
-        "follow promotes/rollbacks live (hot reload + shadow scoring + "
-        "automatic rollback)",
+        "follow promotes/rollbacks live (hot reload + automatic rollback)",
     )
     srv.add_argument(
         "--reload-poll-s", type=float, default=0.25, metavar="S",
         help="how often the registry version watcher re-reads registry.json",
-    )
-    srv.add_argument(
-        "--divergence-budget", type=float, default=0.15, metavar="D",
-        help="mean shadow |Δp| beyond which the candidate is quarantined",
     )
     srv.add_argument(
         "--sustained-drift-checks", type=int, default=3, metavar="N",
@@ -361,18 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--promote", action="store_true",
         help="immediately promote the new version to production",
     )
-    m_reg.add_argument(
-        "--shadow", action="store_true",
-        help="immediately stage the new version as the shadow candidate",
-    )
-    m_pro = modsub.add_parser(
-        "promote", help="make a version production (or stage it with --shadow)"
-    )
+    m_pro = modsub.add_parser("promote", help="make a version production")
     _registry_arg(m_pro)
     m_pro.add_argument("version", help="version to promote, e.g. v2")
     m_pro.add_argument(
-        "--shadow", action="store_true",
-        help="stage as the shadow candidate instead of promoting",
+        "--gate", default=None, metavar="DATASET",
+        help="first score this dataset on production and on the version; "
+        "refuse (exit 2) when the mean |Δp| exceeds the divergence budget",
     )
     m_pro.add_argument(
         "--force", action="store_true",
@@ -666,10 +657,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             None,
             config,
             registry=ModelRegistry(args.registry),
-            guard=GuardConfig(
-                divergence_budget=args.divergence_budget,
-                sustained_checks=args.sustained_drift_checks,
-            ),
+            guard=GuardConfig(sustained_checks=args.sustained_drift_checks),
         )
         model_source = f"registry {args.registry} ({daemon._engine_version})"
     else:
@@ -721,9 +709,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
             return 0
         state = registry.state()
         for version, record in records:
-            marker = "*" if version == state.get("production") else (
-                "~" if version == state.get("candidate") else " "
-            )
+            marker = "*" if version == state.get("production") else " "
             stamp = time.strftime(
                 "%Y-%m-%d %H:%M:%S", time.localtime(record.get("created_at", 0))
             )
@@ -734,8 +720,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
             print(f"{marker} {version:>4}  {record['status']:<12} {stamp}{removed}{detail}")
         return 0
     if command == "register":
-        if args.promote and args.shadow:
-            raise ValueError("pass at most one of --promote / --shadow")
         version = registry.register(args.model, note=args.note, by="cli")
         _note(
             f"registered {args.model} as {version}",
@@ -745,24 +729,24 @@ def _cmd_models(args: argparse.Namespace) -> int:
             registry.promote(version, by="cli")
             _note(f"promoted {version} to production",
                   event="models.promoted", version=version)
-        elif args.shadow:
-            registry.shadow(version, by="cli")
-            _note(f"staged {version} as shadow candidate",
-                  event="models.shadowed", version=version)
         print(version)
         return 0
     if command == "promote":
-        if args.shadow:
-            registry.shadow(args.version, by="cli")
-            _note(f"staged {args.version} as shadow candidate",
-                  event="models.shadowed", version=args.version)
-        else:
-            demoted, promoted = registry.promote(
-                args.version, force=args.force, by="cli"
+        verdict = None
+        if args.gate is not None:
+            verdict = _gate(registry, args.version, args.gate)
+            _note(
+                f"gate passed: mean |Δp| {verdict['mean_abs_dp']:.4f} <= "
+                f"{verdict['budget']} over {verdict['n']} samples against "
+                f"{verdict['against']}",
+                event="models.gated", version=args.version, **verdict,
             )
-            suffix = f" (demoted {demoted})" if demoted else ""
-            _note(f"promoted {promoted} to production{suffix}",
-                  event="models.promoted", version=promoted, demoted=demoted)
+        demoted, promoted = registry.promote(
+            args.version, force=args.force, by="cli", gate=verdict
+        )
+        suffix = f" (demoted {demoted})" if demoted else ""
+        _note(f"promoted {promoted} to production{suffix}",
+              event="models.promoted", version=promoted, demoted=demoted)
         return 0
     if command == "rollback":
         quarantined, restored = registry.rollback(reason=args.reason, by="cli")
@@ -780,6 +764,73 @@ def _cmd_models(args: argparse.Namespace) -> int:
         )
         return 0
     raise ValueError(f"unknown models command {command!r}")
+
+
+#: Samples per gate scoring call; a score does not depend on its batch.
+_GATE_BATCH = 64
+
+
+def _gate(registry, version: str, dataset_path: str) -> dict:
+    """Measure ``version`` against production on a fixed dataset.
+
+    Both versions are verified (a corrupt one raises
+    :class:`CorruptArtifactError`, exit 3) and score the whole dataset
+    unaudited.  Returns the passed verdict of
+    :func:`~repro.registry.gate_verdict` plus ``against`` (the
+    production version) and ``dataset_sha256``; any refusal raises
+    :class:`RegistryError` (exit 2) before the registry is written.
+    """
+    production = registry.production()
+    if production is None:
+        raise RegistryError(
+            f"no production version to gate {version} against; "
+            "promote one without --gate first"
+        )
+    registry.verify(production)
+    registry.verify(version)
+    dataset = load_dataset(dataset_path)
+    if len(dataset) < GATE_MIN_SAMPLES:
+        raise RegistryError(
+            f"gate dataset {dataset_path} holds {len(dataset)} sample(s); "
+            f"the gate needs at least {GATE_MIN_SAMPLES}"
+        )
+    verdict = gate_verdict(
+        _gate_probabilities(registry, production, dataset),
+        _gate_probabilities(registry, version, dataset),
+    )
+    if not verdict["passed"]:
+        raise RegistryError(
+            f"gate refused {version}: mean |Δp| {verdict['mean_abs_dp']:.4f} "
+            f"exceeds budget {verdict['budget']} over {verdict['n']} samples "
+            f"against production {production}"
+        )
+    verdict.update(against=production, dataset_sha256=file_sha256(dataset_path))
+    return verdict
+
+
+def _gate_probabilities(registry, version: str, dataset) -> np.ndarray:
+    """``version``'s probability for every sample of ``dataset``, scored
+    in fixed chunks through :meth:`InferenceEngine.score_arrays`: no
+    ``serve.request`` events, ``serve.*`` metrics or drift feed."""
+    from .serve import InferenceEngine
+
+    engine = InferenceEngine.from_directory(registry.path(version))
+    probabilities: list[float] = []
+    try:
+        for start in range(0, len(dataset), _GATE_BATCH):
+            results = engine.score_arrays(
+                dataset.pairs[start : start + _GATE_BATCH],
+                dataset.visit_mjd[start : start + _GATE_BATCH],
+                strict=False,
+                start_index=start,
+            )
+            probabilities.extend(result.probability for result in results)
+    except Exception as exc:  # noqa: BLE001 - a version that cannot score is refused
+        raise RegistryError(
+            f"{version} failed scoring the gate dataset: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    return np.asarray(probabilities)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -45,8 +45,8 @@ __all__ = [
     "workspace_clear",
 ]
 
-#: Workspaces are per-thread (the daemon's scoring and shadow threads
-#: run conv2d concurrently) and capped so pathological shape churn
+#: Workspaces are per-thread (the daemon's scoring thread and a wedged
+#: one it replaced run conv2d concurrently) and capped so pathological shape churn
 #: cannot hoard memory.
 _MAX_WORKSPACES = 32
 
@@ -154,7 +154,7 @@ def workspace_stats() -> dict:
 def workspace_total_stats() -> dict:
     """Aggregate workspace stats across every live thread.
 
-    The serving daemon's scoring and shadow threads each keep a cache;
+    Each of the serving daemon's scoring threads keeps a cache;
     this is the process-wide view the `/metrics` gauges export.  Dead
     threads' states have been garbage-collected by the time they leave
     :data:`_all_states`, so ``bytes`` reflects memory still held.

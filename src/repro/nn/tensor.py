@@ -32,8 +32,8 @@ class _TensorFlags(threading.local):
     """Per-thread autograd/dtype mode flags.
 
     Thread-local (like ``torch.no_grad``) so that inference threads —
-    the serving daemon's scoring and shadow threads calling
-    ``predict()`` concurrently — cannot tear the enter/exit save-restore
+    the serving daemon's scoring thread and a wedged one it replaced
+    calling ``predict()`` concurrently — cannot tear the enter/exit save-restore
     of a shared flag and leave graph recording disabled for the whole
     process.
     """

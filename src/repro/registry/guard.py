@@ -1,70 +1,63 @@
-"""Rollback decision logic for the serving daemon's registry loop.
+"""Deploy decisions: the drift rollback guard and the promote gate.
 
-Pure bookkeeping, no threads and no IO: the daemon feeds
-:class:`RollbackGuard` two independent signals and acts when either
-crosses its configured budget —
+Pure bookkeeping, no threads and no IO.
 
 * **production drift** — after each scored micro-batch the daemon
   reports the ``flagged`` verdict of the served version's
   :class:`~repro.obs.drift.DriftMonitor` (PSI/KS against the model's
-  committed baseline, fed by the scorer that served the batch); the
-  guard demands ``sustained_checks`` *consecutive* flagged evaluations
-  before asking for a rollback, so one noisy window cannot unseat a
-  good model;
-* **shadow divergence** — the shadow worker reports per-sample
-  ``|p_candidate - p_production|``; the guard keeps a rolling window
-  and trips once the window holds at least ``divergence_min_samples``
-  and its mean exceeds ``divergence_budget``.
-
-All methods are called under the daemon's own locks; the guard itself
-only needs to be consistent, not thread-safe.
+  committed baseline, fed by the scorer that served the batch) to a
+  :class:`RollbackGuard`; the guard demands ``sustained_checks``
+  *consecutive* flagged evaluations before asking for a rollback, so
+  one noisy window cannot unseat a good model.  It is called under the
+  daemon's own locks and only needs to be consistent, not thread-safe.
+* **candidate divergence** — :func:`gate_verdict` compares production's
+  and a candidate's probabilities on one fixed dataset (``repro models
+  promote vN --gate DATASET``).  A score depends only on (sample, model
+  version), so the verdict is a number anyone can recompute.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["GuardConfig", "RollbackGuard", "DIVERGENCE_WINDOW"]
+import numpy as np
 
-#: Most recent shadow samples whose mean |Δp| is held to the budget.
-DIVERGENCE_WINDOW = 200
+__all__ = [
+    "GuardConfig",
+    "RollbackGuard",
+    "DIVERGENCE_BUDGET",
+    "GATE_MIN_SAMPLES",
+    "gate_verdict",
+]
+
+#: Largest mean |p_candidate - p_production| a promote gate accepts.
+DIVERGENCE_BUDGET = 0.15
+
+#: Fewest gate samples whose mean |Δp| is held to the budget.
+GATE_MIN_SAMPLES = 20
 
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Budgets for drift-triggered rollback and shadow quarantine.
+    """Budget for drift-triggered rollback.
 
     The drift window, its minimum sample count and the PSI/KS trip
-    levels are :mod:`repro.obs.drift` module constants.  The divergence
-    window is :data:`DIVERGENCE_WINDOW` samples.
+    levels are :mod:`repro.obs.drift` module constants.
     """
 
     sustained_checks: int = 3
-    divergence_budget: float = 0.15
-    divergence_min_samples: int = 20
 
     def __post_init__(self) -> None:
         if self.sustained_checks < 1:
             raise ValueError("sustained_checks must be >= 1")
-        if not 0.0 < self.divergence_budget <= 1.0:
-            raise ValueError("divergence_budget must be in (0, 1]")
-        if not 1 <= self.divergence_min_samples <= DIVERGENCE_WINDOW:
-            raise ValueError(
-                f"need {DIVERGENCE_WINDOW} >= divergence_min_samples >= 1"
-            )
 
 
 class RollbackGuard:
-    """Accumulates drift flags and shadow divergences against budgets."""
+    """Counts consecutive drift flags against ``sustained_checks``."""
 
     def __init__(self, config: GuardConfig | None = None) -> None:
         self.config = config or GuardConfig()
         self._consecutive_flags = 0
-        self._divergences: deque[float] = deque(maxlen=DIVERGENCE_WINDOW)
-
-    # -- production drift ------------------------------------------------
 
     def note_drift(self, flagged: bool) -> bool:
         """Record one monitor evaluation; ``True`` when drift is sustained."""
@@ -78,26 +71,29 @@ class RollbackGuard:
         """Forget drift history (called at every engine swap)."""
         self._consecutive_flags = 0
 
-    # -- shadow divergence ----------------------------------------------
 
-    def note_divergence(self, divergences) -> bool:
-        """Record per-sample |Δp|; ``True`` when the budget is exceeded."""
-        for value in divergences:
-            self._divergences.append(float(value))
-        if len(self._divergences) < self.config.divergence_min_samples:
-            return False
-        return self.divergence_mean() > self.config.divergence_budget
+def gate_verdict(production, candidate) -> dict:
+    """Judge a candidate by its per-sample probabilities on a gate set.
 
-    def divergence_mean(self) -> float:
-        """Mean |Δp| over the rolling window (NaN when empty)."""
-        if not self._divergences:
-            return math.nan
-        return sum(self._divergences) / len(self._divergences)
-
-    def divergence_count(self) -> int:
-        """Number of samples currently in the divergence window."""
-        return len(self._divergences)
-
-    def reset_divergence(self) -> None:
-        """Forget divergence history (called when the candidate changes)."""
-        self._divergences.clear()
+    ``production`` and ``candidate`` are the two versions' probabilities
+    for the same samples, in the same order.  Returns ``n``,
+    ``mean_abs_dp`` (the mean |Δp|), ``budget``
+    (:data:`DIVERGENCE_BUDGET`) and ``passed``: at least
+    :data:`GATE_MIN_SAMPLES` samples and a mean within the budget.  A
+    non-finite probability makes the mean NaN, which never passes.
+    """
+    production = np.asarray(production, dtype=np.float64)
+    candidate = np.asarray(candidate, dtype=np.float64)
+    if production.shape != candidate.shape or production.ndim != 1:
+        raise ValueError(
+            f"gate needs two equal-length probability vectors, got "
+            f"{production.shape} and {candidate.shape}"
+        )
+    n = int(production.size)
+    mean = float(np.mean(np.abs(candidate - production))) if n else float("nan")
+    return {
+        "n": n,
+        "mean_abs_dp": mean,
+        "budget": DIVERGENCE_BUDGET,
+        "passed": n >= GATE_MIN_SAMPLES and mean <= DIVERGENCE_BUDGET,
+    }

@@ -20,14 +20,18 @@ the CLI mutates it.
 
 Version lifecycle (statuses)::
 
-    registered --shadow--> shadow --promote--> production
-        \\------------promote------------------^    |
-                                                    | rollback /
-    retired <--(demoted by a later promote)---------+  quarantine
-                                                    v
-                                              rolled_back   (refused by
-                                                             promote
-                                                             without force)
+    registered --promote--> production --(a later promote)--> retired
+                              |    ^                             |
+                     rollback |    +---- rollback restores ------+
+                              v
+                         rolled_back   (promote refuses it without force)
+
+``promote`` can be gated: ``repro models promote vN --gate DATASET``
+scores a fixed dataset on production and on ``vN`` and passes the
+verdict (:func:`~repro.registry.guard.gate_verdict`) in, which lands in
+the promote's audit entry.  State files written before the gate existed
+may hold a ``shadow`` status and a ``candidate`` pointer; they load as
+``registered`` and without it, and the next write persists that.
 
 Operational errors (unknown version, promoting a quarantined version
 without ``force``, rolling back with no previous good version) raise
@@ -51,7 +55,6 @@ __all__ = [
     "REGISTRY_FILE",
     "VERSIONS_DIR",
     "STATUS_REGISTERED",
-    "STATUS_SHADOW",
     "STATUS_PRODUCTION",
     "STATUS_RETIRED",
     "STATUS_ROLLED_BACK",
@@ -64,7 +67,6 @@ VERSIONS_DIR = "versions"
 STATE_FORMAT_VERSION = 1
 
 STATUS_REGISTERED = "registered"
-STATUS_SHADOW = "shadow"
 STATUS_PRODUCTION = "production"
 STATUS_RETIRED = "retired"
 STATUS_ROLLED_BACK = "rolled_back"
@@ -72,12 +74,14 @@ STATUS_ROLLED_BACK = "rolled_back"
 _ALL_STATUSES = frozenset(
     {
         STATUS_REGISTERED,
-        STATUS_SHADOW,
         STATUS_PRODUCTION,
         STATUS_RETIRED,
         STATUS_ROLLED_BACK,
     }
 )
+
+#: A status of older state files, read as :data:`STATUS_REGISTERED`.
+_LEGACY_SHADOW = "shadow"
 
 #: A model directory must at least carry its manifest to be registrable.
 _REQUIRED_FILES = ("manifest.json",)
@@ -125,7 +129,6 @@ class ModelRegistry:
             "format_version": STATE_FORMAT_VERSION,
             "next_version": 1,
             "production": None,
-            "candidate": None,
             "versions": {},
             "history": [],
         }
@@ -148,7 +151,10 @@ class ModelRegistry:
                 f"unsupported registry format {doc.get('format_version')!r} "
                 f"(this build reads format {STATE_FORMAT_VERSION})",
             )
+        doc.pop("candidate", None)
         for version, record in doc["versions"].items():
+            if isinstance(record, dict) and record.get("status") == _LEGACY_SHADOW:
+                record["status"] = STATUS_REGISTERED
             if not isinstance(record, dict) or record.get("status") not in _ALL_STATUSES:
                 raise CorruptArtifactError(
                     path, f"version {version!r} has an invalid record"
@@ -192,10 +198,6 @@ class ModelRegistry:
         """Currently promoted version, or ``None``."""
         return self.state().get("production")
 
-    def candidate(self) -> str | None:
-        """Current shadow candidate, or ``None``."""
-        return self.state().get("candidate")
-
     def records(self) -> list[tuple[str, dict]]:
         """``(version, record)`` pairs sorted by version number."""
         state = self.state()
@@ -218,8 +220,9 @@ class ModelRegistry:
         missing, extra (immutability breach) or checksum-mismatched —
         not just the version directory.
         """
-        state = self.state()
-        record = self._require(state, version)
+        self._verify(version, self._require(self.state(), version))
+
+    def _verify(self, version: str, record: dict) -> None:
         directory = self.path(version)
         if not os.path.isdir(directory):
             raise CorruptArtifactError(directory, "version directory is missing")
@@ -248,7 +251,10 @@ class ModelRegistry:
 
         The copy lands in a temporary sibling and is renamed into
         ``versions/<vN>/`` only once every file is hashed, so a crash
-        mid-register never leaves a half-copied version visible.
+        mid-register never leaves a half-copied version visible.  A
+        crash after the rename but before the state write leaves a
+        ``versions/<vN>/`` that the state does not name; the next
+        register removes that orphan before taking its name.
         """
         model_dir = os.fspath(model_dir)
         if not os.path.isdir(model_dir):
@@ -269,6 +275,8 @@ class ModelRegistry:
         staging = destination + ".staging"
         if os.path.exists(staging):
             shutil.rmtree(staging)
+        if version not in state["versions"] and os.path.exists(destination):
+            shutil.rmtree(destination)
         os.makedirs(staging)
         checksums: dict[str, str] = {}
         for name in names:
@@ -288,13 +296,18 @@ class ModelRegistry:
         return version
 
     def promote(self, version: str, *, force: bool = False,
-                by: str | None = None) -> tuple[str | None, str]:
+                by: str | None = None,
+                gate: dict | None = None) -> tuple[str | None, str]:
         """Make ``version`` production; return ``(demoted, promoted)``.
 
         A quarantined (``rolled_back``) version is refused unless
         ``force`` — the operator must explicitly override the guard's
         decision.  The version directory is re-verified first, so a
-        corrupt version can never become production.
+        corrupt version can never become production.  ``gate`` is a
+        passed gate verdict, written into this promote's audit entry;
+        its ``against`` names the production version it was measured
+        against, and a promote that finds another production raises
+        :class:`RegistryError` and writes nothing.
         """
         state = self.state()
         record = self._require(state, version)
@@ -306,55 +319,23 @@ class ModelRegistry:
                 f"version {version} was rolled back ({reason}); "
                 "pass --force to promote it anyway"
             )
-        self.verify(version)
         demoted = state.get("production")
+        if gate is not None and demoted != gate.get("against"):
+            raise RegistryError(
+                f"production is {demoted}, not {gate.get('against')}; "
+                f"the gate verdict for {version} no longer applies"
+            )
+        self._verify(version, record)
         if demoted is not None:
             state["versions"][demoted]["status"] = STATUS_RETIRED
             state["versions"][demoted]["retired_at"] = _now()
-        if state.get("candidate") == version:
-            state["candidate"] = None
         record["status"] = STATUS_PRODUCTION
         record["promoted_at"] = _now()
         state["production"] = version
         self._audit(state, "promote", version, by=by,
-                    demoted=demoted, force=force or None)
+                    demoted=demoted, force=force or None, gate=gate)
         self._write(state)
         return demoted, version
-
-    def shadow(self, version: str, *, by: str | None = None) -> str:
-        """Make ``version`` the shadow candidate; return its name."""
-        state = self.state()
-        record = self._require(state, version)
-        if state.get("production") == version:
-            raise RegistryError(f"version {version} is already production")
-        if record["status"] == STATUS_ROLLED_BACK:
-            reason = record.get("reason") or "no reason recorded"
-            raise RegistryError(
-                f"version {version} was rolled back ({reason}); "
-                "re-register a fixed model instead of shadowing it"
-            )
-        self.verify(version)
-        previous = state.get("candidate")
-        if previous is not None and previous != version:
-            state["versions"][previous]["status"] = STATUS_REGISTERED
-        record["status"] = STATUS_SHADOW
-        state["candidate"] = version
-        self._audit(state, "shadow", version, by=by, replaced=previous)
-        self._write(state)
-        return version
-
-    def clear_candidate(self, *, by: str | None = None,
-                        reason: str | None = None) -> str | None:
-        """Demote the shadow candidate back to ``registered``."""
-        state = self.state()
-        version = state.get("candidate")
-        if version is None:
-            return None
-        state["versions"][version]["status"] = STATUS_REGISTERED
-        state["candidate"] = None
-        self._audit(state, "clear_candidate", version, by=by, reason=reason)
-        self._write(state)
-        return version
 
     def rollback(self, *, reason: str = "manual rollback",
                  by: str | None = None,
@@ -366,7 +347,10 @@ class ModelRegistry:
         when the now-bad version was promoted.  With ``expected``,
         production must still be that version when the state is read:
         a rollback that lost a race with a promote raises
-        :class:`RegistryError` and writes nothing.
+        :class:`RegistryError` and writes nothing.  The restored version
+        is re-verified first, as a promote's target is: a corrupt one
+        raises :class:`CorruptArtifactError` naming the file and
+        nothing is written.
         """
         state = self.state()
         bad = state.get("production")
@@ -386,11 +370,12 @@ class ModelRegistry:
                 f"no previous good version to roll back to from {bad}"
             )
         restored = max(retired)[1]
+        restored_record = state["versions"][restored]
+        self._verify(restored, restored_record)
         bad_record = state["versions"][bad]
         bad_record["status"] = STATUS_ROLLED_BACK
         bad_record["reason"] = reason
         bad_record["rolled_back_at"] = _now()
-        restored_record = state["versions"][restored]
         restored_record["status"] = STATUS_PRODUCTION
         restored_record.pop("retired_at", None)
         state["production"] = restored
@@ -398,29 +383,15 @@ class ModelRegistry:
         self._write(state)
         return bad, restored
 
-    def quarantine(self, version: str, reason: str, *,
-                   by: str | None = None) -> None:
-        """Mark a non-production version ``rolled_back`` (bad candidate)."""
-        state = self.state()
-        record = self._require(state, version)
-        if state.get("production") == version:
-            raise RegistryError(
-                f"version {version} is production; use rollback, not quarantine"
-            )
-        if state.get("candidate") == version:
-            state["candidate"] = None
-        record["status"] = STATUS_ROLLED_BACK
-        record["reason"] = reason
-        record["rolled_back_at"] = _now()
-        self._audit(state, "quarantine", version, by=by, reason=reason)
-        self._write(state)
-
     def gc(self, *, keep: int = 2, by: str | None = None) -> list[str]:
         """Delete old retired / rolled-back version dirs; keep ``keep`` newest.
 
-        Production, the shadow candidate and plain registered versions
-        are never collected.  Removed versions stay in the state file
-        (``removed: true``) so the audit trail survives the bytes.
+        Production and registered versions are never collected.  Removed
+        versions stay in the state file (``removed: true``) so the audit
+        trail survives the bytes.  The flags are written before any
+        directory is deleted: a crash in between leaves orphan
+        directories, never a version marked present whose bytes are
+        gone (which a rollback could restore).
         """
         if keep < 0:
             raise RegistryError("keep must be >= 0")
@@ -434,14 +405,15 @@ class ModelRegistry:
             ),
             reverse=True,
         )
-        removed = []
-        for _, version in collectable[keep:]:
+        removed = [version for _, version in collectable[keep:]]
+        if not removed:
+            return removed
+        for version in removed:
+            state["versions"][version]["removed"] = True
+        self._audit(state, "gc", by=by, removed=removed, keep=keep)
+        self._write(state)
+        for version in removed:
             directory = self.path(version)
             if os.path.isdir(directory):
                 shutil.rmtree(directory)
-            state["versions"][version]["removed"] = True
-            removed.append(version)
-        if removed:
-            self._audit(state, "gc", by=by, removed=removed, keep=keep)
-            self._write(state)
         return removed

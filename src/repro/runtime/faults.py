@@ -517,8 +517,8 @@ class ShiftScores:
     an :class:`~repro.serve.engine.InferenceEngine` via the registry
     reload hook, it adds ``delta`` to each probability and clips to
     ``[lo, hi]``, producing a sustained, deterministic divergence that
-    the daemon's drift monitor / shadow comparison must catch and answer
-    with an automatic rollback.  Pure arithmetic, no randomness.
+    the daemon's drift monitor must catch and answer with an automatic
+    rollback.  Pure arithmetic, no randomness.
     """
 
     def __init__(self, delta: float, lo: float = 0.005, hi: float = 0.995) -> None:

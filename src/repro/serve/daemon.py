@@ -56,10 +56,9 @@ Model registry integration
 --------------------------
 Given a :class:`~repro.registry.ModelRegistry` the daemon closes the
 deploy loop (``repro serve --registry DIR``).  Deploy state — the served
-``(engine, scorer, version)`` snapshot, the shadow candidate and the
-daemon's registry writes — has one owner, the registry watcher thread;
-the scoring and shadow threads only *post* a rollback or quarantine
-request and wake it:
+``(engine, scorer, version)`` snapshot and the daemon's registry writes
+— has one owner, the registry watcher thread; the scoring thread only
+*posts* a rollback request and wakes it:
 
 * **hot reload** — the watcher polls ``registry.json``; when the
   production pointer moves it verifies + loads the new version off the
@@ -72,23 +71,21 @@ request and wake it:
   wholly by a single version and nothing is dropped.  A failed load or
   pool boot (corrupt version dir, bad weights) leaves the current model
   serving and emits a typed ``registry.reload_failed`` event.
-* **shadow scoring** — when a candidate is staged (``repro models
-  promote --shadow``) admitted traffic is also scored on the candidate
-  from a bounded queue that sheds under load (the primary path is never
-  slowed), tracking per-sample score divergence |Δp|.
 * **automatic rollback** — after each scored micro-batch the
   :class:`~repro.registry.RollbackGuard` reads the verdict of the
   served version's :class:`~repro.obs.drift.DriftMonitor`, the one its
   scorer (engine or pool) feeds against the model's committed
-  baseline; sustained PSI/KS drift (or a candidate blowing the
-  shadow-divergence budget, or crashing) makes the guard trip and its
-  thread post a request.  The watcher's next tick applies posted
-  requests before it re-reads ``registry.json``: it rolls back to the
-  most recently retired version, loaded afresh like any promote
-  (quarantining the bad one in the registry as ``rolled_back``), or
-  quarantines the candidate, and records a
+  baseline; sustained PSI/KS drift makes the guard trip and the scoring
+  thread post a rollback.  The watcher's next tick applies it before
+  it re-reads ``registry.json``: it rolls back to the most recently
+  retired version, loaded afresh like any promote (quarantining the bad
+  one in the registry as ``rolled_back``), and records a
   ``registry.rolled_back`` audit event, all without dropping in-flight
   requests.
+
+A candidate is checked before it is promoted, not here: ``repro models
+promote vN --gate DATASET`` compares it with production on a fixed
+dataset, so the daemon never loads a version it does not serve.
 """
 
 from __future__ import annotations
@@ -110,6 +107,7 @@ from ..nn import workspace_total_stats
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
+from ..runtime.errors import CorruptArtifactError
 from .engine import (
     DegradedInputError,
     InferenceEngine,
@@ -129,19 +127,12 @@ RESTART_DELAYS_S = (0.05, 0.1)
 #: Batch-size histogram buckets (requests per scored micro-batch).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-#: Shadow score-divergence histogram buckets (per-sample |Δp|).
-_DIVERGENCE_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-
 #: How often the watchdog checks the scoring thread for a wedge.
 WATCHDOG_INTERVAL_S = 0.1
 
 #: Longest a drain waits for queued and in-flight work to flush;
 #: stragglers past it get typed 503s.
 DRAIN_TIMEOUT_S = 10.0
-
-#: Most shadow items (scored micro-batches) allowed to wait for the
-#: shadow worker; beyond it shadow copies are shed, never queued.
-SHADOW_QUEUE_DEPTH = 8
 
 #: Request-id prefix and registry ``by`` tag when no telemetry session
 #: is active (under a session, its run id).
@@ -486,7 +477,7 @@ class _RegistryWatcher(threading.Thread):
     """The one thread that changes the daemon's deploy state.
 
     Each tick runs the daemon's ``_sync_with_registry``: the rollback
-    and quarantine requests other threads posted, then a reconcile with
+    requests the scoring thread posted, then a reconcile with
     ``registry.json``.  A tick starts every ``reload_poll_s``, or as
     soon as a request is posted; until the daemon drains.
     """
@@ -505,34 +496,6 @@ class _RegistryWatcher(threading.Thread):
             if owner._draining:
                 return
             owner._sync_with_registry()
-
-
-class _ShadowWorker(threading.Thread):
-    """Scores shadow copies of admitted traffic on the candidate engine.
-
-    Feeds from the daemon's bounded shadow queue; the primary scoring
-    worker *offers* batches non-blockingly (a full queue sheds the copy)
-    so shadow scoring can never slow the production path.
-    """
-
-    def __init__(self, daemon: "ServingDaemon") -> None:
-        super().__init__(name="repro-serve-shadow", daemon=True)
-        self.owner = daemon
-        self.stop_event = threading.Event()
-
-    def run(self) -> None:
-        owner = self.owner
-        while True:
-            with owner._shadow_cond:
-                while not owner._shadow_queue and not self.stop_event.is_set():
-                    owner._shadow_cond.wait(0.1)
-                if self.stop_event.is_set() and not owner._shadow_queue:
-                    return
-                item = owner._shadow_queue.popleft()
-                engine = owner._shadow_engine
-                version = owner._shadow_version
-            if engine is not None and version is not None:
-                owner._score_shadow(engine, version, item)
 
 
 class _DaemonServer(ThreadingHTTPServer):
@@ -732,8 +695,8 @@ class ServingDaemon:
 
     With ``registry`` set the daemon serves the registry's *production*
     version (pass ``engine=None`` to have it loaded here), hot-reloads
-    on promote, shadow-scores the candidate and auto-rolls-back per
-    ``guard`` (a :class:`~repro.registry.GuardConfig`).  ``reload_hook
+    on promote and auto-rolls-back per ``guard`` (a
+    :class:`~repro.registry.GuardConfig`).  ``reload_hook
     (engine, version)`` runs after every registry load — the seam the
     chaos suite uses to poison a specific version's scores
     (:class:`~repro.runtime.faults.ShiftScores`).
@@ -781,24 +744,17 @@ class ServingDaemon:
         # Registry / deploy state.  Only the registry watcher changes
         # it (after start()); _engine_lock guards the read and the
         # replacement of the served (engine, scorer, version) snapshot.
-        # Other threads ask for a rollback or quarantine through _post().
+        # The scoring thread asks for a rollback through _post_rollback().
         self._engine_lock = threading.Lock()
         self._failed_production: str | None = None
-        self._failed_candidate: str | None = None
         self._failed_rollback: str | None = None
         self._guard: RollbackGuard | None = (
             RollbackGuard(guard) if registry is not None else None
         )
-        #: Requests for the watcher: (action, version) -> reason.
-        self._posted: dict[tuple[str, str], str] = {}
+        #: Rollbacks for the watcher: version -> reason.
+        self._posted: dict[str, str] = {}
         self._posted_lock = threading.Lock()
         self._deploy_wake = threading.Event()
-        # Shadow scoring state (candidate engine + bounded queue).
-        self._shadow_cond = threading.Condition()
-        self._shadow_engine: InferenceEngine | None = None
-        self._shadow_version: str | None = None
-        self._shadow_queue: deque[tuple[np.ndarray, np.ndarray, list[float]]] = deque()
-        self._shadow_worker: _ShadowWorker | None = None
         version = registry.production() if registry is not None else None
         if engine is None:
             if registry is None:
@@ -892,7 +848,7 @@ class ServingDaemon:
         )
         self._serve_thread.start()
         if self.registry is not None:
-            # Pick up a candidate staged before boot, then poll.
+            # Pick up a promote made since the engine loaded, then poll.
             self._sync_with_registry()
             _RegistryWatcher(self).start()
         self._emit(
@@ -1002,12 +958,6 @@ class ServingDaemon:
                 self.metrics.counter("daemon.drain_refused").inc()
         if self._watchdog is not None:
             self._watchdog.stop_event.set()
-        if self._shadow_worker is not None:
-            self._shadow_worker.stop_event.set()
-            with self._shadow_cond:
-                self._shadow_queue.clear()
-                self._shadow_cond.notify_all()
-            self._shadow_worker.join(timeout=2.0)
         worker = self._worker
         if worker is not None and not worker.abandoned:
             worker.join(timeout=2.0)
@@ -1213,11 +1163,10 @@ class ServingDaemon:
             # The verdict of the window this group's scorer just fed.
             report = monitor.report
             if self._guard.note_drift(report.flagged) and version is not None:
-                self._post(
-                    "rollback", version,
+                self._post_rollback(
+                    version,
                     f"sustained drift on {version}: {'; '.join(report.reasons)}",
                 )
-        self._offer_shadow(pairs, mjd, results)
         return results
 
     #: EWMA weight of the newest batch's drain-rate observation.
@@ -1276,7 +1225,7 @@ class ServingDaemon:
         )
 
     # ------------------------------------------------------------------
-    # Model registry: hot reload, shadow scoring, automatic rollback
+    # Model registry: hot reload, automatic rollback
     # ------------------------------------------------------------------
     def _load_version(self, version: str) -> InferenceEngine:
         """Verify + load one registry version into a warm engine."""
@@ -1295,11 +1244,8 @@ class ServingDaemon:
         assert self.registry is not None
         with self._posted_lock:
             posted, self._posted = self._posted, {}
-        for (action, version), reason in posted.items():
-            if action == "rollback":
-                self._auto_rollback(version, reason)
-            else:
-                self._quarantine_candidate(version, reason)
+        for version, reason in posted.items():
+            self._auto_rollback(version, reason)
         try:
             state = self.registry.state()
         except Exception as exc:  # noqa: BLE001 - keep serving on a bad state file
@@ -1312,9 +1258,6 @@ class ServingDaemon:
             and production != self._failed_production
         ):
             self._reload_production(production)
-        candidate = state.get("candidate")
-        if candidate != self._shadow_version and candidate != self._failed_candidate:
-            self._sync_shadow(candidate)
 
     def _load_served(
         self, version: str
@@ -1390,17 +1333,17 @@ class ServingDaemon:
             error_type=type(exc).__name__,
         )
 
-    def _post(self, action: str, version: str, reason: str) -> None:
-        """Ask the registry watcher to ``"rollback"`` production or
-        ``"quarantine"`` the candidate ``version``, and wake it.
+    def _post_rollback(self, version: str, reason: str) -> None:
+        """Ask the registry watcher to roll production back from
+        ``version``, and wake it.
 
-        The scoring and shadow threads never change deploy state
-        themselves: they post here and keep serving (the scoring worker
-        never blocks on a model load).  The first request per version
-        wins until the watcher's next tick applies it.
+        The scoring thread never changes deploy state itself: it posts
+        here and keeps serving (it never blocks on a model load).  The
+        first request per version wins until the watcher's next tick
+        applies it.
         """
         with self._posted_lock:
-            self._posted.setdefault((action, version), reason)
+            self._posted.setdefault(version, reason)
         self._deploy_wake.set()
 
     def _auto_rollback(self, bad_version: str, reason: str) -> None:
@@ -1417,9 +1360,13 @@ class ServingDaemon:
                 reason=reason, by=f"daemon:{self.run_id}", expected=bad_version
             )
         except Exception as exc:  # noqa: BLE001 - the watcher must survive
-            # A refusal (nothing to restore, production moved on) repeats
-            # until the next swap, so it is memoed; a bad state file is not.
-            if isinstance(exc, RegistryError):
+            # A refusal (nothing to restore, production moved on, a
+            # corrupt restore target) repeats until the next swap, so it
+            # is memoed; a bad state file is not.
+            if isinstance(exc, RegistryError) or (
+                isinstance(exc, CorruptArtifactError)
+                and exc.path != self.registry.state_path
+            ):
                 self._failed_rollback = bad_version
             self._emit(
                 "registry.rollback_failed",
@@ -1444,148 +1391,6 @@ class ServingDaemon:
             role="production",
             reason=reason,
         )
-
-    # -- shadow scoring -------------------------------------------------
-    def _sync_shadow(self, candidate: str | None) -> None:
-        """Start/stop/replace shadow scoring to match the registry candidate."""
-        if candidate is None:
-            self._stop_shadow("candidate cleared")
-            return
-        try:
-            engine = self._load_version(candidate)
-        except Exception as exc:  # noqa: BLE001
-            self._failed_candidate = candidate
-            self._note_reload_failure(candidate, "candidate", exc)
-            return
-        self._failed_candidate = None
-        with self._shadow_cond:
-            self._shadow_engine = engine
-            self._shadow_version = candidate
-            self._shadow_queue.clear()
-        if self._guard is not None:
-            self._guard.reset_divergence()
-        if self._shadow_worker is None or not self._shadow_worker.is_alive():
-            self._shadow_worker = _ShadowWorker(self)
-            self._shadow_worker.start()
-        self._emit(
-            "registry.shadow_started",
-            message=f"shadow-scoring candidate {candidate}",
-            version=candidate,
-        )
-
-    def _stop_shadow(self, reason: str) -> str | None:
-        """Detach the shadow engine (worker thread stays for reuse)."""
-        with self._shadow_cond:
-            version = self._shadow_version
-            self._shadow_engine = None
-            self._shadow_version = None
-            self._shadow_queue.clear()
-            self._shadow_cond.notify_all()
-        if version is not None:
-            self._emit(
-                "registry.shadow_stopped",
-                message=f"shadow scoring of {version} stopped: {reason}",
-                version=version,
-                reason=reason,
-            )
-        return version
-
-    def _offer_shadow(self, pairs: np.ndarray, mjd: np.ndarray,
-                      results: list[PredictionResult]) -> None:
-        """Non-blocking hand-off of one scored batch to the shadow queue."""
-        if self._shadow_engine is None:
-            return
-        primary = [result.probability for result in results]
-        with self._shadow_cond:
-            if self._shadow_engine is None:
-                return
-            if len(self._shadow_queue) >= SHADOW_QUEUE_DEPTH:
-                # Shedding, not waiting: the primary path must never slow
-                # down because the candidate cannot keep up.
-                self.metrics.counter("daemon.shadow_shed").inc(len(results))
-                return
-            self._shadow_queue.append((pairs, mjd, primary))
-            self._shadow_cond.notify()
-
-    def _score_shadow(self, engine: InferenceEngine, version: str,
-                      item: tuple[np.ndarray, np.ndarray, list[float]]) -> None:
-        """Score one batch on the candidate; track divergence vs production."""
-        pairs, mjd, primary = item
-        try:
-            # Unaudited: candidate scores are not production traffic.
-            results = engine.score_arrays(pairs, mjd, strict=False, start_index=0)
-        except Exception as exc:  # noqa: BLE001 - a crashing candidate is poison
-            self.metrics.counter("daemon.shadow_errors").inc()
-            self._post(
-                "quarantine", version, f"candidate {version} failed scoring: {exc}"
-            )
-            return
-        divergences = [
-            abs(result.probability - reference)
-            for result, reference in zip(results, primary)
-        ]
-        self.metrics.counter("shadow.scored").inc(len(divergences))
-        self.metrics.counter(f"shadow.scored.{version}").inc(len(divergences))
-        histogram = self.metrics.histogram(
-            "shadow.divergence", buckets=_DIVERGENCE_BUCKETS
-        )
-        for value in divergences:
-            histogram.observe(value)
-        if self._guard is None:
-            return
-        exceeded = self._guard.note_divergence(divergences)
-        mean = self._guard.divergence_mean()
-        if math.isfinite(mean):
-            self.metrics.gauge("shadow.divergence_mean").set(round(mean, 6))
-        if exceeded:
-            self._post(
-                "quarantine", version,
-                f"shadow divergence {mean:.4f} > budget "
-                f"{self._guard.config.divergence_budget} over "
-                f"{self._guard.divergence_count()} samples",
-            )
-
-    def _quarantine_candidate(self, version: str, reason: str) -> None:
-        """Kill a bad candidate: stop shadowing, quarantine in the registry
-        (registry watcher only)."""
-        assert self.registry is not None
-        if self._shadow_version != version:
-            return  # already stopped or replaced
-        self._stop_shadow(reason)
-        try:
-            self.registry.quarantine(version, reason, by=f"daemon:{self.run_id}")
-        except Exception:  # noqa: BLE001 - the watcher must survive
-            # Promoted out from under us (state wins), or a bad state
-            # file, which this tick's own read reports next.
-            pass
-        self.metrics.counter("daemon.quarantined").inc()
-        self._emit(
-            "registry.rolled_back",
-            level="warning",
-            message=f"candidate {version} quarantined: {reason}",
-            version=version,
-            restored=self._engine_version,
-            role="candidate",
-            reason=reason,
-        )
-
-    def shadow_stats(self) -> dict | None:
-        """Shadow snapshot for /healthz; ``None`` when nothing is shadowed."""
-        with self._shadow_cond:
-            version = self._shadow_version
-            queued = len(self._shadow_queue)
-        if version is None:
-            return None
-        stats = {
-            "version": version,
-            "queued": queued,
-            "scored": int(self.metrics.counter("shadow.scored").value),
-            "shed": int(self.metrics.counter("daemon.shadow_shed").value),
-        }
-        if self._guard is not None:
-            mean = self._guard.divergence_mean()
-            stats["divergence_mean"] = round(mean, 6) if math.isfinite(mean) else None
-        return stats
 
     # ------------------------------------------------------------------
     # Watchdog support
@@ -1670,8 +1475,6 @@ class ServingDaemon:
                 self.metrics.counter("daemon.reload_failures").value
             ),
             "rollbacks": int(self.metrics.counter("daemon.rollbacks").value),
-            "quarantined": int(self.metrics.counter("daemon.quarantined").value),
-            "shadow": self.shadow_stats(),
             "scoring_pool": pool.stats() if pool is not None else None,
         }
         return (503 if draining else 200), payload
@@ -1742,7 +1545,6 @@ class ServingDaemon:
                 "admitted", "responses", "shed", "timeouts", "bad_requests",
                 "request_errors", "poison_batches", "worker_restarts",
                 "drain_refused", "reloads", "reload_failures", "rollbacks",
-                "quarantined",
             )
         }
         counters["exit_code"] = self._exit_code

@@ -650,9 +650,9 @@ class InferenceEngine:
     ) -> list[PredictionResult]:
         """:meth:`classify_arrays` without the audit: the same results,
         but no ``serve.request`` events, ``serve.*`` metrics or drift
-        feed.  The daemon scores shadow candidates and pool workers
-        score their shards through this, so neither passes for
-        production traffic.  A strict
+        feed.  Pool workers score their shards and ``repro models
+        promote --gate`` scores its dataset through this, so neither
+        passes for production traffic.  A strict
         refusal raises before the CNN and records nothing: the caller
         that answers it does (:func:`audit_rejection`).
         """

@@ -109,6 +109,46 @@ def smoke_classify_workload(seed: int, n: int = 32, stamp: int = 40):
     return engine, pairs, mjd
 
 
+def save_model_variant(directory, weight_scale: float = 1.0,
+                       bias_shift: float = 0.0) -> None:
+    """Save :func:`make_serve_engine` (seed 0) with its classifier's
+    output layer scaled by ``weight_scale`` and its bias shifted by
+    ``bias_shift``: versions whose scores differ by a chosen amount."""
+    engine = make_serve_engine(seed=0)
+    output = engine.pipeline.classifier.network[-1]
+    output.weight.data *= np.float32(weight_scale)
+    output.bias.data += np.float32(bias_shift)
+    engine.save(str(directory))
+
+
+def save_gate_dataset(path, n: int, seed: int = 0, stamp: int = 40) -> None:
+    """Write an ``n``-sample, one-epoch dataset of N(0, 30) stamps with a
+    seeded point source per visit: a fixed set for the promote gate."""
+    from repro.datasets import SupernovaDataset, save_dataset
+    from repro.datasets.sample import N_BANDS
+
+    rng = np.random.default_rng(seed)
+    pairs = rng.normal(0.0, 30.0, size=(n, N_BANDS, 2, stamp, stamp))
+    yy, xx = np.mgrid[0:stamp, 0:stamp]
+    source = np.exp(-((yy - stamp // 2) ** 2 + (xx - stamp // 2) ** 2) / 12.5)
+    pairs[:, :, 1] += rng.uniform(0.0, 400.0, size=(n, N_BANDS, 1, 1)) * source
+    save_dataset(
+        SupernovaDataset(
+            pairs=pairs.astype(np.float32),
+            visit_mjd=57000.0 + np.tile(np.arange(N_BANDS) * 0.01, (n, 1)),
+            visit_band=np.tile(np.arange(N_BANDS), (n, 1)),
+            true_flux=np.zeros((n, N_BANDS)),
+            labels=np.arange(n) % 2,
+            sn_types=np.array(["Ia" if i % 2 else "II" for i in range(n)]),
+            redshifts=np.full(n, 0.3),
+            host_mag=np.full(n, 21.0),
+            sn_offset=np.zeros((n, 2)),
+            peak_mjd=np.full(n, 57000.0),
+        ),
+        path,
+    )
+
+
 class FailWorkerBoot:
     """Picklable pool ``worker_init`` that fails one worker's boot, so
     ``ScoringPool.start()`` raises with the other workers already up."""

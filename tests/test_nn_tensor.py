@@ -283,8 +283,8 @@ class TestGraphMechanics:
 
 def test_no_grad_is_thread_local():
     """A worker thread's no_grad must not disable recording elsewhere
-    (the daemon's scoring and shadow threads call ``predict()``
-    concurrently)."""
+    (the daemon's scoring thread and a wedged one it replaced call
+    ``predict()`` concurrently)."""
     import threading
 
     from repro.nn.tensor import is_grad_enabled, no_grad

@@ -101,8 +101,8 @@ class TestServeAudit:
         assert snapshot["counters"]["serve.degraded"] == len(dataset)
 
     def test_concurrent_stream_audit_is_consistent(self, engine, dataset, tmp_path):
-        """Four threads audit at once, as the daemon's scoring and shadow
-        threads do; eval mode is pinned first, as the daemon pins it."""
+        """Four threads audit at once, as the daemon's scoring thread and
+        a wedged one it replaced do; eval mode is pinned first, as the daemon pins it."""
         import threading
 
         engine.pipeline.cnn.eval()

@@ -9,7 +9,9 @@ on malformed JSON, and the ``serve.no_drift_baseline`` warning.
 import json
 import math
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -18,6 +20,8 @@ from repro.core import SupernovaPipeline
 from repro.obs import EVENTS_FILE, read_events
 from repro.obs.drift import BASELINE_FILE, DriftBaseline
 from repro.registry import (
+    DIVERGENCE_BUDGET,
+    GATE_MIN_SAMPLES,
     GuardConfig,
     ModelRegistry,
     RegistryError,
@@ -26,12 +30,12 @@ from repro.registry import (
     STATUS_REGISTERED,
     STATUS_RETIRED,
     STATUS_ROLLED_BACK,
-    STATUS_SHADOW,
+    gate_verdict,
 )
 from repro.runtime import CorruptArtifactError, atomic_write_json, file_sha256
 from repro.serve import InferenceEngine
 
-from .helpers import make_serve_engine
+from .helpers import make_serve_engine, save_gate_dataset, save_model_variant
 
 pytestmark = pytest.mark.registry
 
@@ -106,21 +110,6 @@ class TestStoreLifecycle:
         with pytest.raises(RegistryError, match="already production"):
             registry.promote("v2")
 
-    def test_shadow_then_promote_clears_candidate(self, registry, model_dir):
-        registry.register(model_dir)
-        registry.register(model_dir)
-        registry.promote("v1")
-        assert registry.shadow("v2") == "v2"
-        state = registry.state()
-        assert state["candidate"] == "v2"
-        assert state["versions"]["v2"]["status"] == STATUS_SHADOW
-        with pytest.raises(RegistryError, match="already production"):
-            registry.shadow("v1")
-        registry.promote("v2")
-        state = registry.state()
-        assert state["candidate"] is None
-        assert state["versions"]["v2"]["status"] == STATUS_PRODUCTION
-
     def test_rollback_quarantines_and_restores_last_good(self, registry, model_dir):
         for _ in range(3):
             registry.register(model_dir)
@@ -139,8 +128,6 @@ class TestStoreLifecycle:
         # The quarantined version is refused by promote without force...
         with pytest.raises(RegistryError, match="rolled back"):
             registry.promote("v3")
-        with pytest.raises(RegistryError, match="rolled back"):
-            registry.shadow("v3")
         # ...and accepted with it (operator override).
         assert registry.promote("v3", force=True) == ("v2", "v3")
 
@@ -168,18 +155,6 @@ class TestStoreLifecycle:
             assert handle.read() == before
         assert registry.rollback(expected="v3") == ("v3", "v2")
 
-    def test_quarantine_candidate(self, registry, model_dir):
-        registry.register(model_dir)
-        registry.register(model_dir)
-        registry.promote("v1")
-        registry.shadow("v2")
-        registry.quarantine("v2", "shadow divergence over budget")
-        state = registry.state()
-        assert state["candidate"] is None
-        assert state["versions"]["v2"]["status"] == STATUS_ROLLED_BACK
-        with pytest.raises(RegistryError, match="use rollback"):
-            registry.quarantine("v1", "nope")
-
     def test_gc_removes_old_dirs_but_keeps_audit(self, registry, model_dir):
         for _ in range(4):
             registry.register(model_dir)
@@ -195,6 +170,84 @@ class TestStoreLifecycle:
             registry.promote("v1", force=True)
         assert registry.gc(keep=1) == []
 
+
+    def test_register_after_a_crash_past_the_rename_takes_the_name(
+        self, registry, model_dir, monkeypatch
+    ):
+        """A register that crashed after renaming ``versions/v2`` into
+        place but before writing the state leaves an orphan directory;
+        the next register removes it instead of failing on it."""
+        registry.register(model_dir)
+        write = registry._write
+        crashed = []
+
+        def crash_once(state):
+            if not crashed:
+                crashed.append(True)
+                raise OSError("injected crash before the state write")
+            write(state)
+
+        monkeypatch.setattr(registry, "_write", crash_once)
+        with pytest.raises(OSError, match="injected"):
+            registry.register(model_dir)
+        assert os.path.isdir(registry.path("v2"))
+        assert "v2" not in registry.state()["versions"]
+        assert registry.register(model_dir, note="retry") == "v2"
+        registry.verify("v2")
+        assert registry.state()["next_version"] == 3
+        assert registry.register(model_dir) == "v3"
+
+    def test_gc_crash_before_its_write_deletes_nothing(
+        self, registry, model_dir, monkeypatch
+    ):
+        """gc records the removals first: a crash before that write
+        leaves every directory in place, so a rollback restores a whole
+        version."""
+        for _ in range(4):
+            registry.register(model_dir)
+        for version in ("v1", "v2", "v3", "v4"):
+            registry.promote(version)
+        with open(registry.state_path, "rb") as handle:
+            before = handle.read()
+
+        def crash(state):
+            raise OSError("injected crash before the state write")
+
+        monkeypatch.setattr(registry, "_write", crash)
+        with pytest.raises(OSError, match="injected"):
+            registry.gc(keep=0)
+        monkeypatch.undo()
+        for version in ("v1", "v2", "v3", "v4"):
+            assert os.path.isdir(registry.path(version)), version
+        with open(registry.state_path, "rb") as handle:
+            assert handle.read() == before
+        assert registry.rollback() == ("v4", "v3")
+        registry.verify("v3")
+
+    def test_gc_crash_after_its_write_leaves_only_orphans(
+        self, registry, model_dir, monkeypatch
+    ):
+        """A crash while deleting leaves directories the state already
+        marks removed: no rollback can restore one of them."""
+        for _ in range(4):
+            registry.register(model_dir)
+        for version in ("v1", "v2", "v3", "v4"):
+            registry.promote(version)
+        rmtree = shutil.rmtree
+
+        def crash_after_first(path, *args, **kwargs):
+            rmtree(path, *args, **kwargs)
+            raise OSError("injected crash mid-delete")
+
+        monkeypatch.setattr(shutil, "rmtree", crash_after_first)
+        with pytest.raises(OSError, match="injected"):
+            registry.gc(keep=0)
+        monkeypatch.undo()
+        versions = registry.state()["versions"]
+        assert all(versions[v].get("removed") for v in ("v1", "v2", "v3"))
+        with pytest.raises(RegistryError, match="no previous good version"):
+            registry.rollback()
+        assert registry.production() == "v4"
 
 class TestIntegrity:
     def test_verify_names_the_corrupt_file(self, registry, model_dir):
@@ -246,6 +299,32 @@ class TestIntegrity:
             registry.state()
 
 
+    def test_rollback_refuses_a_corrupt_restore_target(
+        self, registry, model_dir
+    ):
+        """rollback verifies the version it restores, as promote does:
+        a corrupt one is refused naming the file, nothing is written,
+        and ``models rollback`` exits 3."""
+        registry.register(model_dir)
+        registry.register(model_dir)
+        registry.promote("v1")
+        registry.promote("v2")
+        target = os.path.join(registry.path("v1"), "manifest.json")
+        with open(target, "ab") as handle:
+            handle.write(b"\n")
+        with open(registry.state_path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(CorruptArtifactError, match="checksum mismatch") as info:
+            registry.rollback()
+        assert info.value.path == target
+        assert main(["models", "rollback", "--registry", registry.root]) == (
+            EXIT_CORRUPT_ARTIFACT
+        )
+        with open(registry.state_path, "rb") as handle:
+            assert handle.read() == before
+        assert registry.production() == "v2"
+
+
 class TestRollbackGuard:
     def test_drift_must_be_sustained(self):
         guard = RollbackGuard(GuardConfig(sustained_checks=3))
@@ -257,24 +336,206 @@ class TestRollbackGuard:
         assert not guard.note_drift(True)
         assert guard.note_drift(True)
 
-    def test_divergence_budget_needs_min_samples(self):
-        guard = RollbackGuard(
-            GuardConfig(divergence_budget=0.1, divergence_min_samples=4)
-        )
-        assert math.isnan(guard.divergence_mean())
-        assert not guard.note_divergence([0.5, 0.5])
-        assert guard.note_divergence([0.5, 0.5])
-        assert guard.divergence_mean() == pytest.approx(0.5)
-        guard.reset_divergence()
-        assert guard.divergence_count() == 0
-        # Small divergences never trip, however many samples arrive.
-        assert not guard.note_divergence([0.01] * 50)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GuardConfig(sustained_checks=0)
-        with pytest.raises(ValueError):
-            GuardConfig(divergence_budget=-1.0)
+
+
+    def test_gate_verdict_is_pure_arithmetic(self):
+        same = gate_verdict([0.2] * GATE_MIN_SAMPLES, [0.2] * GATE_MIN_SAMPLES)
+        assert same == {
+            "n": GATE_MIN_SAMPLES, "mean_abs_dp": 0.0,
+            "budget": DIVERGENCE_BUDGET, "passed": True,
+        }
+        production = [0.1, 0.9] * (GATE_MIN_SAMPLES // 2)
+        shifted = [0.3, 0.6] * (GATE_MIN_SAMPLES // 2)
+        verdict = gate_verdict(production, shifted)
+        assert verdict["mean_abs_dp"] == pytest.approx(0.25)
+        assert not verdict["passed"]
+        # Too few samples never pass, however close the scores.
+        assert not gate_verdict([0.5], [0.5])["passed"]
+        # A NaN probability makes the mean NaN, which never passes.
+        broken = gate_verdict([0.5] * 20, [0.5] * 19 + [math.nan])
+        assert math.isnan(broken["mean_abs_dp"]) and not broken["passed"]
+        with pytest.raises(ValueError, match="equal-length"):
+            gate_verdict([0.5] * 20, [0.5] * 21)
+
+
+class TestLegacyState:
+    def test_candidate_state_loads_lists_promotes_and_drops_the_key(
+        self, registry, model_dir, capsys
+    ):
+        """A state file from before the promote gate, with v2 staged as a
+        ``shadow`` candidate, still loads: v2 reads as registered, and
+        the first write persists that without the ``candidate`` key."""
+        registry.register(model_dir)
+        registry.register(model_dir)
+        registry.promote("v1")
+        with open(registry.state_path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["candidate"] = "v2"
+        doc["versions"]["v2"]["status"] = "shadow"
+        doc["history"].append(
+            {"action": "shadow", "at": 0.0, "version": "v2", "by": "cli"}
+        )
+        atomic_write_json(registry.state_path, doc)
+
+        state = registry.state()
+        assert "candidate" not in state
+        assert state["versions"]["v2"]["status"] == STATUS_REGISTERED
+        capsys.readouterr()
+        assert main(["models", "list", "--registry", registry.root]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert listed[0].split()[:3] == ["*", "v1", STATUS_PRODUCTION]
+        assert listed[1].split()[:2] == ["v2", STATUS_REGISTERED]
+        assert main(["models", "promote", "v2", "--registry", registry.root]) == 0
+        with open(registry.state_path, encoding="utf-8") as handle:
+            written = json.load(handle)
+        assert "candidate" not in written
+        assert written["production"] == "v2"
+        assert written["versions"]["v1"]["status"] == STATUS_RETIRED
+        assert written["history"][-2]["action"] == "shadow"
+
+
+@pytest.fixture(scope="module")
+def gate_models(tmp_path_factory):
+    """Model dirs and gate datasets shared by the promote-gate tests.
+
+    ``base`` scores near 0.53; ``near`` shifts its logits by 0.2 (mean
+    |Δp| about 0.05, within budget); ``far`` shifts them by -3 (about
+    0.48, over it).
+    """
+    root = tmp_path_factory.mktemp("gate")
+    save_model_variant(root / "base", weight_scale=0.01)
+    save_model_variant(root / "near", weight_scale=0.01, bias_shift=0.2)
+    save_model_variant(root / "far", weight_scale=0.01, bias_shift=-3.0)
+    save_gate_dataset(root / "gate.npz", n=GATE_MIN_SAMPLES + 4)
+    save_gate_dataset(root / "one.npz", n=1)
+    return root
+
+
+def _state_bytes(registry) -> bytes:
+    with open(registry.state_path, "rb") as handle:
+        return handle.read()
+
+
+class TestPromoteGate:
+    @pytest.fixture()
+    def gated(self, registry, gate_models):
+        """v1 = base in production, v2 = near, v3 = far."""
+        registry.promote(registry.register(gate_models / "base"))
+        registry.register(gate_models / "near")
+        registry.register(gate_models / "far")
+        return registry
+
+    def test_verdict_is_deterministic_and_recomputable(
+        self, gated, gate_models
+    ):
+        """The verdict repeats exactly, equals the mean |Δp| recomputed
+        from ``classify_arrays`` at batch 1 and at batch 64, and is what
+        the promote's audit entry records."""
+        from repro.cli import _gate
+        from repro.datasets import load_dataset
+
+        dataset_path = str(gate_models / "gate.npz")
+        verdict = _gate(gated, "v2", dataset_path)
+        assert _gate(gated, "v2", dataset_path) == verdict
+        dataset = load_dataset(dataset_path)
+        for batch in (1, 64):
+            scores = {}
+            for version in ("v1", "v2"):
+                engine = InferenceEngine.from_directory(gated.path(version))
+                scores[version] = np.array([
+                    result.probability
+                    for start in range(0, len(dataset), batch)
+                    for result in engine.classify_arrays(
+                        dataset.pairs[start : start + batch],
+                        dataset.visit_mjd[start : start + batch],
+                    )
+                ])
+            mean = float(np.mean(np.abs(scores["v2"] - scores["v1"])))
+            assert verdict["mean_abs_dp"] == mean, batch
+        assert 0.0 < verdict["mean_abs_dp"] <= DIVERGENCE_BUDGET
+        assert verdict["n"] == len(dataset)
+        assert verdict["against"] == "v1"
+        assert verdict["dataset_sha256"] == file_sha256(dataset_path)
+        assert main(["models", "promote", "v2", "--registry", gated.root,
+                     "--gate", dataset_path]) == 0
+        entry = gated.history()[-1]
+        assert entry["action"] == "promote" and entry["version"] == "v2"
+        assert entry["gate"] == verdict
+        assert gated.production() == "v2"
+
+    def test_refused_gates_exit_2_and_write_nothing(
+        self, gated, gate_models, monkeypatch, capsys
+    ):
+        dataset_path = str(gate_models / "gate.npz")
+        before = _state_bytes(gated)
+
+        def promote(version, dataset):
+            code = main(["models", "promote", version, "--registry", gated.root,
+                         "--gate", dataset])
+            assert _state_bytes(gated) == before
+            return code, capsys.readouterr().err
+
+        code, err = promote("v3", dataset_path)
+        assert code == EXIT_BAD_INPUT
+        assert f"exceeds budget {DIVERGENCE_BUDGET}" in err
+        assert f"over {GATE_MIN_SAMPLES + 4} samples" in err
+        assert "against production v1" in err
+        assert "mean |Δp| 0.4" in err
+
+        code, err = promote("v2", str(gate_models / "one.npz"))
+        assert code == EXIT_BAD_INPUT
+        assert f"at least {GATE_MIN_SAMPLES}" in err
+
+        load = InferenceEngine.from_directory.__func__
+
+        def crash_v2(cls, directory, *args, **kwargs):
+            engine = load(cls, directory, *args, **kwargs)
+            if os.path.basename(os.fspath(directory)) == "v2":
+                def explode(probs):
+                    raise RuntimeError("injected candidate crash")
+                engine.score_hook = explode
+            return engine
+
+        monkeypatch.setattr(InferenceEngine, "from_directory", classmethod(crash_v2))
+        code, err = promote("v2", dataset_path)
+        assert code == EXIT_BAD_INPUT
+        assert "v2 failed scoring the gate dataset" in err
+        monkeypatch.undo()
+
+        fresh = ModelRegistry(gated.root + "-fresh")
+        fresh.register(gate_models / "base")
+        code = main(["models", "promote", "v1", "--registry", fresh.root,
+                     "--gate", dataset_path])
+        assert code == EXIT_BAD_INPUT
+        assert "no production version" in capsys.readouterr().err
+        assert fresh.production() is None
+
+    def test_gate_refuses_a_corrupt_version_with_exit_3(
+        self, gated, gate_models
+    ):
+        _corrupt(os.path.join(gated.path("v2"), "manifest.json"))
+        before = _state_bytes(gated)
+        assert main(["models", "promote", "v2", "--registry", gated.root,
+                     "--gate", str(gate_models / "gate.npz")]) == (
+            EXIT_CORRUPT_ARTIFACT
+        )
+        assert _state_bytes(gated) == before
+
+    def test_promote_refuses_a_verdict_against_another_production(
+        self, gated
+    ):
+        """A verdict measured against v1 no longer applies once an
+        operator promoted another version: nothing is written."""
+        gated.promote("v3")
+        before = _state_bytes(gated)
+        verdict = {"n": 24, "mean_abs_dp": 0.05, "budget": DIVERGENCE_BUDGET,
+                   "passed": True, "against": "v1", "dataset_sha256": "0" * 64}
+        with pytest.raises(RegistryError, match="production is v3, not v1"):
+            gated.promote("v2", gate=verdict)
+        assert _state_bytes(gated) == before
 
 
 class TestModelsCLI:

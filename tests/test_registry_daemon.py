@@ -1,9 +1,11 @@
-"""Registry-backed serving: hot reload, shadow scoring, automatic rollback.
+"""Registry-backed serving: hot reload, automatic rollback, promote gate.
 
-The deploy-loop chaos suite.  Every test drives a real in-process
+The deploy-loop chaos suite.  Every daemon test drives a real in-process
 :class:`ServingDaemon` loaded *from* a :class:`ModelRegistry` (the
 ``repro serve --registry`` path) and mutates the registry out-of-band,
-exactly as an operator's ``repro models`` invocations would.
+exactly as an operator's ``repro models`` invocations would.  The
+promote gate (``repro models promote vN --gate DATASET``), which checks
+a candidate before any daemon serves it, is tested here too.
 """
 
 import json
@@ -14,9 +16,16 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import EXIT_BAD_INPUT, main
 from repro.obs import EVENTS_FILE, read_events
 from repro.obs.drift import MIN_SAMPLES, DriftBaseline
-from repro.registry import GuardConfig, ModelRegistry, RegistryError
+from repro.registry import (
+    DIVERGENCE_BUDGET,
+    GATE_MIN_SAMPLES,
+    GuardConfig,
+    ModelRegistry,
+    RegistryError,
+)
 from repro.runtime import BurstSchedule, ShiftScores
 from repro.runtime.faults import WedgeWorkerOnMarker
 from repro.serve import InferenceEngine, PoolConfig, ScoringPool, ServingDaemon
@@ -29,6 +38,8 @@ from .helpers import (
     make_serve_sample,
     post_classify,
     running_registry_daemon,
+    save_gate_dataset,
+    save_model_variant,
 )
 
 pytestmark = pytest.mark.registry
@@ -71,16 +82,15 @@ def two_version_registry(tmp_path):
 
 
 def _record_deploy_writes(registry, calls):
-    """Wrap the registry's ``rollback`` and ``quarantine`` so each call
-    appends ``(method, calling thread name)`` to ``calls``."""
-    for name in ("rollback", "quarantine"):
-        method = getattr(registry, name)
+    """Wrap the registry's ``rollback`` so each call appends
+    ``("rollback", calling thread name)`` to ``calls``."""
+    method = registry.rollback
 
-        def recorded(*args, _name=name, _method=method, **kwargs):
-            calls.append((_name, threading.current_thread().name))
-            return _method(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        calls.append(("rollback", threading.current_thread().name))
+        return method(*args, **kwargs)
 
-        setattr(registry, name, recorded)
+    registry.rollback = recorded
 
 
 def _healthz(port):
@@ -89,61 +99,15 @@ def _healthz(port):
     return json.loads(raw)
 
 
-def _divergent_candidate_drill(registry, tmp_path):
-    """A shadow candidate over the divergence budget never reaches
-    production: the daemon quarantines it in the registry."""
-    probe = InferenceEngine.from_directory(registry.path("v1"))
-    probe_pairs, probe_mjd = make_serve_sample(probe, seed=5)
-    clean = probe.classify_arrays(probe_pairs[None], probe_mjd[None])[0].probability
-    # Shift away from the clean score so the clip bounds cannot eat
-    # the injected divergence.
-    delta = 0.4 if clean < 0.5 else -0.4
-
-    def poison_v2(engine, version):
-        if version == "v2":
-            engine.score_hook = ShiftScores(delta)
-
-    guard = GuardConfig(divergence_budget=0.15, divergence_min_samples=4)
-    config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
-    telemetry = tmp_path / "telemetry"
-    obs.start(telemetry, run_id="run-shadow")
-    try:
-        with running_registry_daemon(
-            registry, config, guard=guard, reload_hook=poison_v2
-        ) as daemon:
-            engine = daemon.engine
-            pairs, mjd = make_serve_sample(engine, seed=5)
-            body = classify_body(pairs, mjd)
-            registry.shadow("v2")
-            _wait_for(lambda: daemon._shadow_version == "v2")
-            assert _healthz(daemon.port)["shadow"]["version"] == "v2"
-            for _ in range(12):
-                status, _doc = post_classify(daemon.port, body)
-                assert status == 200
-                if daemon._shadow_version is None:
-                    break
-                time.sleep(0.05)
-            _wait_for(lambda: daemon._shadow_version is None)
-            _wait_for(lambda: registry.candidate() is None)
-            state = registry.state()
-            assert state["versions"]["v2"]["status"] == "rolled_back"
-            assert "divergence" in state["versions"]["v2"]["reason"]
-            # Production was never touched.
-            assert daemon._engine_version == "v1"
-            assert int(daemon.metrics.counter("daemon.quarantined").value) == 1
-            assert int(daemon.metrics.counter("shadow.scored").value) >= 4
-    finally:
-        obs.stop()
-    records = list(read_events(telemetry / EVENTS_FILE))
-    started = [r for r in records if r["event"] == "registry.shadow_started"]
-    assert [r["version"] for r in started] == ["v2"]
-    quarantined = [
-        r for r in records
-        if r["event"] == "registry.rolled_back" and r["role"] == "candidate"
-    ]
-    assert len(quarantined) == 1
-    assert quarantined[0]["version"] == "v2"
-    assert quarantined[0]["restored"] == "v1"
+def _gate_promote(registry, version, dataset, *extra):
+    """``repro models promote VERSION --gate DATASET``; returns
+    ``(exit code, registry.json bytes before, bytes after)``."""
+    with open(registry.state_path, "rb") as handle:
+        before = handle.read()
+    code = main(["models", "promote", version, "--registry", registry.root,
+                 "--gate", str(dataset), *extra])
+    with open(registry.state_path, "rb") as handle:
+        return code, before, handle.read()
 
 
 def _poisoned_promote_drill(tmp_path, watch=None):
@@ -533,9 +497,9 @@ class TestHotReload:
         with running_registry_daemon(two_version_registry) as daemon:
             health = _healthz(daemon.port)
             assert health["model_version"] == "v1"
-            for key in ("reloads", "reload_failures", "rollbacks", "quarantined"):
+            for key in ("reloads", "reload_failures", "rollbacks"):
                 assert health[key] == 0
-            assert health["shadow"] is None
+            assert "shadow" not in health and "quarantined" not in health
 
     def test_failed_load_keeps_serving_and_emits_one_typed_event(
         self, two_version_registry, tmp_path
@@ -602,111 +566,60 @@ class TestHotReload:
 
 
 class TestShadowScoring:
-    def test_divergent_candidate_is_quarantined(self, two_version_registry, tmp_path):
-        _divergent_candidate_drill(two_version_registry, tmp_path)
+    """A candidate is measured against production at promote time, on a
+    fixed dataset (the promote gate), not on live traffic."""
 
-    def test_stale_tick_cannot_revive_a_quarantined_candidate(
-        self, two_version_registry, tmp_path
-    ):
-        """A quarantine the shadow worker posts is applied by the watcher
-        before its tick reads ``registry.json``, so no tick can start
-        shadowing the quarantined candidate again."""
+    def test_divergent_candidate_is_quarantined(self, tmp_path):
+        """A v2 whose saved classifier weights move its probabilities by
+        more than the budget is refused with exit 2, and
+        ``registry.json`` stays byte-identical."""
+        save_model_variant(tmp_path / "base", weight_scale=0.01)
+        save_model_variant(tmp_path / "shifted", weight_scale=0.01,
+                           bias_shift=-3.0)
+        save_gate_dataset(tmp_path / "gate.npz", n=GATE_MIN_SAMPLES)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.promote(registry.register(tmp_path / "base"))
+        registry.register(tmp_path / "shifted")
+        code, before, after = _gate_promote(registry, "v2", tmp_path / "gate.npz")
+        assert code == EXIT_BAD_INPUT
+        assert after == before
+        assert registry.production() == "v1"
+
+    def test_clean_candidate_keeps_shadowing(self, two_version_registry, tmp_path):
+        """Identical weights pass the gate with a mean |Δp| of exactly
+        0.0, and the verdict is in the promote's audit entry."""
         registry = two_version_registry
-
-        def crash_v2(engine, version):
-            if version == "v2":
-                def explode(probs):
-                    raise RuntimeError("injected candidate crash")
-                engine.score_hook = explode
-
-        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
-        telemetry = tmp_path / "telemetry"
-        obs.start(telemetry, run_id="run-quarantine")
-        try:
-            with running_registry_daemon(
-                registry, config, reload_hook=crash_v2
-            ) as daemon:
-                pairs, mjd = make_serve_sample(daemon.engine, seed=5)
-                body = classify_body(pairs, mjd)
-                registry.shadow("v2")
-                _wait_for(lambda: daemon._shadow_version == "v2")
-                for _ in range(3):
-                    assert post_classify(daemon.port, body)[0] == 200
-                _wait_for(lambda: daemon._shadow_version is None)
-                # At least three more watcher polls on the quarantined state.
-                time.sleep(4 * config.reload_poll_s)
-                assert daemon._shadow_version is None
-                assert registry.candidate() is None
-                assert registry.state()["versions"]["v2"]["status"] == "rolled_back"
-                assert int(daemon.metrics.counter("daemon.quarantined").value) == 1
-        finally:
-            obs.stop()
-        records = list(read_events(telemetry / EVENTS_FILE))
-        started = [r for r in records if r["event"] == "registry.shadow_started"]
-        assert [r["version"] for r in started] == ["v2"]
-        quarantined = [
-            r for r in records
-            if r["event"] == "registry.rolled_back" and r["role"] == "candidate"
-        ]
-        assert len(quarantined) == 1
-        assert "failed scoring" in quarantined[0]["reason"]
-
-    def test_clean_candidate_keeps_shadowing(self, two_version_registry):
-        """Identical weights diverge by ~0: the candidate must survive."""
-        registry = two_version_registry
-        guard = GuardConfig(divergence_budget=0.15, divergence_min_samples=4)
-        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
-        with running_registry_daemon(registry, config, guard=guard) as daemon:
-            pairs, mjd = make_serve_sample(daemon.engine, seed=5)
-            body = classify_body(pairs, mjd)
-            registry.shadow("v2")
-            _wait_for(lambda: daemon._shadow_version == "v2")
-            for _ in range(8):
-                assert post_classify(daemon.port, body)[0] == 200
-                time.sleep(0.03)
-            _wait_for(
-                lambda: int(daemon.metrics.counter("shadow.scored").value) >= 4
-            )
-            assert daemon._shadow_version == "v2"
-            assert registry.candidate() == "v2"
-            stats = _healthz(daemon.port)["shadow"]
-            assert stats["version"] == "v2"
-            assert stats["divergence_mean"] == 0.0
-
+        save_gate_dataset(tmp_path / "gate.npz", n=GATE_MIN_SAMPLES)
+        code, _before, _after = _gate_promote(
+            registry, "v2", tmp_path / "gate.npz"
+        )
+        assert code == 0
+        assert registry.production() == "v2"
+        entry = registry.history()[-1]
+        assert entry["action"] == "promote" and entry["version"] == "v2"
+        gate = entry["gate"]
+        assert gate["mean_abs_dp"] == 0.0 and gate["passed"] is True
+        assert gate["n"] == GATE_MIN_SAMPLES
+        assert gate["budget"] == DIVERGENCE_BUDGET
+        assert gate["against"] == "v1"
+        assert len(gate["dataset_sha256"]) == 64
 
     def test_shadow_scores_are_not_audited_as_production(
         self, two_version_registry, tmp_path
     ):
-        """N production requests under an active shadow leave exactly N
-        ``serve.request`` events with N distinct ids: the candidate's
-        scores are not production traffic."""
+        """Gate scores are not production traffic: a gated promote under
+        ``--telemetry`` leaves zero ``serve.request`` events."""
         registry = two_version_registry
-        config = DaemonConfig(reload_poll_s=0.05, batch_deadline_ms=2.0)
+        save_gate_dataset(tmp_path / "gate.npz", n=GATE_MIN_SAMPLES)
         telemetry = tmp_path / "telemetry"
-        n_requests = 3
-        obs.start(telemetry, run_id="run-shadow-audit")
-        try:
-            with running_registry_daemon(registry, config) as daemon:
-                pairs, mjd = make_serve_sample(daemon.engine, seed=5)
-                body = classify_body(pairs, mjd)
-                registry.shadow("v2")
-                _wait_for(lambda: daemon._shadow_version == "v2")
-                for _ in range(n_requests):
-                    assert post_classify(daemon.port, body)[0] == 200
-                _wait_for(
-                    lambda: int(daemon.metrics.counter("shadow.scored").value)
-                    == n_requests
-                )
-        finally:
-            counters = obs.stop()["counters"]
-        audited = [
-            record["request_id"]
-            for record in read_events(telemetry / EVENTS_FILE)
-            if record["event"] == "serve.request"
-        ]
-        assert len(audited) == n_requests
-        assert len(set(audited)) == n_requests
-        assert counters["serve.requests"] == n_requests
+        code, _before, _after = _gate_promote(
+            registry, "v2", tmp_path / "gate.npz", "--telemetry", str(telemetry)
+        )
+        assert code == 0
+        records = list(read_events(telemetry / EVENTS_FILE))
+        assert not [r for r in records if r["event"] == "serve.request"]
+        gated = [r for r in records if r["event"] == "models.gated"]
+        assert len(gated) == 1 and gated[0]["mean_abs_dp"] == 0.0
 
 
 class TestAutomaticRollback:
@@ -749,13 +662,74 @@ class TestAutomaticRollback:
         daemon = ServingDaemon(None, DaemonConfig(), registry=registry)
         assert daemon._engine_version == "v2"
         registry.promote("v3")
-        daemon._post("rollback", "v2", "sustained drift on v2")
+        daemon._post_rollback("v2", "sustained drift on v2")
         daemon._sync_with_registry()
         state = registry.state()
         assert state["production"] == "v3"
         assert state["versions"]["v3"]["status"] == "production"
         assert state["versions"]["v2"]["status"] == "retired"
         assert daemon._engine_version == "v3"
+
+
+    def _served_v2_with_retired_v1(self, tmp_path):
+        """A daemon (not started) serving v2, with v1 retired."""
+        model = tmp_path / "model"
+        _build_model_dir(model, seed=0)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register(model)
+        registry.register(model)
+        registry.promote("v1")
+        registry.promote("v2")
+        from repro.serve import ServingDaemon
+
+        daemon = ServingDaemon(None, DaemonConfig(), registry=registry)
+        assert daemon._engine_version == "v2"
+        return registry, daemon
+
+    @staticmethod
+    def _drift_ticks(daemon, telemetry, ticks=3):
+        """Post a drift rollback of v2 and run a watcher tick, ``ticks``
+        times; return the ``registry.rollback_failed`` events."""
+        obs.start(telemetry, run_id="run-rollback-refused")
+        try:
+            for _ in range(ticks):
+                daemon._post_rollback("v2", "sustained drift on v2")
+                daemon._sync_with_registry()
+        finally:
+            obs.stop()
+        return [
+            r for r in read_events(telemetry / EVENTS_FILE)
+            if r["event"] == "registry.rollback_failed"
+        ]
+
+    def test_corrupt_restore_target_is_reported_once_per_version(
+        self, tmp_path
+    ):
+        """The registry refuses to restore a corrupt v1; sustained drift
+        re-posts the rollback every tick, and the refusal is memoed like
+        any other: one ``registry.rollback_failed`` for v2."""
+        registry, daemon = self._served_v2_with_retired_v1(tmp_path)
+        with open(registry.path("v1") + "/manifest.json", "ab") as handle:
+            handle.write(b"\n")
+        with open(registry.state_path, "rb") as handle:
+            before = handle.read()
+        failures = self._drift_ticks(daemon, tmp_path / "telemetry")
+        assert len(failures) == 1
+        assert failures[0]["version"] == "v2"
+        assert "manifest.json" in failures[0]["message"]
+        with open(registry.state_path, "rb") as handle:
+            assert handle.read() == before
+        assert daemon._engine_version == "v2"
+
+    def test_bad_state_file_rollback_failure_is_not_memoed(self, tmp_path):
+        """An unreadable ``registry.json`` may be mended by the next
+        tick, so each tick retries the rollback (and reports it)."""
+        registry, daemon = self._served_v2_with_retired_v1(tmp_path)
+        with open(registry.state_path, "w") as handle:
+            handle.write("{not json")
+        failures = self._drift_ticks(daemon, tmp_path / "telemetry")
+        assert len(failures) == 3
+        assert daemon._failed_rollback is None
 
 
 def _drift_without_prior_good_version(tmp_path, n_requests):
@@ -801,16 +775,12 @@ def _drift_without_prior_good_version(tmp_path, n_requests):
 
 class TestDeployStateOwner:
     def test_registry_writes_run_on_the_registry_watcher(self, tmp_path):
-        """The scoring and shadow threads only post requests: every
-        rollback and quarantine the drills cause is written to the
-        registry by the watcher thread."""
+        """The scoring thread only posts requests: every rollback the
+        drill causes is written to the registry by the watcher thread."""
         calls = []
         _poisoned_promote_drill(
             tmp_path / "promote",
             watch=lambda registry: _record_deploy_writes(registry, calls),
         )
-        registry = _make_two_version_registry(tmp_path / "shadow")
-        _record_deploy_writes(registry, calls)
-        _divergent_candidate_drill(registry, tmp_path / "shadow")
-        assert {name for name, _thread in calls} == {"rollback", "quarantine"}
+        assert {name for name, _thread in calls} == {"rollback"}
         assert {thread for _name, thread in calls} == {"repro-serve-registry"}
