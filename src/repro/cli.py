@@ -316,15 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse degraded samples with a typed 422 instead of masking",
     )
     srv.add_argument(
-        "--trace", nargs="?", const="always", default=None, metavar="SPEC",
-        help="record per-request span trees into the telemetry directory "
-        "(requires --telemetry); SPEC is always (default), rate:FRACTION "
-        "or slow:MS (slow-request capture); analyze with `repro trace DIR`",
-    )
-    srv.add_argument(
-        "--latency-buckets-ms", default=None, metavar="MS,MS,...",
-        help="override the daemon.latency_s histogram buckets (comma-"
-        "separated milliseconds, strictly increasing)",
+        "--trace", action="store_true",
+        help="record every request's span tree into the telemetry "
+        "directory (requires --telemetry); analyze with `repro trace DIR`",
     )
     _add_telemetry_arg(srv)
 
@@ -628,17 +622,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if (args.model is None) == (args.registry is None):
         raise ValueError("pass exactly one of --model or --registry")
-    latency_buckets = None
-    if args.latency_buckets_ms is not None:
-        try:
-            latency_buckets = tuple(
-                float(part) for part in args.latency_buckets_ms.split(",") if part.strip()
-            )
-        except ValueError:
-            raise ValueError(
-                f"--latency-buckets-ms must be comma-separated numbers, "
-                f"got {args.latency_buckets_ms!r}"
-            )
     config = DaemonConfig(
         host=args.host,
         port=args.port,
@@ -650,7 +633,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         strict=args.strict,
         reload_poll_s=args.reload_poll_s,
         scoring_workers=args.scoring_workers,
-        latency_buckets_ms=latency_buckets,
     )
     if args.registry is not None:
         daemon = ServingDaemon(
@@ -811,10 +793,12 @@ def _gate(registry, version: str, dataset_path: str) -> dict:
 def _gate_probabilities(registry, version: str, dataset) -> np.ndarray:
     """``version``'s probability for every sample of ``dataset``, scored
     in fixed chunks through :meth:`InferenceEngine.score_arrays`: no
-    ``serve.request`` events, ``serve.*`` metrics or drift feed."""
+    ``serve.request`` events, ``serve.*`` metrics or drift feed.  The
+    gate serves nothing, so its engines carry no drift baseline (and do
+    not warn that they lack one)."""
     from .serve import InferenceEngine
 
-    engine = InferenceEngine.from_directory(registry.path(version))
+    engine = InferenceEngine.from_directory_unmonitored(registry.path(version))
     probabilities: list[float] = []
     try:
         for start in range(0, len(dataset), _GATE_BATCH):
@@ -959,17 +943,13 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     telemetry_dir = getattr(args, "telemetry", None)
-    trace_spec = getattr(args, "trace", None)
-    if trace_spec is not None and not telemetry_dir:
+    trace = getattr(args, "trace", False)
+    if trace and not telemetry_dir:
         print("error: --trace requires --telemetry DIR", file=sys.stderr)
         return EXIT_BAD_INPUT
     if telemetry_dir:
         try:
-            obs.start(telemetry_dir, command=args.command, trace=trace_spec)
-        except ValueError as exc:
-            # A malformed --trace spec must not leave a half-open session.
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            obs.start(telemetry_dir, command=args.command, trace=trace)
         except FileExistsError as exc:
             # One directory holds one session: refuse rather than append
             # to (or truncate) an earlier run's audit trail.

@@ -7,8 +7,8 @@ when) a telemetry session is active:
   stamped with the session's ``run_id`` and, for served samples, a
   ``request_id``;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms with JSON snapshots and Prometheus text exposition, plus
-  pluggable sources (the conv workspace cache registers as one);
+  histograms with JSON snapshots and Prometheus text exposition (the
+  conv workspace cache's counters land as ``nn.workspace_*`` gauges);
 * :mod:`repro.obs.session` — the on/off switch: ``start(dir)`` /
   ``stop()``; the disabled path is a single ``active() is None`` check,
   so library code is free to instrument unconditionally;
@@ -57,9 +57,9 @@ from .schema import validate_event, validate_file
 from .session import TelemetrySession, active, new_id, start, stop
 from .trace import (
     SLOW_EVENT,
+    SLOW_REQUEST_S,
     SPAN_EVENT,
     Span,
-    TraceConfig,
     Tracer,
     WorkerTracer,
     derive_trace_id,
@@ -99,8 +99,8 @@ __all__ = [
     "tail_events",
     "SPAN_EVENT",
     "SLOW_EVENT",
+    "SLOW_REQUEST_S",
     "Span",
-    "TraceConfig",
     "Tracer",
     "WorkerTracer",
     "derive_trace_id",

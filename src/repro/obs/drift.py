@@ -45,6 +45,7 @@ __all__ = [
     "KS_THRESHOLD",
     "WINDOW",
     "MIN_SAMPLES",
+    "N_BINS",
     "DriftBaseline",
     "DriftMonitor",
     "DriftReport",
@@ -68,6 +69,9 @@ WINDOW = 200
 #: Fewest window samples a statistic is evaluated on: PSI on a handful
 #: of scores is noise, not signal.
 MIN_SAMPLES = 50
+
+#: Bins of each baseline histogram, scores and flux alike.
+N_BINS = 20
 
 _EPS = 1e-4
 
@@ -136,7 +140,6 @@ class DriftBaseline:
         cls,
         scores: np.ndarray,
         flux: np.ndarray | None = None,
-        n_bins: int = 20,
     ) -> "DriftBaseline":
         """Bin training-set scores (and optionally flux features).
 
@@ -147,13 +150,13 @@ class DriftBaseline:
         scores = np.asarray(scores, dtype=float).ravel()
         if scores.size == 0:
             raise ValueError("cannot build a drift baseline from zero scores")
-        score_edges = np.linspace(0.0, 1.0, n_bins + 1)
+        score_edges = np.linspace(0.0, 1.0, N_BINS + 1)
         flux_edges = flux_probs = None
         if flux is not None:
             flux = np.asarray(flux, dtype=float).ravel()
             lo, hi = float(np.min(flux)), float(np.max(flux))
             pad = 0.1 * max(hi - lo, 1e-6)
-            flux_edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+            flux_edges = np.linspace(lo - pad, hi + pad, N_BINS + 1)
             flux_probs = _histogram_probs(flux, flux_edges)
         return cls(
             score_edges=score_edges,

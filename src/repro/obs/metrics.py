@@ -10,12 +10,10 @@ slow — and exports it two ways:
   (version 0.0.4), so a scrape endpoint or ``repro metrics
   --prometheus`` can feed a real monitoring stack.
 
-External *sources* can be registered so one snapshot covers subsystems
-that keep their own state: the telemetry session registers the conv
-workspace cache's hit/miss counters (borrowed conv outputs) as the
-``nn.workspace`` source.
-Stage timings are not a source: spans feed ``trace.<name>_s``
-histograms directly (:mod:`repro.obs.trace`).
+Subsystems that keep their own counters copy them into gauges (the conv
+workspace cache: :func:`repro.obs.session.set_workspace_gauges`); stage
+timings feed ``trace.<name>_s`` histograms directly
+(:mod:`repro.obs.trace`).
 
 All mutating operations take the registry lock; instruments themselves
 are lock-free on read.  Histograms use *fixed* bucket upper bounds
@@ -30,7 +28,6 @@ import math
 import os
 import re
 import threading
-from typing import Callable
 
 from ..runtime.checkpoint import atomic_write_json
 
@@ -158,14 +155,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-local collection of named instruments plus external sources."""
+    """Process-local collection of named instruments."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._sources: dict[str, Callable[[], dict]] = {}
 
     @staticmethod
     def _check_name(name: str) -> str:
@@ -207,28 +203,13 @@ class MetricsRegistry:
                 )
             return instrument
 
-    def register_source(self, name: str, source: Callable[[], dict]) -> None:
-        """Attach an external snapshot provider folded into every export.
-
-        ``source()`` must return a JSON-ready dict; it is called at
-        snapshot time, so registering is free for the hot path.
-        """
-        with self._lock:
-            self._sources[self._check_name(name)] = source
-
     def snapshot(self) -> dict:
-        """JSON-ready state of every instrument and registered source."""
+        """JSON-ready state of every instrument."""
         with self._lock:
             counters = {n: c.value for n, c in sorted(self._counters.items())}
             gauges = {n: g.value for n, g in sorted(self._gauges.items())}
             histograms = {n: h.to_dict() for n, h in sorted(self._histograms.items())}
-            sources = dict(self._sources)
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "sources": {name: fn() for name, fn in sorted(sources.items())},
-        }
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition of :meth:`snapshot`."""

@@ -44,10 +44,30 @@ from . import trace as trace_mod
 from .log import EVENTS_FILE, EventLog
 from .metrics import METRICS_FILE, MetricsRegistry
 
-__all__ = ["TelemetrySession", "start", "stop", "active", "new_id"]
+__all__ = [
+    "TelemetrySession",
+    "start",
+    "stop",
+    "active",
+    "new_id",
+    "set_workspace_gauges",
+]
 
 _STATE_LOCK = threading.Lock()
 _SESSION: "TelemetrySession | None" = None
+
+
+def set_workspace_gauges(metrics: MetricsRegistry) -> None:
+    """Copy the conv workspace-cache counters
+    (:func:`repro.nn.workspace_total_stats`) into ``nn.workspace_*``
+    gauges: at session close for ``metrics.json``, and on every daemon
+    ``/metrics`` scrape."""
+    from ..nn import workspace_total_stats
+
+    for name, value in workspace_total_stats().items():
+        if name == "hit_rate":
+            continue  # derivable from hits/misses; gauges stay raw counts
+        metrics.gauge(f"nn.workspace_{name}").set(value)
 
 
 def new_id(prefix: str = "run") -> str:
@@ -127,6 +147,7 @@ class TelemetrySession:
             duration_s=round(time.time() - self._started, 6),
             **end_fields,
         )
+        set_workspace_gauges(self.metrics)
         snapshot = self.metrics.write(os.path.join(self.directory, METRICS_FILE))
         self.log.close()
         return snapshot
@@ -135,7 +156,7 @@ class TelemetrySession:
 def start(
     directory: str | os.PathLike,
     run_id: str | None = None,
-    trace: object = None,
+    trace: bool = False,
     **start_fields: object,
 ) -> TelemetrySession:
     """Enable telemetry into ``directory`` and return the live session.
@@ -144,30 +165,17 @@ def start(
     the subcommand and its arguments).  Every session installs a
     :class:`~repro.obs.trace.Tracer` (uninstalled by :func:`stop`), so
     each :func:`repro.obs.span` feeds a ``trace.<name>_s`` histogram.
-    ``trace`` additionally samples requests into ``trace.span`` events:
-    pass a :class:`repro.obs.trace.TraceConfig`, a spec string
-    (``"always"`` / ``"rate:0.1"`` / ``"slow:250"``), or ``True`` for
-    the default policy.
+    With ``trace`` every request's span tree is also written as
+    ``trace.span`` events.
     """
     global _SESSION
-    if isinstance(trace, str):
-        config = trace_mod.TraceConfig.parse(trace)
-    elif trace is True:
-        config = trace_mod.TraceConfig()
-    else:
-        config = trace or None
     with _STATE_LOCK:
         if _SESSION is not None:
             raise RuntimeError(
                 f"telemetry already active in {_SESSION.directory}; stop() it first"
             )
         session = TelemetrySession(directory, run_id=run_id)
-        from ..nn import workspace_total_stats
-
-        # The conv workspace-cache counters, next to the obs counters in
-        # ``repro metrics``; the daemon mirrors them on `/metrics`.
-        session.metrics.register_source("nn.workspace", workspace_total_stats)
-        session.tracer = trace_mod.Tracer(session, config)
+        session.tracer = trace_mod.Tracer(session, bool(trace))
         trace_mod.install(session.tracer)
         session._open(**start_fields)
         _SESSION = session

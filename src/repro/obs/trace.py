@@ -22,11 +22,10 @@ processes and across re-runs.  In outline:
 - a *span-context stack* supplies the ambient parent for nested spans;
   it is thread-local, so a span open on one thread never parents a
   span started on another;
-- sampling is decided once per trace: ``always``, deterministic
-  ``rate:F`` (hash of the request id), or ``slow:MS`` (buffer the span
-  tree, emit only if the root exceeds the threshold — the slow-request
-  capture).  A session started without a trace policy samples nothing:
-  its spans feed the histograms only.
+- a traced session (``obs.start(trace=True)``) samples every request;
+  a root span lasting :data:`SLOW_REQUEST_S` or longer also writes a
+  ``trace.slow_request`` warning.  A session started without tracing
+  samples nothing: its spans feed the histograms only.
 
 Cross-process: pool workers have no telemetry session.  Each installs
 a :class:`WorkerTracer` that keeps finished span records in memory; a
@@ -43,14 +42,12 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "MODES",
     "SPAN_EVENT",
     "SLOW_EVENT",
-    "TraceConfig",
+    "SLOW_REQUEST_S",
     "Span",
     "Tracer",
     "WorkerTracer",
@@ -74,7 +71,10 @@ __all__ = [
 
 SPAN_EVENT = "trace.span"
 SLOW_EVENT = "trace.slow_request"
-MODES = ("always", "rate", "slow")
+
+#: Root-span duration (seconds) at or above which a sampled request
+#: also writes a ``trace.slow_request`` warning.
+SLOW_REQUEST_S = 0.25
 
 # Fields every span record must carry (checked by
 # ``repro.obs.schema.span_field_errors`` for ``validate_spans`` and for
@@ -97,50 +97,6 @@ def derive_span_id(trace_id: str, seed: str) -> str:
     return hashlib.sha256(f"{trace_id}/{seed}".encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    """Sampling policy for a tracer.
-
-    mode
-        ``always`` samples every trace; ``rate`` samples the
-        deterministic fraction ``rate`` of request ids; ``slow`` buffers
-        every trace and emits only those whose root span exceeds
-        ``slow_threshold_s`` (the slow-request capture).
-    slow_threshold_s
-        In ``always``/``rate`` mode a root over this threshold emits an
-        additional ``trace.slow_request`` event at warning level.
-    """
-
-    mode: str = "always"
-    rate: float = 1.0
-    slow_threshold_s: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"trace mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= float(self.rate) <= 1.0:
-            raise ValueError(f"trace rate must be in [0, 1], got {self.rate!r}")
-        if not float(self.slow_threshold_s) > 0.0:
-            raise ValueError(
-                f"slow threshold must be positive, got {self.slow_threshold_s!r}"
-            )
-
-    @classmethod
-    def parse(cls, spec: str) -> "TraceConfig":
-        """Parse a CLI spec: ``always`` | ``rate:0.1`` | ``slow:250`` (ms)."""
-        spec = spec.strip().lower()
-        if spec == "always":
-            return cls(mode="always")
-        if spec.startswith("rate:"):
-            return cls(mode="rate", rate=float(spec[len("rate:"):]))
-        if spec.startswith("slow:"):
-            ms = float(spec[len("slow:"):])
-            return cls(mode="slow", slow_threshold_s=ms / 1000.0)
-        raise ValueError(
-            f"bad trace spec {spec!r}: expected always | rate:FRACTION | slow:MS"
-        )
-
-
 # ----------------------------------------------------------------------
 # Ambient span-context stack (thread-local)
 # ----------------------------------------------------------------------
@@ -161,14 +117,11 @@ def current_span() -> Optional["Span"]:
 
 
 class _TraceState:
-    """Per-trace bookkeeping: span-id counter and the slow-mode buffer."""
+    """Per-trace bookkeeping: the span-id counter."""
 
-    __slots__ = ("trace_id", "request_id", "buffer", "counter", "lock")
+    __slots__ = ("counter", "lock")
 
-    def __init__(self, trace_id: str, request_id: str, buffered: bool) -> None:
-        self.trace_id = trace_id
-        self.request_id = request_id
-        self.buffer: Optional[List[dict]] = [] if buffered else None
+    def __init__(self) -> None:
         self.counter = 0
         self.lock = threading.Lock()
 
@@ -384,13 +337,12 @@ class _BaseTracer:
 
 class Tracer(_BaseTracer):
     """Parent-process tracer: times every span into the session's
-    ``trace.<name>_s`` histograms and sinks sampled spans into its event
-    log.  ``config=None`` samples no request (histograms only)."""
+    ``trace.<name>_s`` histograms and, when ``sampled``, sinks every
+    request's spans into its event log (otherwise histograms only)."""
 
-    def __init__(self, session, config: Optional[TraceConfig] = None) -> None:
+    def __init__(self, session, sampled: bool) -> None:
         self._session = session
-        self.config = config
-        self._live: Dict[str, _TraceState] = {}
+        self.sampled = sampled
         self._lock = threading.Lock()
         self._counter = 0
 
@@ -405,19 +357,6 @@ class Tracer(_BaseTracer):
             return  # span name not a valid metric name: skip the histogram
         histogram.observe(duration_s)
 
-    # -- sampling ------------------------------------------------------
-    def sample(self, request_id: str) -> bool:
-        """Whether ``request_id``'s trace is sampled under this policy."""
-        if self.config is None:
-            return False
-        mode = self.config.mode
-        if mode in ("always", "slow"):
-            return True
-        # Deterministic per-request-id fraction: the same request id is
-        # sampled (or not) identically across processes and re-runs.
-        digest = int(derive_trace_id(request_id), 16)
-        return digest / float(1 << 64) < self.config.rate
-
     # -- trace lifecycle ----------------------------------------------
     def start_trace(
         self,
@@ -425,16 +364,13 @@ class Tracer(_BaseTracer):
         t_offset_s: float = 0.0,
         **attrs: Any,
     ) -> Optional[Span]:
-        """Root ``request`` span for one request, or ``None`` if not sampled."""
-        if not self.sample(request_id):
+        """Root ``request`` span for one request, or ``None`` untraced."""
+        if not self.sampled:
             return None
         trace_id = derive_trace_id(request_id)
-        state = _TraceState(trace_id, request_id, buffered=self.config.mode == "slow")
-        with self._lock:
-            self._live[trace_id] = state
         return Span(
             self,
-            state,
+            _TraceState(),
             "request",
             trace_id,
             derive_span_id(trace_id, "root"),
@@ -445,26 +381,14 @@ class Tracer(_BaseTracer):
         )
 
     def merge(self, record_dict: dict) -> None:
-        """Fold a span record from a pool worker's reply into this sink.
-
-        Observed into its stage histogram here (the worker has no
-        session), then routed into the live trace's buffer when the
-        trace is still slow-mode buffered, otherwise emitted directly.
-        """
+        """Fold a span record from a pool worker's reply into this sink:
+        observed into its stage histogram here (the worker has no
+        session), then emitted."""
         name = record_dict.get("name")
         duration = record_dict.get("duration_s")
         if isinstance(name, str) and isinstance(duration, (int, float)):
             self._observe(name, duration)
-        state = None
-        trace_id = record_dict.get("trace_id")
-        if isinstance(trace_id, str):
-            with self._lock:
-                state = self._live.get(trace_id)
-        if state is not None and state.buffer is not None:
-            with state.lock:
-                state.buffer.append(dict(record_dict))
-            return
-        self._emit_record(dict(record_dict))
+        self._emit_record(record_dict)
 
     # -- internals -----------------------------------------------------
     def _next_seed(self) -> str:
@@ -474,44 +398,17 @@ class Tracer(_BaseTracer):
 
     def _finish(self, span_obj: Span) -> None:
         self._observe(span_obj.name, span_obj.duration_s)
-        state = span_obj._state
-        record_dict = span_obj.to_record()
-        if state is not None and state.buffer is not None:
-            with state.lock:
-                state.buffer.append(record_dict)
-            if span_obj.is_root:
-                self._close_slow_trace(state, span_obj)
-            return
-        self._emit_record(record_dict)
-        if span_obj.is_root:
-            with self._lock:
-                self._live.pop(span_obj.trace_id, None)
-            duration = span_obj.duration_s or 0.0
-            if duration >= self.config.slow_threshold_s:
-                self._emit_slow(span_obj)
-
-    def _close_slow_trace(self, state: _TraceState, root: Span) -> None:
-        with self._lock:
-            self._live.pop(state.trace_id, None)
-        duration = root.duration_s or 0.0
-        with state.lock:
-            buffered, state.buffer = state.buffer, None
-        if duration < self.config.slow_threshold_s:
-            return  # fast request: drop the tree (slow-only capture)
-        for record_dict in buffered or ():
-            self._emit_record(record_dict)
-        self._emit_slow(root)
-
-    def _emit_slow(self, root: Span) -> None:
-        self._session.emit(
-            SLOW_EVENT,
-            level="warning",
-            message=f"request exceeded {self.config.slow_threshold_s * 1000:.0f}ms",
-            trace_id=root.trace_id,
-            request_id=root.request_id,
-            duration_s=root.duration_s,
-            threshold_s=self.config.slow_threshold_s,
-        )
+        self._emit_record(span_obj.to_record())
+        if span_obj.is_root and (span_obj.duration_s or 0.0) >= SLOW_REQUEST_S:
+            self._session.emit(
+                SLOW_EVENT,
+                level="warning",
+                message=f"request exceeded {SLOW_REQUEST_S * 1000:.0f}ms",
+                trace_id=span_obj.trace_id,
+                request_id=span_obj.request_id,
+                duration_s=span_obj.duration_s,
+                threshold_s=SLOW_REQUEST_S,
+            )
 
     def _emit_record(self, record_dict: dict) -> None:
         self._session.emit(SPAN_EVENT, **record_dict)
@@ -689,8 +586,8 @@ def build_trees(spans: Iterable[dict]) -> List[dict]:
 
     Returns one dict per trace: ``{"trace_id", "request_id", "root",
     "spans", "children"}`` where ``children`` maps span_id -> list of
-    child records.  Traces without a root (e.g. slow-mode discards with
-    a straggling worker span) are skipped.
+    child records.  Traces without a root (e.g. a worker span whose
+    request never finished) are skipped.
     """
     by_trace: Dict[str, List[dict]] = {}
     for record_dict in spans:

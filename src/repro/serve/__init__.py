@@ -29,9 +29,8 @@ from .pool import (
     WorkerCrashError,
 )
 from .validation import (
-    DEFAULT_SATURATION_LEVEL,
+    SATURATION_LEVEL,
     InputDiagnostics,
-    RepairConfig,
     clip_difference_outliers,
     diagnose_and_repair,
     diagnose_and_repair_batch,
@@ -51,10 +50,9 @@ __all__ = [
     "PoolBrokenError",
     "WorkerCrashError",
     "InputDiagnostics",
-    "RepairConfig",
     "diagnose_and_repair",
     "diagnose_and_repair_batch",
     "inpaint_bad_pixels",
     "clip_difference_outliers",
-    "DEFAULT_SATURATION_LEVEL",
+    "SATURATION_LEVEL",
 ]

@@ -103,9 +103,9 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..nn import workspace_total_stats
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
+from ..obs.session import set_workspace_gauges
 from ..registry import GuardConfig, ModelRegistry, RegistryError, RollbackGuard
 from ..runtime.errors import CorruptArtifactError
 from .engine import (
@@ -169,12 +169,6 @@ class DaemonConfig:
     #: across a :class:`~repro.serve.pool.ScoringPool` of N warm spawned
     #: workers over shared memory, with BLAS threads split N ways.
     scoring_workers: int = 0
-    #: End-to-end latency histogram buckets in milliseconds (``None``
-    #: keeps :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS_S`).  A
-    #: deployment serving a slower model than the defaults assume can
-    #: widen these without code changes; /metrics exposition format is
-    #: unchanged.
-    latency_buckets_ms: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.batch_max_size < 1:
@@ -190,15 +184,6 @@ class DaemonConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if self.scoring_workers < 0:
             raise ValueError("scoring_workers must be >= 0")
-        if self.latency_buckets_ms is not None:
-            buckets = tuple(float(b) for b in self.latency_buckets_ms)
-            if not buckets:
-                raise ValueError("latency_buckets_ms must not be empty")
-            if any(not math.isfinite(b) or b <= 0 for b in buckets):
-                raise ValueError("latency_buckets_ms must all be finite and positive")
-            if any(b >= c for b, c in zip(buckets, buckets[1:])):
-                raise ValueError("latency_buckets_ms must increase strictly")
-            object.__setattr__(self, "latency_buckets_ms", buckets)
 
 
 def _error_payload(request_id: str | None, kind: str, message: str) -> dict:
@@ -732,15 +717,8 @@ class ServingDaemon:
             session.metrics if session is not None else MetricsRegistry()
         )
         self.run_id = session.run_id if session is not None else DEFAULT_RUN_ID
-        # End-to-end latency histogram, created once so configured
-        # buckets (ms -> s) never race the lazy default-bucket creation.
-        if self.config.latency_buckets_ms is not None:
-            self._latency_hist = self.metrics.histogram(
-                "daemon.latency_s",
-                buckets=tuple(b / 1000.0 for b in self.config.latency_buckets_ms),
-            )
-        else:
-            self._latency_hist = self.metrics.histogram("daemon.latency_s")
+        # End-to-end latency histogram (DEFAULT_LATENCY_BUCKETS_S).
+        self._latency_hist = self.metrics.histogram("daemon.latency_s")
         # Registry / deploy state.  Only the registry watcher changes
         # it (after start()); _engine_lock guards the read and the
         # replacement of the served (engine, scorer, version) snapshot.
@@ -1228,10 +1206,19 @@ class ServingDaemon:
     # Model registry: hot reload, automatic rollback
     # ------------------------------------------------------------------
     def _load_version(self, version: str) -> InferenceEngine:
-        """Verify + load one registry version into a warm engine."""
+        """Verify + load one registry version into a warm engine.
+
+        In pool mode the engine only validates requests: the version's
+        pool holds its drift monitor (and warns when the directory has
+        no baseline), so the engine is built without one.
+        """
         assert self.registry is not None
         self.registry.verify(version)
-        engine = InferenceEngine.from_directory(self.registry.path(version))
+        path = self.registry.path(version)
+        if self._pool_config is None:
+            engine = InferenceEngine.from_directory(path)
+        else:
+            engine = InferenceEngine.from_directory_unmonitored(path)
         engine.pipeline.cnn.eval()
         engine.pipeline.classifier.eval()
         if self.reload_hook is not None:
@@ -1486,10 +1473,7 @@ class ServingDaemon:
         pool = self._pool
         if pool is not None:
             self._export_pool_metrics(pool)
-        for name, value in workspace_total_stats().items():
-            if name == "hit_rate":
-                continue  # derivable from hits/misses; gauges stay raw counts
-            self.metrics.gauge(f"nn.workspace_{name}").set(value)
+        set_workspace_gauges(self.metrics)
         return self.metrics.to_prometheus()
 
     def _export_pool_metrics(self, pool: ScoringPool) -> None:

@@ -440,6 +440,28 @@ def feed_drift(
         )
 
 
+def warn_no_drift_baseline(directory: str | os.PathLike) -> None:
+    """Under a telemetry session, write the ``serve.no_drift_baseline``
+    warning for a model directory loaded to serve without a baseline.
+
+    Written once per served model, by whoever reads the directory's
+    baseline for the scorer: :meth:`InferenceEngine.from_directory`, or
+    :meth:`~repro.serve.pool.ScoringPool.start` for a pool built from a
+    directory.
+    """
+    session = obs.active()
+    if session is not None:
+        session.emit(
+            "serve.no_drift_baseline",
+            level="warning",
+            message=(
+                f"model dir {os.fspath(directory)} has no drift baseline; "
+                "drift monitoring and drift-triggered rollback are disabled"
+            ),
+            model_dir=os.fspath(directory),
+        )
+
+
 def audit_rejection(exc: DegradedInputError) -> None:
     """Under a telemetry session, record one strict refusal: stamp
     ``exc.request_id`` and write the single ``serve.rejected`` event and
@@ -534,18 +556,16 @@ class InferenceEngine:
         prior = FluxPrior.load(directory)
         baseline = DriftBaseline.load(directory)
         if baseline is None:
-            session = obs.active()
-            if session is not None:
-                session.emit(
-                    "serve.no_drift_baseline",
-                    level="warning",
-                    message=(
-                        f"model dir {os.fspath(directory)} has no drift baseline; "
-                        "drift monitoring and drift-triggered rollback are disabled"
-                    ),
-                    model_dir=os.fspath(directory),
-                )
+            warn_no_drift_baseline(directory)
         return cls(pipeline, prior=prior, drift_baseline=baseline, fused=fused)
+
+    @classmethod
+    def from_directory_unmonitored(cls, directory: str) -> "InferenceEngine":
+        """An engine over a model directory's pipeline and flux prior,
+        without its drift baseline (and so without the missing-baseline
+        warning): for scoring that feeds no drift monitor, such as the
+        promote gate and a pool-mode daemon's validating engine."""
+        return cls(SupernovaPipeline.load(directory), prior=FluxPrior.load(directory))
 
     def save(self, directory: str) -> None:
         """Persist the pipeline, flux prior and (if set) drift baseline."""
@@ -554,7 +574,7 @@ class InferenceEngine:
         if self.drift_baseline is not None:
             self.drift_baseline.save(directory)
 
-    def fit_drift_baseline(self, dataset: SupernovaDataset, n_bins: int = 20) -> DriftBaseline:
+    def fit_drift_baseline(self, dataset: SupernovaDataset) -> DriftBaseline:
         """Capture the serving-drift baseline from a (training) dataset.
 
         Scores the dataset through this engine's own path and bins the
@@ -571,7 +591,7 @@ class InferenceEngine:
         flux = np.array([r.flux_feature for r in results], dtype=float)
         flux = flux[np.isfinite(flux)]
         self.drift_baseline = DriftBaseline.from_samples(
-            scores, flux if flux.size else None, n_bins=n_bins
+            scores, flux if flux.size else None
         )
         self.drift_monitor = DriftMonitor(self.drift_baseline)
         return self.drift_baseline

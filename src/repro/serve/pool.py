@@ -78,6 +78,7 @@ from .engine import (
     feed_drift,
     isolate,
     stream_isolated,
+    warn_no_drift_baseline,
 )
 
 __all__ = [
@@ -417,6 +418,9 @@ class ScoringPool:
             baseline = DriftBaseline.load(self._model_source)
             if baseline is not None:
                 self.drift_monitor = DriftMonitor(baseline)
+            elif self._tmpdir is None:
+                # A live engine's loader has already warned.
+                warn_no_drift_baseline(self._model_source)
             self._shm = shared_memory.SharedMemory(
                 create=True, size=self.config.workers * self._slot_bytes
             )

@@ -29,53 +29,37 @@ from ..photometry import GRIZY
 
 __all__ = [
     "InputDiagnostics",
-    "RepairConfig",
     "diagnose_and_repair",
     "diagnose_and_repair_batch",
     "inpaint_bad_pixels",
     "clip_difference_outliers",
-    "DEFAULT_SATURATION_LEVEL",
+    "SATURATION_LEVEL",
+    "MAX_REPAIR_FRACTION",
+    "CLIP_SIGMA",
+    "CLIP_SUPPORT_RATIO",
+    "INPAINT_WINDOW",
 ]
 
-#: Counts level treated as full well when the caller does not override it.
-DEFAULT_SATURATION_LEVEL = 30000.0
+#: Pixels at or above this count are treated as saturated (full well).
+SATURATION_LEVEL = 30000.0
 
+#: Largest fraction of bad (non-finite + saturated) pixels per visit
+#: that inpainting may bridge; beyond it the visit is rejected and
+#: masked instead.
+MAX_REPAIR_FRACTION = 0.25
 
-@dataclass
-class RepairConfig:
-    """Knobs of the validate-and-repair stage.
+#: Difference-image pixels more than this many robust sigmas above the
+#: median are outlier candidates.
+CLIP_SIGMA = 10.0
 
-    Attributes
-    ----------
-    saturation_level:
-        Pixels at or above this count are treated as saturated.
-    max_repair_fraction:
-        Largest fraction of bad (non-finite + saturated) pixels per
-        channel that inpainting may bridge; beyond it the visit is
-        rejected and masked instead.
-    clip_sigma:
-        Difference-image pixels more than this many robust sigmas above
-        the median are outlier candidates.
-    clip_support_ratio:
-        An outlier candidate is clipped only when its 3x3 neighbourhood
-        median stays below this fraction of its own value — a PSF-spread
-        real source keeps neighbour support well above it, an isolated
-        cosmic-ray pixel does not.
-    inpaint_window:
-        Half-width of the neighbourhood used for median inpainting.
-    """
+#: An outlier candidate is clipped only when its 3x3 neighbourhood
+#: median stays below this fraction of its own value — a PSF-spread
+#: real source keeps neighbour support well above it, an isolated
+#: cosmic-ray pixel does not.
+CLIP_SUPPORT_RATIO = 0.2
 
-    saturation_level: float = DEFAULT_SATURATION_LEVEL
-    max_repair_fraction: float = 0.25
-    clip_sigma: float = 10.0
-    clip_support_ratio: float = 0.2
-    inpaint_window: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.max_repair_fraction <= 1.0:
-            raise ValueError("max_repair_fraction must be in [0, 1]")
-        if self.clip_sigma <= 0 or self.inpaint_window < 1:
-            raise ValueError("clip_sigma must be positive and inpaint_window >= 1")
+#: Half-width of the neighbourhood used for median inpainting.
+INPAINT_WINDOW = 2
 
 
 @dataclass
@@ -118,15 +102,13 @@ class InputDiagnostics:
         }
 
 
-def inpaint_bad_pixels(
-    image: np.ndarray, bad: np.ndarray, window: int = 2
-) -> np.ndarray:
+def inpaint_bad_pixels(image: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """Replace flagged pixels with the median of their good neighbours.
 
     Works in place on a float copy and returns it.  Each bad pixel takes
-    the median of the good pixels inside a ``(2*window+1)`` square around
-    it; pixels with no good neighbour fall back to the image's global
-    good-pixel median (0 when nothing survives).
+    the median of the good pixels inside a ``(2*INPAINT_WINDOW+1)``
+    square around it; pixels with no good neighbour fall back to the
+    image's global good-pixel median (0 when nothing survives).
     """
     out = np.asarray(image, dtype=np.float32).copy()
     bad = np.asarray(bad, dtype=bool)
@@ -137,8 +119,8 @@ def inpaint_bad_pixels(
     rows, cols = np.nonzero(bad)
     side = out.shape[-1]
     for r, c in zip(rows, cols):
-        r0, r1 = max(0, r - window), min(side, r + window + 1)
-        c0, c1 = max(0, c - window), min(side, c + window + 1)
+        r0, r1 = max(0, r - INPAINT_WINDOW), min(side, r + INPAINT_WINDOW + 1)
+        c0, c1 = max(0, c - INPAINT_WINDOW), min(side, c + INPAINT_WINDOW + 1)
         patch = out[r0:r1, c0:c1]
         patch_good = good[r0:r1, c0:c1]
         out[r, c] = float(np.median(patch[patch_good])) if patch_good.any() else fallback
@@ -146,14 +128,14 @@ def inpaint_bad_pixels(
 
 
 def clip_difference_outliers(
-    reference: np.ndarray, observation: np.ndarray, config: RepairConfig
+    reference: np.ndarray, observation: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Sigma-clip cosmic-ray-like pixels off the observation stamp.
 
     Outliers are found on the *difference* image (observation minus
-    reference): a pixel must sit ``clip_sigma`` robust sigmas above the
-    median difference **and** lack neighbourhood support (see
-    :class:`RepairConfig.clip_support_ratio`), which spares the
+    reference): a pixel must sit :data:`CLIP_SIGMA` robust sigmas above
+    the median difference **and** lack neighbourhood support (see
+    :data:`CLIP_SUPPORT_RATIO`), which spares the
     PSF-spread supernova itself.  Clipped pixels are pulled back to the
     reference plus the local median difference.  Returns the repaired
     observation and the number of clipped pixels.
@@ -165,8 +147,8 @@ def clip_difference_outliers(
         return observation.copy(), 0
     local = ndimage.median_filter(diff, size=3, mode="nearest")
     excess = diff - med
-    candidates = excess > config.clip_sigma * sigma
-    unsupported = (local - med) < config.clip_support_ratio * excess
+    candidates = excess > CLIP_SIGMA * sigma
+    unsupported = (local - med) < CLIP_SUPPORT_RATIO * excess
     outliers = candidates & unsupported
     n = int(outliers.sum())
     repaired = observation.copy()
@@ -176,7 +158,7 @@ def clip_difference_outliers(
 
 
 def diagnose_and_repair(
-    pair: np.ndarray, visit: int, config: RepairConfig | None = None
+    pair: np.ndarray, visit: int
 ) -> tuple[np.ndarray, InputDiagnostics]:
     """Validate one ``(2, S, S)`` stamp pair; repair or reject it.
 
@@ -184,14 +166,13 @@ def diagnose_and_repair(
     always finite when the visit was kept; when ``rejected`` its content
     is unspecified and the caller must mask the visit.
     """
-    config = config or RepairConfig()
     pair = np.asarray(pair, dtype=np.float32)
     band = GRIZY[visit % len(GRIZY)].name
     n_pixels = int(pair[0].size)
     diag = InputDiagnostics(visit=visit, band=band, n_pixels=n_pixels)
 
     finite = np.isfinite(pair)
-    saturated = finite & (pair >= config.saturation_level)
+    saturated = finite & (pair >= SATURATION_LEVEL)
     bad = ~finite | saturated
     diag.n_nonfinite = int((~finite).sum())
     diag.n_saturated = int(saturated.sum())
@@ -205,11 +186,11 @@ def diagnose_and_repair(
                 "reference" if channel == 0 else "observation"
             ) + " channel entirely unusable (missing visit)"
             return pair, diag
-    if diag.bad_fraction > config.max_repair_fraction:
+    if diag.bad_fraction > MAX_REPAIR_FRACTION:
         diag.rejected = True
         diag.reason = (
             f"bad-pixel fraction {diag.bad_fraction:.3f} exceeds repair "
-            f"budget {config.max_repair_fraction:.3f}"
+            f"budget {MAX_REPAIR_FRACTION:.3f}"
         )
         return pair, diag
 
@@ -217,14 +198,13 @@ def diagnose_and_repair(
     if bad.any():
         repaired = np.stack(
             [
-                inpaint_bad_pixels(pair[ch], bad[ch], window=config.inpaint_window)
-                for ch in range(2)
+                inpaint_bad_pixels(pair[ch], bad[ch]) for ch in range(2)
             ]
         )
         diag.repaired = True
         diag.reason = "inpainted non-finite/saturated pixels"
 
-    obs, n_clipped = clip_difference_outliers(repaired[0], repaired[1], config)
+    obs, n_clipped = clip_difference_outliers(repaired[0], repaired[1])
     if n_clipped:
         repaired = np.stack([repaired[0], obs])
         diag.n_clipped = n_clipped
@@ -266,7 +246,7 @@ def _median_rows(a: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
 
 
 def diagnose_and_repair_batch(
-    pairs: np.ndarray, visits: np.ndarray, config: RepairConfig | None = None
+    pairs: np.ndarray, visits: np.ndarray
 ) -> tuple[np.ndarray, list[InputDiagnostics], np.ndarray]:
     """Vectorised :func:`diagnose_and_repair` over a flat visit batch.
 
@@ -284,7 +264,6 @@ def diagnose_and_repair_batch(
     inpainted through the same :func:`inpaint_bad_pixels` the scalar
     path uses.
     """
-    config = config or RepairConfig()
     pairs = np.asarray(pairs, dtype=np.float32)
     if pairs.ndim != 4 or pairs.shape[1] != 2:
         raise ValueError(f"expected (M, 2, S, S) pairs, got shape {pairs.shape}")
@@ -302,7 +281,7 @@ def diagnose_and_repair_batch(
     # ``max`` to the level.  A visit passing both has no bad pixel, so
     # its counts are zero and it is kept; the six full-size masks below
     # are built for the other visits only.
-    clean = (pairs.max(axis=(1, 2, 3)) < config.saturation_level) & (
+    clean = (pairs.max(axis=(1, 2, 3)) < SATURATION_LEVEL) & (
         pairs.min(axis=(1, 2, 3)) > -np.inf
     )
     dirty_idx = np.flatnonzero(~clean)
@@ -314,7 +293,7 @@ def diagnose_and_repair_batch(
     if dirty_idx.size:
         dirty = pairs[dirty_idx]
         finite = np.isfinite(dirty)
-        saturated = finite & (dirty >= config.saturation_level)
+        saturated = finite & (dirty >= SATURATION_LEVEL)
         bad = ~finite | saturated
         n_nonfinite[dirty_idx] = (~finite).sum(axis=(1, 2, 3))
         n_saturated[dirty_idx] = saturated.sum(axis=(1, 2, 3))
@@ -322,7 +301,7 @@ def diagnose_and_repair_batch(
         channel_dead[dirty_idx] = bad.all(axis=(2, 3))
     bad_fraction = bad_count / pair_size
     missing = channel_dead.any(axis=1)
-    over_budget = ~missing & (bad_fraction > config.max_repair_fraction)
+    over_budget = ~missing & (bad_fraction > MAX_REPAIR_FRACTION)
     kept = ~missing & ~over_budget
 
     repaired = pairs.copy()
@@ -332,7 +311,7 @@ def diagnose_and_repair_batch(
         i = dirty_idx[j]
         for channel in range(2):
             repaired[i, channel] = inpaint_bad_pixels(
-                pairs[i, channel], bad[j, channel], window=config.inpaint_window
+                pairs[i, channel], bad[j, channel]
             )
 
     # Batched sigma-clip of every kept visit (see clip_difference_outliers).
@@ -350,13 +329,13 @@ def diagnose_and_repair_batch(
         mad = _median_rows(np.abs(excess), overwrite_input=True)
         sigma = 1.4826 * mad.astype(np.float64)
         # Threshold rounded to float32 exactly as the scalar comparison does.
-        threshold = (config.clip_sigma * sigma).astype(np.float32)
+        threshold = (CLIP_SIGMA * sigma).astype(np.float32)
         candidates = excess > threshold[:, None, None]
         active = candidates.any(axis=(1, 2)) & (sigma > 0)
         # The 3x3 median filter dwarfs every other statistic here, and an
         # outlier must first be a candidate — so filter only the visits
         # that have at least one candidate pixel.  Clean traffic (no pixel
-        # past clip_sigma) skips it entirely; the result is bit-identical
+        # past CLIP_SIGMA) skips it entirely; the result is bit-identical
         # because outliers is a subset of candidates & active.
         active_idx = np.flatnonzero(active)
         if active_idx.size:
@@ -366,7 +345,7 @@ def diagnose_and_repair_batch(
             sub_med = med[active_idx, None, None]
             sub_excess = excess[active_idx]
             unsupported = (local - sub_med) < np.float32(
-                config.clip_support_ratio
+                CLIP_SUPPORT_RATIO
             ) * sub_excess
             outliers = candidates[active_idx] & unsupported
             counts = outliers.sum(axis=(1, 2))
@@ -396,7 +375,7 @@ def diagnose_and_repair_batch(
             diag.rejected = True
             diag.reason = (
                 f"bad-pixel fraction {diag.bad_fraction:.3f} exceeds repair "
-                f"budget {config.max_repair_fraction:.3f}"
+                f"budget {MAX_REPAIR_FRACTION:.3f}"
             )
         else:
             if inpainted[i]:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import re
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from typing import Callable, Iterator
@@ -235,3 +239,30 @@ def http_get(port: int, path: str, timeout: float = 10.0):
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.read()
+
+
+_LISTENING = re.compile(r"serving on ([\d.]+):(\d+)")
+
+
+def spawn_serve(model_dir, *extra_args) -> tuple[subprocess.Popen, int]:
+    """Start ``repro serve --model DIR --port 0`` in a child process;
+    returns ``(process, port)`` once its listening line is printed."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--model", str(model_dir), "--port", "0", *extra_args,
+        ],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    # The listening line is the first thing serve prints to stderr.
+    line = process.stderr.readline()
+    match = _LISTENING.search(line)
+    if match is None:
+        process.kill()
+        raise AssertionError(f"no listening line, got {line!r}")
+    return process, int(match.group(2))

@@ -77,7 +77,7 @@ class TestDaemonConfig:
             {"client_body_deadline_s": float("nan")},
             {"wedge_timeout_s": float("nan")},
             {"reload_poll_s": float("nan")},
-            {"latency_buckets_ms": (1.0, float("nan"))},
+            {"scoring_workers": -1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -300,19 +300,20 @@ class TestWorkspaceCache:
         assert 0.0 <= total["hit_rate"] <= 1.0
 
     def test_metrics_source_matches_total_stats_contract(self, cnn, tmp_path):
-        """A telemetry session exports nn.workspace_total_stats as its
-        ``nn.workspace`` metrics source."""
+        """A telemetry session exports nn.workspace_total_stats as
+        ``nn.workspace_*`` gauges at close: every raw count, no hit rate."""
         cnn.fused_forward(_pairs(4, np.random.default_rng(13)))
-        session = obs.start(tmp_path)
-        try:
-            sourced = session.metrics.snapshot()["sources"]["nn.workspace"]
-        finally:
-            obs.stop()
-        assert set(sourced) == {
-            "hits", "misses", "evictions", "entries",
-            "bytes", "threads", "hit_rate",
+        obs.start(tmp_path)
+        gauges = obs.stop()["gauges"]
+        total = nn.workspace_total_stats()
+        exported = {
+            name[len("nn.workspace_"):]: value
+            for name, value in gauges.items()
+            if name.startswith("nn.workspace_")
         }
-        assert all(isinstance(v, (int, float)) for v in sourced.values())
+        del total["hit_rate"]
+        assert exported == total
+        assert exported["entries"] >= 1 and exported["bytes"] > 0
 
 
 class TestSatelliteRegressions:

@@ -259,13 +259,17 @@ class TestSession:
             obs.stop()
 
     def test_workspace_source_registered_on_start(self, tmp_path):
-        session = obs.start(tmp_path / "t")
-        try:
-            snapshot = session.metrics.snapshot()
-        finally:
-            obs.stop()
-        workspace = snapshot["sources"]["nn.workspace"]
-        assert {"hits", "misses", "evictions", "entries", "bytes"} <= set(workspace)
+        """The conv workspace counters land in metrics.json as
+        ``nn.workspace_*`` gauges, written at session close."""
+        obs.start(tmp_path / "t")
+        snapshot = obs.stop()
+        assert "sources" not in snapshot
+        assert {
+            f"nn.workspace_{name}"
+            for name in ("hits", "misses", "evictions", "entries", "bytes")
+        } <= set(snapshot["gauges"])
+        with open(tmp_path / "t" / "metrics.json") as handle:
+            assert json.load(handle)["gauges"] == snapshot["gauges"]
 
     def test_error_status_recorded(self, tmp_path):
         obs.start(tmp_path / "t")

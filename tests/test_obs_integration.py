@@ -348,7 +348,7 @@ class TestTelemetryOverhead:
         traced_rounds, n_spans = 2, 0
         for index in range(traced_rounds):
             round_dir = tmp_path / f"trace{index}"
-            session = obs.start(round_dir, command="telemetry-trace", trace="always")
+            session = obs.start(round_dir, command="telemetry-trace", trace=True)
             try:
                 with session.tracer.start_trace(f"overhead/round{index}"):
                     run()

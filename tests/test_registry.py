@@ -489,7 +489,7 @@ class TestPromoteGate:
         assert code == EXIT_BAD_INPUT
         assert f"at least {GATE_MIN_SAMPLES}" in err
 
-        load = InferenceEngine.from_directory.__func__
+        load = InferenceEngine.from_directory_unmonitored.__func__
 
         def crash_v2(cls, directory, *args, **kwargs):
             engine = load(cls, directory, *args, **kwargs)
@@ -499,7 +499,9 @@ class TestPromoteGate:
                 engine.score_hook = explode
             return engine
 
-        monkeypatch.setattr(InferenceEngine, "from_directory", classmethod(crash_v2))
+        monkeypatch.setattr(
+            InferenceEngine, "from_directory_unmonitored", classmethod(crash_v2)
+        )
         code, err = promote("v2", dataset_path)
         assert code == EXIT_BAD_INPUT
         assert "v2 failed scoring the gate dataset" in err
@@ -655,3 +657,37 @@ class TestDriftBaselineArtifacts:
         assert len(warnings) == 1
         assert warnings[0]["level"] == "warning"
         assert warnings[0]["model_dir"] == str(model_dir)
+
+    @staticmethod
+    def _warned_dirs(telemetry) -> list:
+        return [
+            record["model_dir"] for record in read_events(telemetry / EVENTS_FILE)
+            if record["event"] == "serve.no_drift_baseline"
+        ]
+
+    @pytest.mark.obs
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_classify_warns_once(self, tmp_path, gate_models, workers):
+        """In-process or through a scoring pool, a classify run of a
+        baseline-less model writes exactly one warning."""
+        telemetry = tmp_path / "telemetry"
+        model = str(gate_models / "base")
+        assert main([
+            "classify", "--model", model, "--dataset", str(gate_models / "gate.npz"),
+            "--workers", str(workers), "--out", str(tmp_path / "scores.jsonl"),
+            "--telemetry", str(telemetry),
+        ]) == 0
+        assert self._warned_dirs(telemetry) == [model]
+
+    @pytest.mark.obs
+    def test_promote_gate_writes_no_warning(self, tmp_path, registry, gate_models):
+        """The gate scores two baseline-less versions but serves nothing."""
+        registry.promote(registry.register(gate_models / "base"))
+        registry.register(gate_models / "near")
+        telemetry = tmp_path / "telemetry"
+        assert main([
+            "models", "promote", "v2", "--registry", registry.root,
+            "--gate", str(gate_models / "gate.npz"), "--telemetry", str(telemetry),
+        ]) == 0
+        assert registry.production() == "v2"
+        assert self._warned_dirs(telemetry) == []

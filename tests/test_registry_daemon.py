@@ -235,6 +235,31 @@ def _poisoned_promote_drill(tmp_path, watch=None):
 
 
 class TestHotReload:
+    @pytest.mark.obs
+    @pytest.mark.parametrize("scoring_workers", [0, 2], ids=["engine", "pool2"])
+    def test_one_no_baseline_warning_per_loaded_version(
+        self, two_version_registry, tmp_path, scoring_workers
+    ):
+        """The daemon loads v1, then v2 on a promote: one
+        ``serve.no_drift_baseline`` each, in-process or in pool mode
+        (where the version's pool warns and the validating engine is
+        built without a baseline)."""
+        registry = two_version_registry
+        telemetry = tmp_path / "telemetry"
+        config = DaemonConfig(scoring_workers=scoring_workers, reload_poll_s=0.05)
+        obs.start(telemetry, run_id="serve-nobaseline")
+        try:
+            with running_registry_daemon(registry, config) as daemon:
+                registry.promote("v2")
+                _wait_for(lambda: daemon._engine_version == "v2", timeout_s=30.0)
+        finally:
+            obs.stop()
+        warned = [
+            record["model_dir"] for record in read_events(telemetry / EVENTS_FILE)
+            if record["event"] == "serve.no_drift_baseline"
+        ]
+        assert warned == [registry.path("v1"), registry.path("v2")]
+
     def test_burst_traffic_across_a_promote_drops_nothing(self, tmp_path):
         """Satellite: concurrent hot reload under a BurstSchedule.
 

@@ -19,10 +19,10 @@ from repro.runtime import (
     TruncateCutout,
 )
 from repro.serve import (
+    SATURATION_LEVEL,
     DegradedInputError,
     FluxPrior,
     InferenceEngine,
-    RepairConfig,
     clip_difference_outliers,
     diagnose_and_repair,
     inpaint_bad_pixels,
@@ -67,10 +67,10 @@ class TestValidationRepair:
         assert np.isfinite(repaired).all()
 
     def test_saturated_block_repaired(self):
-        config = RepairConfig(saturation_level=100.0)
         pair = _clean_pair()
-        pair[1, :4, :4] = 500.0
-        repaired, diag = diagnose_and_repair(pair, visit=2, config=config)
+        pair[1, :4, :4] = SATURATION_LEVEL
+        pair[1, 0, 0] = 2 * SATURATION_LEVEL
+        repaired, diag = diagnose_and_repair(pair, visit=2)
         assert diag.n_saturated == 16 and diag.repaired
         assert repaired.max() < 100.0
 
@@ -103,16 +103,10 @@ class TestValidationRepair:
         psf = 200.0 * np.exp(-((yy - 12.0) ** 2 + (xx - 12.0) ** 2) / (2 * 2.0**2))
         obs = obs + psf.astype(np.float32)
         obs[3, 3] += 300.0  # isolated cosmic-ray pixel
-        repaired, n = clip_difference_outliers(ref, obs, RepairConfig())
+        repaired, n = clip_difference_outliers(ref, obs)
         assert n >= 1
         assert repaired[3, 3] < obs[3, 3] - 100.0
         assert repaired[12, 12] == pytest.approx(obs[12, 12])  # SN peak untouched
-
-    def test_repair_config_validation(self):
-        with pytest.raises(ValueError):
-            RepairConfig(max_repair_fraction=1.5)
-        with pytest.raises(ValueError):
-            RepairConfig(clip_sigma=0.0)
 
 
 class TestInjectors:

@@ -6,21 +6,21 @@ already-admitted request is still answered, the terminal
 """
 
 import json
-import os
-import re
 import signal
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-from .helpers import classify_body, make_serve_engine, make_serve_sample, post_classify
+from .helpers import (
+    classify_body,
+    make_serve_engine,
+    make_serve_sample,
+    post_classify,
+    spawn_serve,
+)
 
 pytestmark = pytest.mark.serve
-
-_LISTENING = re.compile(r"serving on ([\d.]+):(\d+)")
 
 
 @pytest.fixture(scope="module")
@@ -31,28 +31,6 @@ def model_dir(tmp_path_factory):
     return directory, engine
 
 
-def _spawn_daemon(model_dir, *extra_args):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--model", str(model_dir), "--port", "0", *extra_args,
-        ],
-        env=env,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    # The listening line is the first thing serve prints to stderr.
-    line = process.stderr.readline()
-    match = _LISTENING.search(line)
-    if match is None:
-        process.kill()
-        raise AssertionError(f"no listening line, got {line!r}")
-    return process, int(match.group(2))
-
-
 class TestSubprocessDrain:
     def test_sigterm_answers_in_flight_requests_and_exits_0(self, model_dir):
         directory, engine = model_dir
@@ -60,7 +38,7 @@ class TestSubprocessDrain:
         body = classify_body(pairs, mjd, deadline_ms=30000)
         # A wide batch window keeps requests in flight long enough for
         # SIGTERM to land while they are still queued.
-        process, port = _spawn_daemon(directory, "--batch-deadline-ms", "500")
+        process, port = spawn_serve(directory, "--batch-deadline-ms", "500")
         try:
             results: list = [None] * 4
 
@@ -104,7 +82,7 @@ class TestSubprocessDrain:
 
     def test_sigterm_on_idle_daemon_exits_0(self, model_dir):
         directory, _ = model_dir
-        process, port = _spawn_daemon(directory)
+        process, port = spawn_serve(directory)
         try:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30.0) == 0

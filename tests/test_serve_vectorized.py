@@ -15,11 +15,11 @@ import pytest
 from repro.datasets import BuildConfig, DatasetBuilder
 from repro.runtime import DropBand, NaNPixels, SaturateRegion, TruncateCutout
 from repro.serve import (
-    RepairConfig,
+    SATURATION_LEVEL,
     diagnose_and_repair,
     diagnose_and_repair_batch,
 )
-from repro.serve.validation import _median_rows
+from repro.serve.validation import MAX_REPAIR_FRACTION, _median_rows
 from repro.survey import ImagingConfig
 
 pytestmark = pytest.mark.faults
@@ -36,77 +36,92 @@ def dataset():
     return DatasetBuilder(config).build()
 
 
-def _assert_batch_matches_loop(pairs: np.ndarray, config: RepairConfig) -> None:
-    """Bitwise parity of the batch path against the per-visit loop."""
+def _assert_batch_matches_loop(pairs: np.ndarray) -> tuple[list, np.ndarray]:
+    """Bitwise parity of the batch path against the per-visit loop;
+    returns the batch path's diagnostics and keep mask."""
     n, v = pairs.shape[:2]
     flat = np.ascontiguousarray(pairs.reshape(n * v, *pairs.shape[2:]))
     visits = np.tile(np.arange(v), n)
-    repaired_b, diags_b, kept_b = diagnose_and_repair_batch(flat, visits, config)
+    repaired_b, diags_b, kept_b = diagnose_and_repair_batch(flat, visits)
     for i in range(n * v):
-        repaired_l, diag_l = diagnose_and_repair(flat[i], int(visits[i]), config)
+        repaired_l, diag_l = diagnose_and_repair(flat[i], int(visits[i]))
         assert diags_b[i].to_dict() == diag_l.to_dict(), f"diag mismatch at {i}"
         assert bool(kept_b[i]) == (not diag_l.rejected)
         if not diag_l.rejected:
             np.testing.assert_array_equal(
                 repaired_b[i], repaired_l, err_msg=f"pixels differ at visit {i}"
             )
+    return diags_b, kept_b
 
 
 class TestBatchRepairParity:
     def test_clean_traffic(self, dataset):
-        _assert_batch_matches_loop(dataset.pairs[:4], RepairConfig())
+        _assert_batch_matches_loop(dataset.pairs[:4])
 
     def test_dropped_bands(self, dataset):
         corrupted = DropBand([1, 3])(dataset.pairs[:4])
-        _assert_batch_matches_loop(corrupted, RepairConfig())
+        _assert_batch_matches_loop(corrupted)
 
     def test_nan_pixels_below_and_above_budget(self, dataset):
         for fraction in (0.03, 0.45):
             corrupted = NaNPixels(fraction, seed=5)(dataset.pairs[:3])
-            _assert_batch_matches_loop(corrupted, RepairConfig())
+            _assert_batch_matches_loop(corrupted)
 
     def test_saturated_regions(self, dataset):
         corrupted = SaturateRegion(6, seed=7)(dataset.pairs[:3])
-        _assert_batch_matches_loop(corrupted, RepairConfig())
+        _assert_batch_matches_loop(corrupted)
 
     def test_truncated_cutouts(self, dataset):
         corrupted = TruncateCutout(0.3)(dataset.pairs[:3])
-        _assert_batch_matches_loop(corrupted, RepairConfig())
+        _assert_batch_matches_loop(corrupted)
 
     def test_cosmic_ray_spikes_clipped(self, dataset):
         corrupted = dataset.pairs[:3].copy()
         spots = RNG.integers(5, 35, size=(corrupted.shape[1], 2))
         for v, (r, c) in enumerate(spots):
             corrupted[:, v, 1, r, c] += 5000.0
-        _assert_batch_matches_loop(corrupted, RepairConfig())
+        _assert_batch_matches_loop(corrupted)
 
     def test_mixed_damage_and_custom_config(self, dataset):
-        corrupted = NaNPixels(0.05, seed=2)(SaturateRegion(4, seed=3)(dataset.pairs[:3]))
-        config = RepairConfig(
-            saturation_level=1000.0, max_repair_fraction=0.15, clip_sigma=6.0
-        )
-        _assert_batch_matches_loop(corrupted, config)
+        # Every repair constant decides some visit: a block at exactly
+        # SATURATION_LEVEL, NaN damage on either side of
+        # MAX_REPAIR_FRACTION, and spikes past CLIP_SIGMA.
+        saturated = SaturateRegion(4, level=SATURATION_LEVEL, seed=3)(dataset.pairs[:3])
+        corrupted = np.concatenate([
+            NaNPixels(0.05, seed=2)(saturated[:2]),
+            NaNPixels(MAX_REPAIR_FRACTION + 0.05, seed=2)(saturated[2:]),
+        ])
+        corrupted[:, :, 1, 20, 20] += 5000.0
+        diags, kept = _assert_batch_matches_loop(corrupted)
+        n_light = 2 * corrupted.shape[1]
+        assert kept[:n_light].all() and not kept[n_light:].any()
+        assert all(d.n_saturated for d in diags[:n_light])
+        assert any(d.n_clipped for d in diags[:n_light])
 
     @pytest.mark.parametrize(
         "value",
-        [np.inf, -np.inf, 30000.0, np.nextafter(np.float32(30000.0), np.float32(0.0))],
+        [
+            np.inf,
+            -np.inf,
+            SATURATION_LEVEL,
+            np.nextafter(np.float32(SATURATION_LEVEL), np.float32(0.0)),
+        ],
         ids=["plus-inf", "minus-inf", "at-saturation", "below-saturation"],
     )
     def test_single_pixel_at_the_clean_gate(self, dataset, value):
         # One pixel on either side of the clean-visit gate: only ``min``
         # sees -inf, and a pixel exactly at the level is saturated.
-        config = RepairConfig(saturation_level=30000.0)
         corrupted = dataset.pairs[:2].copy()
         corrupted[1, 2, 0, 17, 23] = value
-        _assert_batch_matches_loop(corrupted, config)
+        _assert_batch_matches_loop(corrupted)
 
     def test_even_sided_stamps(self, dataset):
         # The survey only renders odd stamps, so crop to 40x40: an even
         # pixel count takes the batch median's two-order-statistic path.
         corrupted = NaNPixels(0.03, seed=4)(dataset.pairs[:3, :, :, :40, :40])
         corrupted[:, :, 1, 12, 27] += 5000.0
-        _assert_batch_matches_loop(corrupted, RepairConfig())
-        _assert_batch_matches_loop(dataset.pairs[:3, :, :, 1:, 1:], RepairConfig())
+        _assert_batch_matches_loop(corrupted)
+        _assert_batch_matches_loop(dataset.pairs[:3, :, :, 1:, 1:])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(M, 2, S, S\)"):

@@ -1,10 +1,11 @@
-"""Request tracing: span layer, sampling, cross-process propagation,
-the one-clock contract (every span feeds its histogram, sampled or not),
+"""Request tracing: span layer, cross-process propagation, the
+one-clock contract (every span feeds its histogram, sampled or not),
 the trace analysis CLI, and the satellites that ride along (access log,
-configurable latency buckets, pool stats)."""
+latency buckets, pool stats)."""
 
 import json
 import os
+import signal
 import threading
 import time
 from collections import Counter
@@ -18,8 +19,9 @@ from repro.obs import trace as trace_mod
 from repro.obs.log import EVENTS_FILE
 from repro.obs.trace import (
     NULL_SPAN,
+    SLOW_EVENT,
+    SLOW_REQUEST_S,
     SPAN_EVENT,
-    TraceConfig,
     build_trees,
     critical_paths,
     derive_span_id,
@@ -40,6 +42,7 @@ from .helpers import (
     make_serve_sample,
     post_classify,
     running_daemon,
+    spawn_serve,
 )
 
 pytestmark = pytest.mark.obs
@@ -72,20 +75,19 @@ def _span_events(directory):
 
 
 # ----------------------------------------------------------------------
-# Config, ids, sampling
+# Config, ids
 # ----------------------------------------------------------------------
 class TestConfig:
-    def test_parse_specs(self):
-        assert TraceConfig.parse("always").mode == "always"
-        rate = TraceConfig.parse("rate:0.25")
-        assert rate.mode == "rate" and rate.rate == 0.25
-        slow = TraceConfig.parse("slow:250")
-        assert slow.mode == "slow" and slow.slow_threshold_s == 0.25
-
-    @pytest.mark.parametrize("spec", ["sometimes", "rate:2", "rate:x", "slow:0"])
-    def test_bad_specs_raise(self, spec):
-        with pytest.raises(ValueError):
-            TraceConfig.parse(spec)
+    @pytest.mark.parametrize(
+        "spec", ["sometimes", "rate:2", "rate:x", "slow:0", "rate:0.1", "slow:250"]
+    )
+    def test_bad_specs_raise(self, spec, capsys):
+        """``--trace`` is a plain flag: a sampling spec after it is an
+        unknown argument."""
+        with pytest.raises(SystemExit) as info:
+            cli_main(["serve", "--model", "m", "--telemetry", "t", "--trace", spec])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {spec}" in capsys.readouterr().err
 
     def test_ids_deterministic(self):
         assert derive_trace_id("run/r7") == derive_trace_id("run/r7")
@@ -94,21 +96,6 @@ class TestConfig:
         assert derive_span_id(tid, "1") == derive_span_id(tid, "1")
         assert derive_span_id(tid, "1") != derive_span_id(tid, "2")
         assert len(tid) == 16
-
-    def test_rate_sampling_deterministic(self, tmp_path):
-        session = obs.start(tmp_path, trace="rate:0.5")
-        try:
-            tracer = session.tracer
-            decisions = [tracer.sample(f"run/r{i}") for i in range(200)]
-            assert decisions == [tracer.sample(f"run/r{i}") for i in range(200)]
-            assert 20 < sum(decisions) < 180  # a real fraction, not 0/100%
-        finally:
-            obs.stop()
-        session = obs.start(tmp_path / "none", trace="rate:0.0")
-        try:
-            assert session.tracer.start_trace("run/r1") is None
-        finally:
-            obs.stop()
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +116,7 @@ class TestSpans:
         """A span open on one thread never parents a span on another:
         the daemon's handler and scoring threads each trace their own
         requests."""
-        session = obs.start(tmp_path, run_id="t", trace="always")
+        session = obs.start(tmp_path, run_id="t", trace=True)
         tracer = session.tracer
         seen = {}
 
@@ -171,7 +158,7 @@ class TestSpans:
         assert names == ["request", "request"]
 
     def test_ambient_nesting_and_emission(self, tmp_path):
-        session = obs.start(tmp_path, run_id="t", trace="always")
+        session = obs.start(tmp_path, run_id="t", trace=True)
         tracer = session.tracer
         root = tracer.start_trace("t/r0", n_visits=3)
         with root:
@@ -202,7 +189,7 @@ class TestSpans:
         assert "trace.stage.inner_s" in snapshot["histograms"]
 
     def test_span_error_attr_on_exception(self, tmp_path):
-        session = obs.start(tmp_path, trace="always")
+        session = obs.start(tmp_path, trace=True)
         root = session.tracer.start_trace("t/r0")
         with pytest.raises(RuntimeError):
             with root:
@@ -212,28 +199,40 @@ class TestSpans:
         spans = {event["name"]: event for event in _span_events(tmp_path)}
         assert spans["stage.bad"]["error"] == "RuntimeError"
 
-    def test_slow_mode_drops_fast_keeps_slow(self, tmp_path):
-        session = obs.start(tmp_path, trace="slow:50")
+    def test_every_request_sampled_slow_ones_warned(self, tmp_path):
+        """A traced session emits every request's tree; a root lasting
+        SLOW_REQUEST_S or longer also writes one slow-request warning."""
+        session = obs.start(tmp_path, trace=True)
         tracer = session.tracer
-        fast = tracer.start_trace("t/r0")
-        with fast:
+        with tracer.start_trace("t/r0"):
             with trace_mod.span("stage.fast"):
                 pass
-        slow = tracer.start_trace("t/r1")
-        with slow:
+        # A root that began SLOW_REQUEST_S ago (as the daemon's does for
+        # the time spent reading the body) is over the threshold at once.
+        with tracer.start_trace("t/r1", t_offset_s=SLOW_REQUEST_S):
             with trace_mod.span("stage.slow"):
-                time.sleep(0.06)
+                pass
         obs.stop()
         events = list(obs.read_events(os.path.join(tmp_path, EVENTS_FILE)))
         spans = [e for e in events if e.get("event") == SPAN_EVENT]
-        assert {s["trace_id"] for s in spans} == {derive_trace_id("t/r1")}
-        slow_events = [e for e in events if e.get("event") == "trace.slow_request"]
+        assert Counter(s["trace_id"] for s in spans) == {
+            derive_trace_id("t/r0"): 2, derive_trace_id("t/r1"): 2,
+        }
+        slow_events = [e for e in events if e.get("event") == SLOW_EVENT]
         assert len(slow_events) == 1
         assert slow_events[0]["level"] == "warning"
         assert slow_events[0]["request_id"] == "t/r1"
+        assert slow_events[0]["threshold_s"] == SLOW_REQUEST_S
+
+    def test_untraced_session_samples_nothing(self, tmp_path):
+        session = obs.start(tmp_path)
+        try:
+            assert session.tracer.start_trace("run/r1") is None
+        finally:
+            obs.stop()
 
     def test_schema_v2_validates_span_records(self, tmp_path):
-        session = obs.start(tmp_path, trace="always")
+        session = obs.start(tmp_path, trace=True)
         root = session.tracer.start_trace("t/r0")
         with root:
             pass
@@ -265,7 +264,7 @@ class TestSpans:
 # ----------------------------------------------------------------------
 class TestDaemonTracing:
     def test_request_spans_end_to_end(self, engine, tmp_path):
-        obs.start(tmp_path, run_id="serve", trace="always")
+        obs.start(tmp_path, run_id="serve", trace=True)
         try:
             with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
                 pairs, mjd = make_serve_sample(engine)
@@ -339,33 +338,22 @@ class TestDaemonTracing:
             assert event["bytes"] > 0
             assert event["duration_ms"] >= 0
 
-    def test_latency_buckets_configurable(self, engine):
-        config = DaemonConfig(latency_buckets_ms=(5.0, 50.0, 500.0))
-        with running_daemon(engine, config) as daemon:
+    def test_default_buckets_unchanged(self, engine):
+        with running_daemon(engine) as daemon:
             pairs, mjd = make_serve_sample(engine)
             status, _ = post_classify(daemon.port, classify_body(pairs, mjd))
             assert status == 200
             _, text = http_get(daemon.port, "/metrics")
-            daemon.drain()
-        exposition = text.decode()
-        assert 'daemon_latency_s_bucket{le="0.005"}' in exposition
-        assert 'daemon_latency_s_bucket{le="0.5"}' in exposition
-        assert daemon._latency_hist.count == 1
-
-    def test_latency_buckets_validation(self):
-        with pytest.raises(ValueError):
-            DaemonConfig(latency_buckets_ms=())
-        with pytest.raises(ValueError):
-            DaemonConfig(latency_buckets_ms=(10.0, 5.0))
-        with pytest.raises(ValueError):
-            DaemonConfig(latency_buckets_ms=(-1.0, 5.0))
-
-    def test_default_buckets_unchanged(self, engine):
-        with running_daemon(engine) as daemon:
             assert daemon._latency_hist.buckets == tuple(
                 obs.DEFAULT_LATENCY_BUCKETS_S
             )
+            assert daemon._latency_hist.count == 1
             daemon.drain()
+        buckets = [
+            line for line in text.decode().splitlines()
+            if line.startswith("daemon_latency_s_bucket")
+        ]
+        assert len(buckets) == len(obs.DEFAULT_LATENCY_BUCKETS_S) + 1  # and +Inf
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +361,7 @@ class TestDaemonTracing:
 # ----------------------------------------------------------------------
 class TestPoolTracing:
     def _traced_pool_batch(self, engine, tmp_path, pairs, mjd, **pool_kwargs):
-        session = obs.start(tmp_path, run_id="pool", trace="always")
+        session = obs.start(tmp_path, run_id="pool", trace=True)
         pool = ScoringPool(
             engine=engine, config=PoolConfig(workers=2), **pool_kwargs
         )
@@ -504,15 +492,15 @@ class TestOneClock:
         assert _span_events(tmp_path) == []
 
     def test_sampled_histograms_equal_span_events(self, engine, tmp_path):
-        """Under ``always`` every stage is counted exactly once — worker
-        spans merged across the pipe included."""
+        """In a traced session every stage is counted exactly once —
+        worker spans merged across the pipe included."""
         rng = np.random.default_rng(6)
         v, s = engine._n_used_visits, 40
         pairs = rng.normal(0.0, 30.0, size=(4, v, 2, s, s)).astype(np.float32)
         mjd = np.tile(
             (57000.0 + np.arange(v) * 0.01).astype(np.float32), (4, 1)
         )
-        session = obs.start(tmp_path, run_id="clock", trace="always")
+        session = obs.start(tmp_path, run_id="clock", trace=True)
         pool = ScoringPool(engine=engine, config=PoolConfig(workers=2))
         try:
             pool.start()
@@ -536,7 +524,7 @@ class TestTraceCli:
     @pytest.fixture()
     def traced_dir(self, engine, tmp_path):
         directory = tmp_path / "telemetry"
-        obs.start(directory, run_id="serve", trace="always")
+        obs.start(directory, run_id="serve", trace=True)
         try:
             with running_daemon(engine, DaemonConfig(batch_deadline_ms=2.0)) as daemon:
                 pairs, mjd = make_serve_sample(engine)
@@ -583,12 +571,56 @@ class TestTraceCli:
         assert "--trace requires --telemetry" in capsys.readouterr().err
 
     def test_bad_trace_spec_exits_bad_input(self, tmp_path, capsys):
-        code = cli_main([
-            "serve", "--model", "m",
-            "--telemetry", os.fspath(tmp_path), "--trace", "sometimes",
-        ])
-        assert code == 2
+        telemetry = tmp_path / "telemetry"
+        with pytest.raises(SystemExit) as info:
+            cli_main([
+                "serve", "--model", "m",
+                "--telemetry", os.fspath(telemetry), "--trace", "sometimes",
+            ])
+        assert info.value.code == 2
         assert obs.active() is None
+        assert not telemetry.exists()  # refused before any session opened
+
+    def test_latency_buckets_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["serve", "--model", "m", "--latency-buckets-ms", "5,50"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --latency-buckets-ms" in capsys.readouterr().err
+
+    def test_bare_trace_records_a_tree_per_request(self, engine, tmp_path):
+        """``repro serve --telemetry DIR --trace`` in its own process: every
+        request leaves one valid span tree rooted at its request id."""
+        model = tmp_path / "model"
+        engine.save(os.fspath(model))
+        telemetry = tmp_path / "telemetry"
+        process, port = spawn_serve(
+            model, "--telemetry", os.fspath(telemetry), "--trace",
+            "--batch-deadline-ms", "2",
+        )
+        try:
+            pairs, mjd = make_serve_sample(engine)
+            body = classify_body(pairs, mjd)
+            for _ in range(3):
+                status, _ = post_classify(port, body)
+                assert status == 200
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
+        spans = load_spans(os.fspath(telemetry))
+        assert validate_spans(spans) == []
+        trees = build_trees(spans)
+        assert len(trees) == 3
+        assert sorted(tree["request_id"].rsplit("/", 1)[1] for tree in trees) == [
+            "r0", "r1", "r2",
+        ]
+        assert all(
+            {"request", "daemon.score", "serve.cnn"}
+            <= {s["name"] for s in tree["spans"]}
+            for tree in trees
+        )
 
     def test_metrics_report_summarizes_spans(self, traced_dir, capsys):
         assert cli_main(["metrics", traced_dir]) == 0
